@@ -35,6 +35,13 @@ class UsageError(Exception):
     pass
 
 
+def _available_cpus():
+    """CPUs this process may run on: its affinity mask, not the host's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _load_experiment(name_or_path):
     catalog = experiment_catalog()
     if name_or_path in catalog:
@@ -132,7 +139,9 @@ def build_parser():
     run.add_argument("--out", required=True, help="result CSV path")
     run.add_argument("--summary", default=None, help="summary CSV path")
     run.add_argument("--cdf", default=None, help="gnuplot CDF table path")
-    run.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    run.add_argument("--threads", type=int, default=_available_cpus(),
+                     help="worker threads for the outer trial loop "
+                     "(default: the CPUs this process may run on)")
     run.set_defaults(func=cmd_run)
 
     lst = sub.add_parser("list-scenarios", help="list preset experiments")

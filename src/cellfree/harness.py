@@ -116,6 +116,11 @@ class ScenarioConfig:
 
 def validate_config(cfg):
     """Raise ValueError on any configuration conflict, before any trial runs."""
+    for f in fields(ScenarioConfig):
+        v = getattr(cfg, f.name)
+        if isinstance(v, float) or f.name in _TUPLE_FIELDS:
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"{f.name} must be finite, got {v}")
     if cfg.deployment not in ("ppp", "hexagonal"):
         raise ValueError(f"unknown deployment {cfg.deployment!r}")
     if cfg.density < 0 or (cfg.deployment == "hexagonal" and cfg.density <= 0):

@@ -2,6 +2,8 @@
 
 import numpy as np
 from dataclasses import dataclass
+from scipy.linalg import LinAlgError, cholesky
+from scipy.spatial.distance import cdist
 
 
 @dataclass(frozen=True)
@@ -101,23 +103,35 @@ def path_loss_db(d, params=PathLossParams()):
     return out if out.ndim else float(out)
 
 
+def _covariance(positions, sigma_db, d_u):
+    """sigma^2 * 2^(-d_ij/d_u) over all position pairs, built in one buffer."""
+    cov = cdist(positions, positions)
+    np.divide(cov, -d_u, out=cov)
+    np.exp2(cov, out=cov)
+    cov *= sigma_db**2
+    return cov
+
+
 def _correlation_chol(positions, sigma_db, d_u, jitter_rel=1e-10):
-    """Lower Cholesky factor of sigma^2 * 2^(-d_ij/d_u) with jitter fallback."""
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    cov = sigma_db**2 * np.exp2(-dist / d_u)
-    try:
-        return np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError:
-        pass
-    jitter = jitter_rel * sigma_db**2
-    for _ in range(3):
+    """Lower Cholesky factor of sigma^2 * 2^(-d_ij/d_u) with jitter fallback.
+
+    The covariance is factored in place: its transpose is the same symmetric
+    matrix in Fortran order, so LAPACK overwrites the buffer without a copy.
+    If the factorization fails (e.g. coincident positions), jitter of
+    jitter_rel * sigma^2 is added to the diagonal of a rebuilt covariance and
+    multiplied by 100 on each of at most 3 retries. The returned factor is
+    Fortran-ordered with its strict upper triangle zeroed.
+    """
+    jitter = 0.0
+    for attempt in range(4):
+        cov = _covariance(positions, sigma_db, d_u)
+        cov.flat[::len(cov) + 1] += jitter
         try:
-            return np.linalg.cholesky(cov + jitter * np.eye(len(cov)))
-        except np.linalg.LinAlgError:
-            jitter *= 100.0
+            return cholesky(cov.T, lower=True, overwrite_a=True, check_finite=False)
+        except LinAlgError:
+            jitter = jitter_rel * sigma_db**2 if attempt == 0 else jitter * 100.0
     raise CovarianceFactorizationError(
-        f"shadow covariance not factorizable for {len(cov)} APs even with jitter"
+        f"shadow covariance not factorizable for {len(positions)} APs even with jitter"
     )
 
 

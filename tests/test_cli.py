@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from cellfree.cli import main
+from cellfree.cli import build_parser, main
 from cellfree.harness import ScenarioConfig, config_to_text
 
 TINY = config_to_text(
@@ -115,6 +115,21 @@ def test_invalid_scenario_semantics_exit_2(tmp_path, capsys):
     assert "invalid scenario" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["terminals=nan,0.0", "density=nan", "density=inf",
+                                  "half_width_km=-inf", "rho=nan", "opt_grid_km=nan"])
+def test_non_finite_config_rejected_before_any_trial(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    key = line.split("=", 1)[0]
+    kept = [l for l in TINY.splitlines() if not l.startswith(key + "=")]
+    bad.write_text("\n".join(kept + [line]) + "\n")
+    out = tmp_path / "x.csv"
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert "must be finite" in capsys.readouterr().err
+    assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert "must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_ok(tiny_config, capsys):
     assert main(["validate", "--config", tiny_config]) == 0
     assert "ok" in capsys.readouterr().out
@@ -161,3 +176,18 @@ def test_bad_arguments_exit_2():
     with pytest.raises(SystemExit) as e:
         main(["oracle", "--check", "bogus"])
     assert e.value.code == 2
+
+
+def _run_args(*extra):
+    return build_parser().parse_args(["run", "--scenario", "fig3", "--out", "x.csv", *extra])
+
+
+def test_threads_default_is_cpus_available_to_process(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert _run_args().threads == len(os.sched_getaffinity(0))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    assert _run_args().threads == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert _run_args().threads == 5
+    assert _run_args("--threads", "2").threads == 2

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from cellfree import propagation
 from cellfree.deployment import NetworkLayout, Region, place_ppp
 from cellfree.grouping import Grouping, random_grouping
 from cellfree.propagation import (
+    CovarianceFactorizationError,
     PathLossParams,
     ShadowParams,
     large_scale,
@@ -92,12 +94,15 @@ def test_shadow_correlated_variance_includes_both_parts():
     assert abs(draws.var() - 64.0) < 1.5
 
 
+def _reference_cov(positions, sigma_db, d_u):
+    """Reference construction of the covariance from broadcast distances."""
+    diff = positions[:, None, :] - positions[None, :, :]
+    return sigma_db**2 * np.exp2(-np.sqrt(np.sum(diff * diff, axis=-1)) / d_u)
+
+
 def test_correlated_covariance_is_psd():
     layout = _layout(seed=3, density=30.0)
-    d = np.linalg.norm(
-        layout.positions[:, None, :] - layout.positions[None, :, :], axis=-1
-    )
-    cov = 64.0 * np.exp2(-d / 0.2)
+    cov = _reference_cov(layout.positions, 8.0, 0.2)
     assert np.allclose(cov, cov.T)
     assert np.linalg.eigvalsh(cov).min() > -1e-8 * 64.0
 
@@ -107,6 +112,46 @@ def test_duplicate_positions_fall_back_to_jitter():
     params = ShadowParams(mode="correlated", sigma_db=8.0)
     v = shadow_field(layout, (0, 0), params, np.random.default_rng(11))
     assert np.all(np.isfinite(v))
+
+
+def test_correlation_chol_matches_reference_construction():
+    layout = _layout(seed=1, density=20.0, hw=2.4)
+    assert 400 < layout.n_aps < 520
+    ref = np.linalg.cholesky(_reference_cov(layout.positions, 8.0, 0.2))
+    chol = propagation._correlation_chol(layout.positions, 8.0, 0.2)
+    assert np.max(np.abs(chol - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(chol, np.tril(chol))
+
+
+def test_jitter_fallback_factors_rebuilt_covariance():
+    # coincident APs make the covariance singular; the first attempt fails
+    # after overwriting its buffer, so the retry must factor a fresh copy
+    positions = np.array([[0.0, 0.0], [0.0, 0.0], [0.1, 0.0], [0.1, 0.0]])
+    sigma_db, jitter = 8.0, 1e-10 * 64.0
+    cov = _reference_cov(positions, sigma_db, 0.2)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(cov)
+    chol = propagation._correlation_chol(positions, sigma_db, 0.2)
+    assert np.array_equal(chol, np.tril(chol))
+    target = cov + jitter * np.eye(4)
+    assert np.allclose(chol @ chol.T, target, rtol=0, atol=1e-2 * jitter)
+
+
+def test_factorization_error_after_four_attempts(monkeypatch):
+    calls = []
+
+    def failing(a, **kwargs):
+        calls.append(a.copy())
+        raise np.linalg.LinAlgError("not positive definite")
+
+    monkeypatch.setattr(propagation, "cholesky", failing)
+    positions = np.array([[0.0, 0.0], [0.3, 0.0]])
+    with pytest.raises(CovarianceFactorizationError):
+        propagation._correlation_chol(positions, 8.0, 0.2)
+    assert len(calls) == 4
+    jitters = [c[0, 0] - 64.0 for c in calls]
+    assert jitters[0] == 0.0
+    assert jitters[1:] == pytest.approx([64e-10, 64e-8, 64e-6], rel=1e-4)
 
 
 def test_cross_terminal_field_shape():
