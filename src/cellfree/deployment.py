@@ -1,7 +1,5 @@
 """Access-point deployment: PPP and hexagonal layouts, worst-position search."""
 
-import csv
-
 import numpy as np
 from dataclasses import dataclass, field
 from scipy.spatial import cKDTree
@@ -59,10 +57,6 @@ class NetworkLayout:
     @property
     def n_antennas(self):
         return self.n_aps * self.antennas_per_ap
-
-    def antenna_positions(self):
-        """Positions repeated per antenna, shape (n_antennas, 2)."""
-        return np.repeat(self.positions, self.antennas_per_ap, axis=0)
 
 
 class NoAccessPointsError(ValueError):
@@ -164,42 +158,3 @@ def worst_position(layout, grid_resolution=None, region=None):
     dmin, _ = tree.query(grid, k=1)
     best = int(np.argmax(dmin))  # argmax returns the first (lowest) index on ties
     return grid[best].copy()
-
-
-def write_layout_csv(path, layout, grouping=None):
-    """Export a layout as CSV with columns x_km, y_km, antennas[, group].
-
-    When a grouping is given its per-antenna assignment is collapsed to one
-    row per antenna (x/y repeated for co-located antennas).
-    """
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        if grouping is None:
-            writer.writerow(["x_km", "y_km", "antennas"])
-            for x, y in layout.positions:
-                writer.writerow([f"{x:.17g}", f"{y:.17g}", layout.antennas_per_ap])
-        else:
-            writer.writerow(["x_km", "y_km", "antennas", "group"])
-            pos = layout.antenna_positions()
-            for (x, y), g in zip(pos, grouping.assignment):
-                writer.writerow([f"{x:.17g}", f"{y:.17g}", layout.antennas_per_ap, int(g)])
-
-
-def read_layout_csv(path, deployment_kind="ppp", region=None):
-    """Import a layout written by :func:`write_layout_csv` (group column ignored)."""
-    positions = []
-    antennas = 1
-    with open(path, newline="") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or not {"x_km", "y_km", "antennas"} <= set(reader.fieldnames):
-            raise ValueError(f"{path}: expected columns x_km,y_km,antennas")
-        for row in reader:
-            positions.append((float(row["x_km"]), float(row["y_km"])))
-            antennas = int(row["antennas"])
-    positions = np.array(positions, dtype=float).reshape(-1, 2)
-    if "group" in (reader.fieldnames or []):  # one row per antenna: deduplicate
-        positions = positions[::antennas]
-    if region is None:
-        hw = max(5.0, float(np.abs(positions).max()) if len(positions) else 5.0)
-        region = Region(hw)
-    return NetworkLayout(positions, antennas, deployment_kind, region)

@@ -7,7 +7,9 @@ exist (perfect CSI, and LS with a single group); only the remaining cases
 evaluate the general-OSTBC SNR at simulated estimates.
 """
 
+import functools
 import hashlib
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -18,14 +20,8 @@ from scipy import optimize
 from . import ostbc
 from .channel import conditional_error_stats
 from .deployment import Region, place_hex, place_ppp, worst_position
-from .grouping import Grouping, neighbor_grouping, random_grouping
-from .metrics import (
-    DegenerateRatesError,
-    SampleSizeError,
-    coverage_perfect,
-    outage_rate,
-    outage_result,
-)
+from .grouping import Grouping, group_large_scale, neighbor_grouping, random_grouping
+from .metrics import SampleSizeError, coverage_perfect, outage_rate, outage_result
 from .power import optimize_pilot_power, uniform_plan
 from .propagation import (
     PathLossParams,
@@ -225,8 +221,6 @@ def _parse_value(key, val):
     if key in _OPTIONAL_FLOAT:
         return None if val == "none" else float(val)
     default = ScenarioConfig.__dataclass_fields__[key].default
-    if isinstance(default, bool):
-        return val == "true"
     if isinstance(default, int):
         return int(val)
     if isinstance(default, float):
@@ -350,21 +344,27 @@ def _sample_snr(code, beta_bar, plan, cfg, rng):
     return total
 
 
-def _hyperexp_gamma_eps(lambdas, eps, rng):
-    """epsilon-quantile of a sum of exponentials (closed form, MC fallback)."""
+def _hyperexp_gamma_eps(lambdas, eps):
+    """epsilon-quantile of a sum of exponentials: the root of coverage = 1 - eps.
+
+    The density never exceeds prod(lambda), so P(sum < g) <= prod(lambda)
+    g^n / n! and the coverage exceeds 1 - eps at g = (n! eps / prod(lambda))^(1/n).
+    The search starts from half that point, which stays a lower bracket when
+    rounding hides the last digits of the coverage at tiny eps. Values are
+    cached because brentq evaluates the bracket ends again.
+    """
     lam = np.asarray(lambdas, dtype=float)
-    if lam.size == 1:
-        return float(-np.log1p(-eps) / lam[0])
-    try:
-        target = 1.0 - eps
-        hi = 1.0 / lam.max()
-        while coverage_perfect(hi, lam) > target:
-            hi *= 2.0
-        return float(optimize.brentq(lambda g: coverage_perfect(g, lam) - target, 0.0, hi))
-    except DegenerateRatesError:
-        n = max(int(np.ceil(50.0 / eps)), 20_000)
-        draws = sum(rng.exponential(1.0 / l, n) for l in lam)
-        return float(np.quantile(draws, eps, method="lower"))
+    target = 1.0 - eps
+
+    @functools.cache
+    def excess(g):
+        return coverage_perfect(g, lam) - target
+
+    hi = (math.factorial(lam.size) * eps / np.prod(lam)) ** (1.0 / lam.size)
+    lo = hi / 2.0
+    while excess(hi) > 0:
+        lo, hi = hi, 2.0 * hi
+    return float(optimize.brentq(excess, lo, hi))
 
 
 def run_scenario(cfg, threads=1, label=None):
@@ -402,9 +402,8 @@ def run_scenario(cfg, threads=1, label=None):
             g = _trial_grouping(cfg, code, fixed, None, rng)
             rates = np.empty(len(terminals))
             for k in range(len(terminals)):
-                bb = np.bincount(g.assignment, weights=beta_ant[k], minlength=code.n_groups)
-                lam = 1.0 / (cfg.rho * es * bb)
-                gamma = _hyperexp_gamma_eps(lam, cfg.epsilon, rng)
+                lam = 1.0 / (cfg.rho * es * group_large_scale(beta_ant[k], g))
+                gamma = _hyperexp_gamma_eps(lam, cfg.epsilon)
                 rates[k] = outage_rate(gamma, 0, cfg.tau_c, code)
             return rates, None
     else:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 from . import channel as chan
 from . import ostbc as ost
+from .grouping import group_large_scale
 from .snr import snr_ls_values
 
 
@@ -48,10 +49,8 @@ def run_trial(code, grouping, large_scale, rho_p, rho_d, tau_p, rng, es=1.0):
     beta = np.asarray(large_scale.beta, dtype=float)
     g = (rng.standard_normal(beta.size) + 1j * rng.standard_normal(beta.size)) / np.sqrt(2.0)
     per_antenna = g * np.sqrt(beta)
-    h = np.bincount(grouping.assignment, weights=per_antenna.real, minlength=grouping.n_groups)
-    h = h + 1j * np.bincount(
-        grouping.assignment, weights=per_antenna.imag, minlength=grouping.n_groups
-    )
+    h = group_large_scale(per_antenna.real, grouping)
+    h = h + 1j * group_large_scale(per_antenna.imag, grouping)
 
     pilot = chan.make_pilot_block(tau_p, code.n_groups, pilot_power=rho_p)
     estimate = chan.ls_estimate(h, pilot, large_scale.beta_bar, rng)
@@ -215,9 +214,9 @@ def check_hyperexp(seed, n_trials=100_000, beta_bar=(1e-10, 2.3e-10, 0.7e-10), r
                    n_gammas=20):
     """Perfect-CSI SNR draws vs the hyperexponential coverage formula.
 
-    Compares empirical coverage with the partial-fraction expression at a
-    gamma grid spanning the distribution; every point must fall within three
-    binomial standard errors.
+    Compares empirical coverage with :func:`cellfree.metrics.coverage_perfect`
+    (the phase-type form) at a gamma grid spanning the distribution; every
+    point must fall within three binomial standard errors.
     """
     from .metrics import coverage_perfect
     from .snr import lambda_perfect

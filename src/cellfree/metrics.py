@@ -2,10 +2,7 @@
 
 import numpy as np
 from dataclasses import dataclass
-
-
-class DegenerateRatesError(ValueError):
-    """Two exponential rates (nearly) coincide; use the MC fallback instead."""
+from scipy.linalg import expm
 
 
 class SampleSizeError(ValueError):
@@ -39,39 +36,24 @@ def outage_rate(gamma_eps, tau_p, tau_c, code):
 
 
 def coverage_perfect(gamma, lambdas):
-    """P(snr >= gamma) for a sum of exponentials with distinct rates.
+    """P(snr >= gamma) for a sum of independent exponentials with rates lambdas.
 
-    Evaluates sum_n exp(-gamma lambda_n) / prod_{k != n} (1 - lambda_n/lambda_k).
-    Raises :class:`DegenerateRatesError` when two rates are closer than a
-    relative gap of 1e-6 (the partial fractions then cancel catastrophically);
-    callers fall back to Monte Carlo in that case.
+    Phase-type form (Neuts 1981): the sum is the absorption time of a chain
+    that passes through one phase per rate, so the coverage is the sum of the
+    first row of expm(gamma T), with T bidiagonal (-lambda on the diagonal,
+    lambda[:-1] on the superdiagonal). Exact for equal or nearly equal rates,
+    where partial fractions cancel catastrophically. An array gamma gives an
+    array of the same shape.
     """
     lam = np.asarray(lambdas, dtype=float)
     if np.any(lam <= 0):
         raise ValueError("rates must be positive")
-    n = lam.size
-    if n > 1:
-        srt = np.sort(lam)
-        gaps = np.diff(srt) / srt[:-1]
-        if np.any(gaps < 1e-6):
-            raise DegenerateRatesError("exponential rates too close for partial fractions")
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma < 0):
         raise ValueError("gamma must be >= 0")
-    ratio = 1.0 - lam[:, None] / lam[None, :]
-    np.fill_diagonal(ratio, 1.0)
-    weights = 1.0 / np.prod(ratio, axis=1)
-    out = np.einsum("n,n...->...", weights, np.exp(-np.multiply.outer(lam, gamma)))
+    t = np.diag(-lam) + np.diag(lam[:-1], 1)
+    out = expm(np.multiply.outer(gamma, t))[..., 0, :].sum(axis=-1)
     return float(out) if out.ndim == 0 else out
-
-
-def coverage_perfect_mc(gamma, lambdas, rng, n_draws=100_000):
-    """Monte-Carlo fallback for :func:`coverage_perfect` (any rate multiset)."""
-    lam = np.asarray(lambdas, dtype=float)
-    total = sum(rng.exponential(1.0 / l, n_draws) for l in lam)
-    gamma = np.asarray(gamma, dtype=float)
-    out = np.mean(total >= gamma[..., None], axis=-1)
-    return float(out) if gamma.ndim == 0 else out
 
 
 def coverage_ls_single(gamma, lambda_ls_samples):

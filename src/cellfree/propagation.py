@@ -5,6 +5,8 @@ from dataclasses import dataclass
 from scipy.linalg import LinAlgError, cholesky
 from scipy.spatial.distance import cdist
 
+from .grouping import group_large_scale
+
 
 @dataclass(frozen=True)
 class PathLossParams:
@@ -173,11 +175,8 @@ def large_scale(layout, terminal, pl_params, sh_params, grouping, rng):
 
 def large_scale_from_shadow(layout, terminal, pl_params, shadow_db, grouping):
     """As :func:`large_scale` but with the shadow realization supplied."""
-    if grouping.n_antennas != layout.n_antennas:
-        raise ValueError("grouping does not cover the layout's antennas")
     d = np.linalg.norm(layout.positions - np.asarray(terminal, dtype=float), axis=1)
     loss_db = path_loss_db(d, pl_params) + shadow_db
     beta_ap = 10.0 ** (-np.asarray(loss_db) / 10.0)
     beta = np.repeat(beta_ap, layout.antennas_per_ap)
-    beta_bar = np.bincount(grouping.assignment, weights=beta, minlength=grouping.n_groups)
-    return LargeScale(beta=beta, beta_bar=beta_bar)
+    return LargeScale(beta=beta, beta_bar=group_large_scale(beta, grouping))

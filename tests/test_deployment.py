@@ -10,11 +10,8 @@ from cellfree.deployment import (
     mean_nn_spacing,
     place_hex,
     place_ppp,
-    read_layout_csv,
     worst_position,
-    write_layout_csv,
 )
-from cellfree.grouping import Grouping
 
 
 def rng_for(seed):
@@ -148,23 +145,3 @@ def test_layout_outside_region_rejected():
     with pytest.raises(ValueError):
         NetworkLayout(np.array([[3.0, 0.0]]), 1, "ppp", Region(1.0))
 
-
-def test_layout_csv_roundtrip(tmp_path):
-    layout = place_ppp(10.0, Region(2.0), rng_for(3))
-    path = tmp_path / "layout.csv"
-    write_layout_csv(path, layout)
-    back = read_layout_csv(path, region=Region(2.0))
-    assert np.array_equal(back.positions, layout.positions)
-    assert back.antennas_per_ap == layout.antennas_per_ap
-
-
-def test_layout_csv_with_grouping_column(tmp_path):
-    layout = place_ppp(10.0, Region(2.0), rng_for(4), antennas_per_ap=2)
-    g = Grouping(np.arange(layout.n_antennas) % 2, 2)
-    path = tmp_path / "layout.csv"
-    write_layout_csv(path, layout, grouping=g)
-    text = path.read_text().splitlines()
-    assert text[0] == "x_km,y_km,antennas,group"
-    assert len(text) == 1 + layout.n_antennas
-    back = read_layout_csv(path, region=Region(2.0))
-    assert back.n_aps == layout.n_aps

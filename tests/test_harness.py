@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from dataclasses import replace
+from scipy import stats
 
 from cellfree.harness import (
     DEFAULT_RHO,
     ScenarioConfig,
+    _hyperexp_gamma_eps,
     config_from_text,
     config_hash,
     config_to_text,
@@ -19,7 +21,7 @@ from cellfree.harness import (
     write_summary_csv,
 )
 from cellfree.linklevel import empirical_snr_cdf
-from cellfree.metrics import coverage_ls_single
+from cellfree.metrics import coverage_ls_single, coverage_perfect
 from cellfree.ostbc import by_name
 from cellfree.snr import lambda_ls, lambda_perfect
 
@@ -196,19 +198,18 @@ def test_config_text_comments_and_blanks():
     assert cfg.seed == 9 and cfg.code == "alamouti"
 
 
-def test_hyperexp_quantile_mc_fallback_on_ties():
-    # near-equal rates break the partial fractions; the per-trial stream
-    # falls back to Monte Carlo. Sum of two Exp(1) is Erlang-2 whose 0.1
-    # quantile solves 1 - e^-g (1+g) = 0.1, about 0.5318.
-    from cellfree.harness import _hyperexp_gamma_eps
-
-    rng = trial_stream(0, 0)
-    g = _hyperexp_gamma_eps(np.array([1.0, 1.0 + 1e-9]), 0.1, rng)
-    assert abs(g - 0.5318) < 0.03
-    exact = _hyperexp_gamma_eps(np.array([1.0, 2.0]), 0.1, trial_stream(0, 1))
-    from cellfree.metrics import coverage_perfect
-
+def test_hyperexp_quantile_exact_on_ties():
+    # rates 1e-9 apart: the Erlang-2 quantile
+    g = _hyperexp_gamma_eps(np.array([1.0, 1.0 + 1e-9]), 0.1)
+    assert g == pytest.approx(stats.gamma(2).ppf(0.1), rel=1e-9)
+    assert _hyperexp_gamma_eps(np.array([0.7]), 1e-3) == pytest.approx(
+        -np.log1p(-1e-3) / 0.7, rel=1e-9)
+    exact = _hyperexp_gamma_eps(np.array([1.0, 2.0]), 0.1)
     assert coverage_perfect(exact, [1.0, 2.0]) == pytest.approx(0.9, abs=1e-9)
+    # for these rates rounding puts the coverage at the analytic bound below
+    # 1 - eps at tiny eps; the search must still bracket the root
+    tiny = _hyperexp_gamma_eps(np.array([0.5, 0.2]), 1e-12)
+    assert 1.0 - coverage_perfect(tiny, [0.5, 0.2]) == pytest.approx(1e-12, rel=1e-2)
 
 
 def test_paper_default_parameters():

@@ -192,15 +192,15 @@ def test_lambda_ls_monotonicity():
 
 
 def test_eta_power_and_denominator_fuzz():
+    # rho * beta_bar from 1e-3 to 1e12 at normalized powers near the paper's
     rng = np.random.default_rng(9)
     total = 0
     for code in (alamouti(), rate_three_quarter()):
-        for _ in range(10):
-            beta_bar = rng.uniform(0.01, 10.0, code.n_groups)
-            rho_p = rng.uniform(0.01, 100.0)
-            rho_d = rng.uniform(0.01, 100.0)
+        for _ in range(100):
+            beta_bar = 10.0 ** rng.uniform(-13, 0, code.n_groups)
+            rho_p, rho_d = 10.0 ** rng.uniform(10, 12, 2)
             c_e, u, cc = conditional_error_stats(beta_bar, rho_p, code.n_groups)
-            n = 50_000
+            n = 5_000
             h_hat = np.sqrt((beta_bar + c_e) / 2.0) * (
                 rng.standard_normal((n, code.n_groups))
                 + 1j * rng.standard_normal((n, code.n_groups))
@@ -208,6 +208,10 @@ def test_eta_power_and_denominator_fuzz():
             vals = snr_ls_values(code, 0, h_hat, u, cc, rho_d)  # raises if denom <= 0
             assert np.all(vals >= 0)
             total += n
+            # LS never beats perfect CSI: lambda_ls >= 1 / (rho_d beta_bar)
+            b = beta_bar.sum()
+            lam = lambda_ls(b, rho_p, code.n_groups, rho_d)
+            assert np.isfinite(lam) and lam * rho_d * b >= 1.0 - 1e-12
     assert total == 10**6
 
 
