@@ -126,6 +126,12 @@ def mean_nn_spacing(layout):
     return float(d[:, 1].mean())
 
 
+#: The worst-position search starts with every stride-th grid point per axis,
+#: the stride being the largest power of two that leaves at least this many
+#: anchors per side; grids under twice this size per side take one full query.
+_COARSE_ANCHORS = 16
+
+
 def worst_position(layout, grid_resolution=None, region=None):
     """Grid point maximizing the minimum distance to any AP.
 
@@ -133,11 +139,21 @@ def worst_position(layout, grid_resolution=None, region=None):
     ----------
     layout : NetworkLayout
     grid_resolution : float, optional
-        Grid step in km. Defaults to one tenth of the mean nearest-neighbor
-        spacing (or half_width/20 for a single-AP layout).
+        Grid step in km (> 0). Defaults to one tenth of the mean
+        nearest-neighbor spacing (or half_width/20 for a single-AP layout).
     region : Region, optional
-        Search region; defaults to the layout's region. Ties are broken by
-        the lowest row-major grid index.
+        Search region; defaults to the layout's region.
+
+    The grid is ``axis x axis`` with ``axis = arange(-hw, hw + step/2, step)``,
+    and the result equals the argmax of the nearest-AP distance over every
+    grid point, ties broken by the lowest row-major index. It is found by an
+    exact bound-and-refine search: the nearest-AP distance is 1-Lipschitz,
+    so no point of a block beats the distance at its corner anchor plus the
+    corner's distance to the farthest point of the block. Anchors of a coarse
+    stride are queried first; blocks whose bound falls below the best
+    distance found so far (less a slack far above rounding) are dropped, the
+    others split in four, until the stride is one. The coarse stride follows
+    from the grid size alone; small grids get a single full query.
 
     A finite grid finds a "bad" position, not necessarily the worst one,
     which is all the power heuristic needs.
@@ -150,11 +166,31 @@ def worst_position(layout, grid_resolution=None, region=None):
             grid_resolution = region.half_width_km / 20.0
         else:
             grid_resolution = mean_nn_spacing(layout) / 10.0
+    if not grid_resolution > 0:
+        raise ValueError(f"grid_resolution must be > 0, got {grid_resolution}")
     hw = region.half_width_km
     axis = np.arange(-hw, hw + grid_resolution / 2.0, grid_resolution)
-    gx, gy = np.meshgrid(axis, axis, indexing="ij")
-    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    n = axis.size
     tree = cKDTree(layout.positions)
-    dmin, _ = tree.query(grid, k=1)
-    best = int(np.argmax(dmin))  # argmax returns the first (lowest) index on ties
-    return grid[best].copy()
+    slack = 1e-9 * max(hw, np.abs(layout.positions).max())
+    stride = 1 << max(0, (n // _COARSE_ANCHORS).bit_length() - 1)
+    anchors = np.arange(0, n, stride)
+    i, j = np.repeat(anchors, anchors.size), np.tile(anchors, anchors.size)
+    d = tree.query(np.column_stack([axis[i], axis[j]]))[0]
+    # (i, j, d) are the anchors of the live blocks. The best point queried so
+    # far always stays live, so d.max() is the best distance found so far.
+    while stride > 1:
+        # block [i, i+stride) x [j, j+stride): its far corner bounds the reach
+        far_i, far_j = np.minimum(i + stride, n) - 1, np.minimum(j + stride, n) - 1
+        keep = d + np.hypot(axis[far_i] - axis[i], axis[far_j] - axis[j]) >= d.max() - slack
+        i, j, d = i[keep], j[keep], d[keep]
+        stride //= 2
+        # the (0, 0) child keeps the parent's anchor; query the other three
+        ci = np.concatenate([i, i + stride, i + stride])
+        cj = np.concatenate([j + stride, j, j + stride])
+        inside = (ci < n) & (cj < n)
+        ci, cj = ci[inside], cj[inside]
+        i, j = np.concatenate([i, ci]), np.concatenate([j, cj])
+        d = np.concatenate([d, tree.query(np.column_stack([axis[ci], axis[cj]]))[0]])
+    k = (i * n + j)[d == d.max()].min()
+    return np.array([axis[k // n], axis[k % n]])

@@ -139,6 +139,8 @@ def validate_config(cfg):
         raise ValueError("antenna counts must be >= 1")
     if min(cfg.rho, cfg.es) <= 0:
         raise ValueError("rho and es must be positive")
+    if cfg.opt_grid_km is not None and cfg.opt_grid_km <= 0:
+        raise ValueError(f"opt_grid_km must be > 0, got {cfg.opt_grid_km}")
     if cfg.csi == "ls":
         tp = cfg.effective_tau_p()
         if tp < code.n_groups:
@@ -367,6 +369,24 @@ def _hyperexp_gamma_eps(lambdas, eps):
     return float(optimize.brentq(excess, lo, hi))
 
 
+def _plan_spread(plans):
+    """Trial count and min/median/max of rho_p and rho_d over per-trial plans.
+
+    Trials whose layout was degenerate have no plan (None) and are not counted.
+    """
+    planned = [p for p in plans if p is not None]
+    note = f"per-trial plans over {len(planned)} of {len(plans)} trials"
+    if not planned:
+        return note
+
+    def spread(values):
+        v = np.array(values)
+        return f"min={v.min():.6g} median={np.median(v):.6g} max={v.max():.6g}"
+
+    return (f"{note}: rho_p {spread([p.rho_p for p in planned])}, "
+            f"rho_d {spread([p.rho_d for p in planned])}, tau_p={planned[0].tau_p}")
+
+
 def run_scenario(cfg, threads=1, label=None):
     """Run one scenario; deterministic for fixed (config, seed) and any threads."""
     code = validate_config(cfg)
@@ -415,7 +435,7 @@ def run_scenario(cfg, threads=1, label=None):
                 cfg.density, cfg.region(), rng, cfg.antennas_per_ap
             )
             if layout.n_antennas < code.n_groups:
-                return np.zeros(cfg.inner), "degenerate layout"
+                return np.zeros(cfg.inner), None
             g = _trial_grouping(cfg, code, layout, cached_grouping, rng)
             if sh_params.mode == "none":
                 shadow = np.zeros(layout.n_aps)
@@ -423,15 +443,14 @@ def run_scenario(cfg, threads=1, label=None):
                 shadow = shadow_fields(layout, [terminal], sh_params, rng)[0]
             ls = large_scale_from_shadow(layout, terminal, pl_params, shadow, g)
             plan = cached_plan if cached_plan is not None else _trial_plan(cfg, layout, None)
-            note = f"rho_p={plan.rho_p:.6g} rho_d={plan.rho_d:.6g} tau_p={plan.tau_p}"
-            return _sample_snr(code, ls.beta_bar, plan, cfg, rng), note
+            return _sample_snr(code, ls.beta_bar, plan, cfg, rng), plan
 
     results = [None] * cfg.outer
-    notes = [None] * cfg.outer
+    plans = [None] * cfg.outer
 
     def run_range(indices):
         for t in indices:
-            results[t], notes[t] = worker(t)
+            results[t], plans[t] = worker(t)
 
     threads = max(1, int(threads))
     if threads == 1 or cfg.outer == 1:
@@ -459,7 +478,7 @@ def run_scenario(cfg, threads=1, label=None):
             f"tau_p={cached_plan.tau_p}"
         )
     else:
-        power_note = f"per-trial plans; trial0: {notes[0]}"
+        power_note = _plan_spread(plans)
 
     return RunResult(
         config=cfg,

@@ -130,6 +130,20 @@ def test_non_finite_config_rejected_before_any_trial(tmp_path, capsys, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["opt_grid_km=0", "opt_grid_km=-0.05"])
+def test_non_positive_grid_step_rejected_before_any_trial(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    kept = [l for l in TINY.splitlines()
+            if not l.startswith(("opt_grid_km=", "power="))]
+    bad.write_text("\n".join(kept + ["power=optimized", line]) + "\n")
+    out = tmp_path / "x.csv"
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert "opt_grid_km must be > 0" in capsys.readouterr().err
+    assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert "opt_grid_km must be > 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_ok(tiny_config, capsys):
     assert main(["validate", "--config", tiny_config]) == 0
     assert "ok" in capsys.readouterr().out

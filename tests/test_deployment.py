@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.spatial import cKDTree
 
 from cellfree.deployment import (
     NetworkLayout,
@@ -133,6 +134,108 @@ def test_worst_position_maximizes_over_grid():
         for y in axis:
             d = np.linalg.norm(layout.positions - [x, y], axis=1).min()
             assert best >= d - 1e-12
+
+
+def _full_grid_worst_position(layout, grid_resolution=None, region=None):
+    """Reference: nearest-AP distance at every grid point, first argmax."""
+    region = region or layout.region
+    if grid_resolution is None:
+        if layout.n_aps < 2:
+            grid_resolution = region.half_width_km / 20.0
+        else:
+            grid_resolution = mean_nn_spacing(layout) / 10.0
+    hw = region.half_width_km
+    axis = np.arange(-hw, hw + grid_resolution / 2.0, grid_resolution)
+    gx, gy = np.meshgrid(axis, axis, indexing="ij")
+    grid = np.column_stack([gx.ravel(), gy.ravel()])
+    dmin, _ = cKDTree(layout.positions).query(grid, k=1)
+    return grid[int(np.argmax(dmin))].copy()
+
+
+@pytest.mark.parametrize("density,half_width,step", [
+    (1.0, 5.0, None), (1.0, 2.5, 0.05), (5.0, 2.5, 0.1), (20.0, 2.5, 0.05),
+    (20.0, 2.5, None), (20.0, 0.5, 0.02), (100.0, 1.0, 0.013), (1000.0, 0.6, 0.05),
+    (1000.0, 0.5, None), (1000.0, 1.0, 0.02),
+])
+def test_worst_position_equals_full_grid_scan_on_ppp(density, half_width, step):
+    region = Region(half_width)
+    for seed in range(8):
+        layout = place_ppp(density, region, rng_for(seed))
+        if layout.n_aps == 0:
+            continue
+        expected = _full_grid_worst_position(layout, step)
+        assert np.array_equal(worst_position(layout, step), expected)
+
+
+@pytest.mark.parametrize("step", [None, 0.05, hex_spacing(20.0) / 20.0])
+def test_worst_position_equals_full_grid_scan_on_hex(step):
+    layout = place_hex(20.0, Region(2.5))
+    for region in (None, Region(1.3)):
+        expected = _full_grid_worst_position(layout, step, region)
+        assert np.array_equal(worst_position(layout, step, region), expected)
+
+
+def test_worst_position_equals_full_grid_scan_on_smaller_region():
+    layout = place_ppp(20.0, Region(5.0), rng_for(3))
+    for hw, step in ((2.0, 0.05), (0.7, 0.01), (3.3, None)):
+        expected = _full_grid_worst_position(layout, step, Region(hw))
+        assert np.array_equal(worst_position(layout, step, Region(hw)), expected)
+
+
+def test_worst_position_single_ap_tie_takes_first_corner():
+    # with a dyadic step all four corners tie; (-hw, -hw) has the lowest
+    # row-major index. The default step 0.05 rounds the last axis value up.
+    layout = NetworkLayout(np.array([[0.0, 0.0]]), 1, "ppp", Region(1.0))
+    for step in (None, 0.25, 1 / 64):
+        p = worst_position(layout, step)
+        assert np.array_equal(p, _full_grid_worst_position(layout, step))
+        if step is not None:
+            assert np.array_equal(p, [-1.0, -1.0])
+
+
+def test_worst_position_exact_tie_takes_lowest_row_major_index():
+    # APs on a square lattice of 22 grid steps: the 36 hole centres inside
+    # the search region tie exactly. The first hole, grid index (2, 2), is
+    # not on the coarse anchor stride; later holes such as (24, 24) are.
+    step = 1 / 64
+    ap_axis = -1.0 + np.arange(-9, 146, 22) * step
+    ax, ay = np.meshgrid(ap_axis, ap_axis, indexing="ij")
+    layout = NetworkLayout(np.column_stack([ax.ravel(), ay.ravel()]), 1, "ppp", Region(2.0))
+    p = worst_position(layout, step, Region(1.0))
+    assert np.array_equal(p, _full_grid_worst_position(layout, step, Region(1.0)))
+    assert np.array_equal(p, [-1.0 + 2 * step, -1.0 + 2 * step])
+
+
+def test_worst_position_keeps_block_whose_bound_equals_best():
+    # APs on every grid point except two disks of radius 10 steps centred on
+    # the right edge at rows 39 and 64; both centres are 10 steps from the
+    # nearest AP. The anchor of row 39's first-level block (row 32) is 3 steps
+    # from an AP and 7 from row 39, so that block's bound equals the best
+    # distance exactly once row 64, a first-level anchor, has been queried.
+    step = 1 / 64
+    ki, kj = (g.ravel() for g in np.meshgrid(np.arange(129), np.arange(129), indexing="ij"))
+    open_ = np.ones(ki.size, dtype=bool)
+    for row in (39, 64):
+        open_ &= (ki - 128) ** 2 + (kj - row) ** 2 >= 100
+    positions = np.column_stack([ki[open_], kj[open_]]) * step - 1.0
+    layout = NetworkLayout(positions, 1, "ppp", Region(1.0))
+    p = worst_position(layout, step)
+    assert np.array_equal(p, _full_grid_worst_position(layout, step))
+    assert np.array_equal(p, [1.0, -1.0 + 39 * step])
+
+
+@pytest.mark.parametrize("step", [0.0, -0.05, float("nan")])
+def test_worst_position_non_positive_step_rejected(step):
+    layout = place_ppp(20.0, Region(1.0), rng_for(0))
+    with pytest.raises(ValueError, match="grid_resolution"):
+        worst_position(layout, step)
+
+
+def test_worst_position_coincident_aps_rejected():
+    # mean spacing 0 gives a zero default step
+    layout = NetworkLayout(np.array([[0.1, 0.2], [0.1, 0.2]]), 1, "ppp", Region(1.0))
+    with pytest.raises(ValueError, match="grid_resolution"):
+        worst_position(layout)
 
 
 def test_worst_position_empty_layout_errors():

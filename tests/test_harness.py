@@ -3,6 +3,7 @@ import pytest
 from dataclasses import replace
 from scipy import stats
 
+from cellfree.deployment import place_ppp
 from cellfree.harness import (
     DEFAULT_RHO,
     ScenarioConfig,
@@ -23,6 +24,8 @@ from cellfree.harness import (
 from cellfree.linklevel import empirical_snr_cdf
 from cellfree.metrics import coverage_ls_single, coverage_perfect
 from cellfree.ostbc import by_name
+from cellfree.power import optimize_pilot_power
+from cellfree.propagation import PathLossParams
 from cellfree.snr import lambda_ls, lambda_perfect
 
 FAST = dict(half_width_km=1.5, epsilon=0.1, outer=60, inner=50, seed=5)
@@ -287,6 +290,34 @@ def test_result_csv_schema(tmp_path):
     assert len(body) == 1 + 50
     first = body[1].split(",")
     assert first[0] == "demo" and first[1] == "1" and first[2] == "0"
+
+
+@pytest.mark.parametrize("density", [10.0, 0.3])
+def test_result_csv_reports_every_per_trial_plan(tmp_path, density):
+    # at density 0.3 some trial layouts have no AP and are scored without a plan
+    cfg = ScenarioConfig(deployment="ppp", density=density, shadow="none", csi="ls",
+                         code="single", tau_p=1, power="optimized", half_width_km=1.0,
+                         opt_grid_km=0.05, epsilon=0.1, outer=9, inner=5, seed=3)
+    res = run_scenario(cfg, label="opt")
+    path = tmp_path / "r.csv"
+    write_result_csv(path, [res])
+    comment = next(l for l in path.read_text().splitlines() if "power_plan" in l)
+    # replay each trial's layout draw (the first use of its stream) and plan it
+    layouts = [place_ppp(cfg.density, cfg.region(), trial_stream(cfg.seed, t))
+               for t in range(cfg.outer)]
+    plans = [optimize_pilot_power(layout, PathLossParams(), cfg.rho, 1, cfg.tau_c, cfg.es,
+                                  grid_resolution=cfg.opt_grid_km)
+             for layout in layouts if layout.n_aps > 0]
+    assert (len(plans) < cfg.outer) == (density < 1.0) and len(plans) > 1
+    rho_p = np.array([p.rho_p for p in plans])
+    rho_d = np.array([p.rho_d for p in plans])
+    assert np.ptp(rho_p) > 0
+    assert comment == (
+        f"# power_plan[opt]: per-trial plans over {len(plans)} of 9 trials: "
+        f"rho_p min={rho_p.min():.6g} median={np.median(rho_p):.6g} max={rho_p.max():.6g}, "
+        f"rho_d min={rho_d.min():.6g} median={np.median(rho_d):.6g} max={rho_d.max():.6g}, "
+        f"tau_p=1"
+    )
 
 
 def test_summary_csv_schema(tmp_path):
