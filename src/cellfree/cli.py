@@ -6,6 +6,7 @@ import sys
 
 from . import linklevel
 from .harness import (
+    PRESETS,
     Experiment,
     config_from_text,
     experiment_catalog,
@@ -43,9 +44,8 @@ def _available_cpus():
 
 
 def _load_experiment(name_or_path):
-    catalog = experiment_catalog()
-    if name_or_path in catalog:
-        return catalog[name_or_path]
+    if name_or_path in PRESETS:
+        return PRESETS[name_or_path]()
     if os.path.exists(name_or_path):
         try:
             with open(name_or_path) as f:
@@ -56,7 +56,7 @@ def _load_experiment(name_or_path):
         return Experiment(label, ((label, cfg),))
     raise UsageError(
         f"unknown scenario {name_or_path!r}: not a preset "
-        f"({', '.join(sorted(catalog))}) and no such file"
+        f"({', '.join(sorted(PRESETS))}) and no such file"
     )
 
 

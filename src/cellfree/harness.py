@@ -7,7 +7,6 @@ exist (perfect CSI, and LS with a single group); only the remaining cases
 evaluate the general-OSTBC SNR at simulated estimates.
 """
 
-import functools
 import hashlib
 import math
 import time
@@ -15,13 +14,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy import optimize
 
 from . import ostbc
 from .channel import conditional_error_stats
 from .deployment import Region, place_hex, place_ppp, worst_position
 from .grouping import Grouping, group_large_scale, neighbor_grouping, random_grouping
-from .metrics import SampleSizeError, coverage_perfect, outage_rate, outage_result
+from .metrics import SampleSizeError, as_rates, coverage_perfect, outage_rate, outage_result
 from .power import optimize_pilot_power, uniform_plan
 from .propagation import (
     PathLossParams,
@@ -347,26 +345,40 @@ def _sample_snr(code, beta_bar, plan, cfg, rng):
 
 
 def _hyperexp_gamma_eps(lambdas, eps):
-    """epsilon-quantile of a sum of exponentials: the root of coverage = 1 - eps.
+    """epsilon-quantiles of sums of exponentials: the roots of coverage = 1 - eps.
 
+    lambdas is one rate set of shape (n,), which gives a float, or a stack of
+    shape (m, n), which gives m roots found together: every step evaluates
+    the coverage of all unfinished rows in one :func:`coverage_perfect` call.
     The density never exceeds prod(lambda), so P(sum < g) <= prod(lambda)
     g^n / n! and the coverage exceeds 1 - eps at g = (n! eps / prod(lambda))^(1/n).
     The search starts from half that point, which stays a lower bracket when
-    rounding hides the last digits of the coverage at tiny eps. Values are
-    cached because brentq evaluates the bracket ends again.
+    rounding hides the last digits of the coverage at tiny eps, doubles the
+    upper end until the coverage there is at most 1 - eps, then bisects until
+    the bracket is at most 4 machine epsilons of its upper end wide (brentq's
+    default relative tolerance) and returns its midpoint.
     """
-    lam = np.asarray(lambdas, dtype=float)
+    lam = as_rates(lambdas)
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    stack = lam.reshape(-1, lam.shape[-1])
+    n = stack.shape[1]
     target = 1.0 - eps
-
-    @functools.cache
-    def excess(g):
-        return coverage_perfect(g, lam) - target
-
-    hi = (math.factorial(lam.size) * eps / np.prod(lam)) ** (1.0 / lam.size)
+    hi = np.exp((math.lgamma(n + 1) + math.log(eps) - np.log(stack).sum(axis=1)) / n)
     lo = hi / 2.0
-    while excess(hi) > 0:
-        lo, hi = hi, 2.0 * hi
-    return float(optimize.brentq(excess, lo, hi))
+    rows = np.arange(hi.size)
+    while rows.size:
+        rows = rows[coverage_perfect(hi[rows], stack[rows]) > target]
+        lo[rows] = hi[rows]
+        hi[rows] *= 2.0
+    rtol = 4.0 * np.finfo(float).eps
+    while (rows := np.flatnonzero(hi - lo > rtol * hi)).size:
+        mid = 0.5 * (lo[rows] + hi[rows])
+        above = coverage_perfect(mid, stack[rows]) > target
+        lo[rows[above]] = mid[above]
+        hi[rows[~above]] = mid[~above]
+    root = 0.5 * (lo + hi)
+    return float(root[0]) if lam.ndim == 1 else root.reshape(lam.shape[:-1])
 
 
 def _plan_spread(plans):
@@ -418,14 +430,11 @@ def run_scenario(cfg, threads=1, label=None):
         es = _symbol_energy(cfg, code)
 
         def worker(t):
+            # per-terminal group rates; their quantiles are found after the loop
             rng = trial_stream(cfg.seed, t)
             g = _trial_grouping(cfg, code, fixed, None, rng)
-            rates = np.empty(len(terminals))
-            for k in range(len(terminals)):
-                lam = 1.0 / (cfg.rho * es * group_large_scale(beta_ant[k], g))
-                gamma = _hyperexp_gamma_eps(lam, cfg.epsilon)
-                rates[k] = outage_rate(gamma, 0, cfg.tau_c, code)
-            return rates, None
+            return np.stack([1.0 / (cfg.rho * es * group_large_scale(b, g))
+                             for b in beta_ant]), None
     else:
         terminal = terminals[0]
 
@@ -464,6 +473,8 @@ def run_scenario(cfg, threads=1, label=None):
     values = np.concatenate(results)
     trial_index = np.repeat(np.arange(cfg.outer), per_trial)
     if cfg.vary == "grouping":
+        gamma = _hyperexp_gamma_eps(values, cfg.epsilon)
+        values = outage_rate(gamma, 0, cfg.tau_c, code)
         terminal_index = np.tile(np.arange(len(terminals)), cfg.outer)
         kind = "rate_bpcu"
     else:
@@ -610,56 +621,60 @@ def _fig7_geometry():
     return layout, terminals
 
 
-def experiment_catalog():
-    """Named presets reproducing the figure experiments at desk scale.
+# Desk-scale operating point: epsilon = 1e-2 with shrunken regions where
+# correlated shadowing would otherwise dominate the run time; the full
+# epsilon = 1e-3 operating point needs larger outer/inner counts via CLI
+# flags. Members of one experiment share the master seed so compared curves
+# are paired.
+_BASE = ScenarioConfig(epsilon=1e-2, outer=1000, inner=100, seed=1)
+_FIG6_BASE = replace(_BASE, csi="ls", half_width_km=2.5, outer=800, opt_grid_km=0.05)
 
-    Desk-scale operating point: epsilon = 1e-2 with shrunken regions where
-    correlated shadowing would otherwise dominate the run time; the full
-    epsilon = 1e-3 operating point needs larger outer/inner counts via CLI
-    flags. Members of
-    one experiment share the master seed so compared curves are paired.
-    """
-    base = ScenarioConfig(epsilon=1e-2, outer=1000, inner=100, seed=1)
-    cat = {}
 
+def _fig3():
     members = []
     for kind in ("hexagonal", "ppp"):
         for dens in (10.0, 20.0, 40.0):
             members.append((
                 f"{'hex' if kind == 'hexagonal' else 'ppp'}-d{int(dens)}",
-                replace(base, deployment=kind, density=dens, shadow="none",
+                replace(_BASE, deployment=kind, density=dens, shadow="none",
                         csi="perfect", code="single", outer=2000),
             ))
-    cat["fig3"] = Experiment("fig3", tuple(members),
-                             "hexagonal vs PPP deployment over AP density")
+    return Experiment("fig3", tuple(members), "hexagonal vs PPP deployment over AP density")
 
+
+def _fig4():
     members = [
-        (mode, replace(base, shadow=mode, csi="perfect", code="single",
+        (mode, replace(_BASE, shadow=mode, csi="perfect", code="single",
                        half_width_km=2.5, outer=1200))
         for mode in ("none", "uncorrelated", "correlated")
     ]
-    cat["fig4"] = Experiment("fig4", tuple(members), "large-scale fading models")
+    return Experiment("fig4", tuple(members), "large-scale fading models")
 
-    fig5_base = replace(base, csi="ls", code="single", half_width_km=2.5,
+
+def _fig5():
+    fig5_base = replace(_BASE, csi="ls", code="single", half_width_km=2.5,
                         outer=800, opt_grid_km=0.05)
     members = [("perfect", replace(fig5_base, csi="perfect", power="uniform"))]
     members += [(f"taup{tp:02d}", replace(fig5_base, tau_p=tp, power="uniform"))
                 for tp in range(1, 11)]
     members.append(("opt", replace(fig5_base, tau_p=1, power="optimized")))
-    cat["fig5"] = Experiment("fig5", tuple(members),
-                             "pilot-count trade-off and pilot-power optimization")
+    return Experiment("fig5", tuple(members),
+                      "pilot-count trade-off and pilot-power optimization")
 
-    fig6_base = replace(base, csi="ls", half_width_km=2.5, outer=800, opt_grid_km=0.05)
+
+def _fig6():
     members = (
-        ("nominal", replace(fig6_base, code="single", tau_p=1, power="uniform")),
-        ("opt", replace(fig6_base, code="single", tau_p=1, power="optimized")),
-        ("alamouti", replace(fig6_base, code="alamouti", power="optimized")),
-        ("rate34", replace(fig6_base, code="rate34", power="optimized")),
+        ("nominal", replace(_FIG6_BASE, code="single", tau_p=1, power="uniform")),
+        ("opt", replace(_FIG6_BASE, code="single", tau_p=1, power="optimized")),
+        ("alamouti", replace(_FIG6_BASE, code="alamouti", power="optimized")),
+        ("rate34", replace(_FIG6_BASE, code="rate34", power="optimized")),
     )
-    cat["fig6"] = Experiment("fig6", members, "transmit diversity with random grouping")
+    return Experiment("fig6", members, "transmit diversity with random grouping")
 
+
+def _fig7_positions():
     _, terminals = _fig7_geometry()
-    cat["fig7_positions"] = Experiment(
+    return Experiment(
         "fig7_positions",
         (("terminals", ScenarioConfig(
             deployment="ppp", density=20.0, half_width_km=0.5, shadow="none",
@@ -669,26 +684,46 @@ def experiment_catalog():
         "grouping randomness for three fixed terminals",
     )
 
+
+def _fig8():
     members = []
     for code_name, ng in (("single", 1), ("alamouti", 2), ("rate34", 4)):
         for rx in (1, 2):
             members.append((
                 f"ng{ng}-rx{rx}",
-                replace(fig6_base, code=code_name, power="optimized", rx_antennas=rx),
+                replace(_FIG6_BASE, code=code_name, power="optimized", rx_antennas=rx),
             ))
-    cat["fig8"] = Experiment("fig8", tuple(members),
-                             "receive diversity (MRC) for each code")
+    return Experiment("fig8", tuple(members), "receive diversity (MRC) for each code")
 
-    fig9_base = replace(base, csi="ls", code="alamouti", power="optimized",
+
+def _fig9():
+    fig9_base = replace(_BASE, csi="ls", code="alamouti", power="optimized",
                         half_width_km=0.6, outer=300, inner=60, opt_grid_km=0.05)
-    cat["fig9"] = Experiment("fig9", (
+    return Experiment("fig9", (
         ("cellular", replace(fig9_base, deployment="hexagonal", density=10.0,
                              antennas_per_ap=100, grouping="neighbor")),
         ("cellfree", replace(fig9_base, deployment="ppp", density=1000.0,
                              antennas_per_ap=1, grouping="random")),
     ), "cellular (100-antenna hex) vs cell-free (PPP) at 1000 antennas per km^2")
 
-    return cat
+
+#: Preset name -> builder of the Experiment reproducing that figure at desk
+#: scale. A builder runs only when its preset is looked up, so running a
+#: config file draws no preset geometry.
+PRESETS = {
+    "fig3": _fig3,
+    "fig4": _fig4,
+    "fig5": _fig5,
+    "fig6": _fig6,
+    "fig7_positions": _fig7_positions,
+    "fig8": _fig8,
+    "fig9": _fig9,
+}
+
+
+def experiment_catalog():
+    """Every preset, built: name -> Experiment."""
+    return {name: build() for name, build in PRESETS.items()}
 
 
 def run_experiment(exp, threads=1, seed=None, outer=None, inner=None):

@@ -230,11 +230,9 @@ def check_hyperexp(seed, n_trials=100_000, beta_bar=(1e-10, 2.3e-10, 0.7e-10), r
     cdf = empirical_snr_cdf(None, beta_bar, rho, rho, 0, n_trials, rng, csi="perfect")
     lam = lambda_perfect(beta_bar, rho)
     gammas = np.quantile(cdf.samples, np.linspace(0.02, 0.98, n_gammas))
-    worst = 0.0
-    for g in gammas:
-        p = coverage_perfect(g, lam)
-        se = np.sqrt(max(p * (1.0 - p), 1e-12) / n_trials)
-        worst = max(worst, abs(cdf.coverage(g) - p) / se)
+    p = coverage_perfect(gammas, lam)
+    se = np.sqrt(np.maximum(p * (1.0 - p), 1e-12) / n_trials)
+    worst = np.max(np.abs(cdf.coverage(gammas) - p) / se)
     return {"max_dev_se": float(worst), "n_gammas": n_gammas, "n_trials": n_trials,
             "ok": bool(worst < 3.0)}
 

@@ -2,7 +2,6 @@
 
 import numpy as np
 from dataclasses import dataclass
-from scipy.linalg import expm
 
 
 class SampleSizeError(ValueError):
@@ -27,12 +26,23 @@ class OutageResult:
 
 
 def outage_rate(gamma_eps, tau_p, tau_c, code):
-    """Outage rate in bpcu; perfect-CSI runs use tau_p = 0."""
+    """Outage rate in bpcu; perfect-CSI runs use tau_p = 0. gamma_eps may be an array."""
     if not 0 <= tau_p < tau_c:
         raise ValueError("require 0 <= tau_p < tau_c")
-    if gamma_eps < 0:
+    if np.any(np.asarray(gamma_eps) < 0):
         raise ValueError("gamma_eps must be >= 0")
     return (1.0 - tau_p / tau_c) * code.rate * np.log2(1.0 + gamma_eps)
+
+
+def as_rates(lambdas):
+    """lambdas as a float array of shape (..., n), n >= 1, all finite and positive."""
+    lam = np.asarray(lambdas, dtype=float)
+    if lam.ndim == 0 or lam.shape[-1] == 0:
+        raise ValueError(f"need at least one rate, got shape {lam.shape}")
+    bad = ~(np.isfinite(lam) & (lam > 0))
+    if bad.any():
+        raise ValueError(f"rates must be finite and positive, got {lam[bad].flat[0]}")
+    return lam
 
 
 def coverage_perfect(gamma, lambdas):
@@ -42,18 +52,74 @@ def coverage_perfect(gamma, lambdas):
     that passes through one phase per rate, so the coverage is the sum of the
     first row of expm(gamma T), with T bidiagonal (-lambda on the diagonal,
     lambda[:-1] on the superdiagonal). Exact for equal or nearly equal rates,
-    where partial fractions cancel catastrophically. An array gamma gives an
-    array of the same shape.
+    where partial fractions cancel catastrophically.
+
+    lambdas may be one rate set of shape (n,) or a stack of shape (..., n);
+    gamma broadcasts against lambdas.shape[:-1], and the result has the
+    broadcast shape (a float when that shape is empty). The whole stack is
+    evaluated at once by :func:`_expm_first_row`.
     """
-    lam = np.asarray(lambdas, dtype=float)
-    if np.any(lam <= 0):
-        raise ValueError("rates must be positive")
+    lam = as_rates(lambdas)
     gamma = np.asarray(gamma, dtype=float)
-    if np.any(gamma < 0):
-        raise ValueError("gamma must be >= 0")
-    t = np.diag(-lam) + np.diag(lam[:-1], 1)
-    out = expm(np.multiply.outer(gamma, t))[..., 0, :].sum(axis=-1)
+    if not np.all(np.isfinite(gamma) & (gamma >= 0)):
+        raise ValueError("gamma must be finite and >= 0")
+    shape = np.broadcast_shapes(gamma.shape, lam.shape[:-1])
+    n = lam.shape[-1]
+    x = np.broadcast_to(gamma, shape)[..., None] * np.broadcast_to(lam, shape + (n,))
+    out = _expm_first_row(x.reshape(-1, n)).sum(axis=-1).reshape(shape)
     return float(out) if out.ndim == 0 else out
+
+
+_TAYLOR_DEGREE = 12
+_TAYLOR_THETA = 0.25  # 0.25**13 / 13! < 2**-53: degree 12 is exact to rounding
+
+
+def _expm_first_row(x):
+    """First rows of expm(A) for the stack A[k] = diag(-x[k]) + diag(x[k, :-1], 1).
+
+    Scaling and squaring (Higham 2005) with a scaling exponent per matrix: A[k]
+    is divided by the least power of two 2**s[k] that brings its 1-norm (at
+    most 2 max x[k]) under _TAYLOR_THETA, the Taylor polynomial is evaluated,
+    and each matrix is squared s[k] times. After every squaring the diagonal
+    and superdiagonal are set to their exact values (Al-Mohy and Higham 2009,
+    code fragment 2.1), so rounding errors do not grow over many squarings.
+    x has shape (m, n); the result too.
+    """
+    m, n = x.shape
+    _, s = np.frexp(2.0 * x.max(axis=1) / _TAYLOR_THETA)
+    s = np.maximum(s, 0)
+    a = np.zeros((m, n, n))
+    diag, upper = np.arange(n), np.arange(n - 1)
+    scaled = np.ldexp(x, -s[:, None])
+    a[:, diag, diag] = -scaled
+    a[:, upper, upper + 1] = scaled[:, :-1]
+    eye = np.eye(n)
+    e = eye + a / _TAYLOR_DEGREE
+    for k in range(_TAYLOR_DEGREE - 1, 0, -1):
+        e = eye + (a @ e) / k
+    _set_exact_bands(e, scaled)
+    for i in range(int(s.max(initial=0)) - 1, -1, -1):
+        rows = np.flatnonzero(s > i)
+        sq = e[rows] @ e[rows]
+        _set_exact_bands(sq, np.ldexp(x[rows], -i))
+        e[rows] = sq
+    return e[:, 0, :]
+
+
+def _set_exact_bands(e, x):
+    """Write the exact diagonal and superdiagonal of expm(A), A as in _expm_first_row.
+
+    Entry (j, j+1) is x_j (exp(-x_{j+1}) - exp(-x_j)) / (x_j - x_{j+1}), written
+    as x_j exp(-min(x_j, x_{j+1})) (1 - exp(-d)) / d with d = |x_j - x_{j+1}|,
+    which neither cancels for close rates nor overflows for distant ones.
+    """
+    n = x.shape[1]
+    diag, upper = np.arange(n), np.arange(n - 1)
+    e[:, diag, diag] = np.exp(-x)
+    here, after = x[:, :-1], x[:, 1:]
+    d = np.abs(here - after)
+    ratio = np.where(d > 0, -np.expm1(-d) / np.where(d > 0, d, 1.0), 1.0)
+    e[:, upper, upper + 1] = here * np.exp(-np.minimum(here, after)) * ratio
 
 
 def coverage_ls_single(gamma, lambda_ls_samples):

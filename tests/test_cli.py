@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from cellfree import harness
 from cellfree.cli import build_parser, main
 from cellfree.harness import ScenarioConfig, config_to_text
 
@@ -92,7 +93,43 @@ def test_run_preset_twice_byte_identical(tmp_path):
 
 def test_unknown_scenario_exits_2(tmp_path, capsys):
     assert main(["run", "--scenario", "fig99", "--out", str(tmp_path / "x.csv")]) == 2
-    assert "unknown scenario" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "unknown scenario" in err
+    assert "fig3, fig4, fig5, fig6, fig7_positions, fig8, fig9" in err
+
+
+def test_preset_name_takes_precedence_over_file(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "fig3").write_text("bogus_key=1\n")
+    assert main(["run", "--scenario", "fig3", "--outer", "2", "--inner", "2",
+                 "--out", "x.csv"]) == 0
+
+
+def test_config_file_run_draws_no_preset_geometry(tmp_path, tiny_config, monkeypatch):
+    calls = {"place_ppp": 0, "worst_position": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    assert main(["run", "--scenario", tiny_config, "--out", str(tmp_path / "r.csv"),
+                 "--threads", "1"]) == 0
+    # one layout per trial (outer=30, uniform power) and nothing else
+    assert calls == {"place_ppp": 30, "worst_position": 0}
+
+
+def test_grouping_run_thread_count_does_not_change_output(tmp_path):
+    outputs = []
+    for threads in ("1", "2"):
+        out, summary = tmp_path / f"r{threads}.csv", tmp_path / f"s{threads}.csv"
+        assert main(["run", "--scenario", "fig7_positions", "--outer", "60",
+                     "--threads", threads, "--out", str(out), "--summary", str(summary)]) == 0
+        outputs.append((out.read_bytes(), summary.read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_malformed_config_exits_2(tmp_path, capsys):

@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from dataclasses import replace
-from scipy import stats
+from scipy import optimize, stats
+from scipy.linalg import expm
+
+from cellfree import harness
 
 from cellfree.deployment import place_ppp
 from cellfree.harness import (
@@ -213,6 +218,96 @@ def test_hyperexp_quantile_exact_on_ties():
     # 1 - eps at tiny eps; the search must still bracket the root
     tiny = _hyperexp_gamma_eps(np.array([0.5, 0.2]), 1e-12)
     assert 1.0 - coverage_perfect(tiny, [0.5, 0.2]) == pytest.approx(1e-12, rel=1e-2)
+
+
+def _scipy_coverage_and_density(gamma, lam):
+    """Reference: first row of scipy's expm(gamma T); coverage and density."""
+    t = np.diag(-lam) + np.diag(lam[:-1], 1)
+    row = expm(gamma * t)[0]
+    return row.sum(), row[-1] * lam[-1]
+
+
+def _brentq_gamma_eps(lam, eps):
+    """Reference: the scalar brentq search on the scipy coverage, one rate set."""
+    lam = np.asarray(lam, dtype=float)
+
+    def excess(g):
+        return _scipy_coverage_and_density(g, lam)[0] - (1.0 - eps)
+
+    hi = (math.factorial(lam.size) * eps / np.prod(lam)) ** (1.0 / lam.size)
+    lo = hi / 2.0
+    while excess(hi) > 0:
+        lo, hi = hi, 2.0 * hi
+    return optimize.brentq(excess, lo, hi)
+
+
+def _assert_roots_match_brentq(lams, eps):
+    roots = _hyperexp_gamma_eps(lams, eps)
+    assert roots.shape == (len(lams),)
+    for lam, root in zip(lams, roots):
+        want = _brentq_gamma_eps(lam, eps)
+        # brentq's tolerance, plus the width of the plateau of gammas whose
+        # computed coverage rounds to 1 - eps (machine epsilon over the
+        # density): at eps = 1e-12 the root is not determined more finely
+        # than that, about 5e-10 for rates [0.5, 0.2]
+        density = _scipy_coverage_and_density(want, lam)[1]
+        tol = 2e-12 + 4 * np.finfo(float).eps * abs(want) + np.finfo(float).eps / density
+        assert abs(root - want) <= tol, (lam, root, want)
+
+
+def _fig7_rate_sets(outer):
+    """The (trial, terminal) rate sets of fig7_positions, as run_scenario builds them."""
+    cfg = replace(experiment_catalog()["fig7_positions"].members[0][1], outer=outer)
+    seen = []
+
+    def capture(lams, eps):
+        seen.append(np.array(lams))
+        return _hyperexp_gamma_eps(lams, eps)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_hyperexp_gamma_eps", capture)
+        run_scenario(cfg)
+    (lams,) = seen
+    assert lams.shape == (3 * outer, 2)
+    return lams, cfg.epsilon
+
+
+def test_batched_quantiles_match_brentq_on_fig7_rate_sets():
+    _assert_roots_match_brentq(*_fig7_rate_sets(outer=100))
+
+
+def test_batched_quantiles_match_brentq_on_ties():
+    for n in (1, 2, 3, 4):
+        lams = np.repeat(np.array([[0.05], [0.7], [1.0], [40.0]]), n, axis=1)
+        _assert_roots_match_brentq(lams, 1e-3)
+    _assert_roots_match_brentq(np.array([[1.0, 1.0 + 1e-9], [2.0, 2.0]]), 0.1)
+
+
+def test_batched_quantile_at_tiny_eps():
+    _assert_roots_match_brentq(np.array([[0.5, 0.2], [0.2, 0.5]]), 1e-12)
+
+
+def test_batched_quantile_shapes():
+    lams = np.array([[1.0, 2.0], [0.5, 0.5], [3.0, 0.1]])
+    single = _hyperexp_gamma_eps(lams[1], 0.01)
+    assert isinstance(single, float)
+    batch = _hyperexp_gamma_eps(lams, 0.01)
+    assert batch[1] == single
+    assert np.allclose(coverage_perfect(batch, lams), 0.99, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("lam, eps", [
+    ([np.nan, 1.0], 1e-3),
+    ([np.inf, 1.0], 1e-3),
+    ([0.0, 1.0], 1e-3),
+    ([], 1e-3),
+    ([1.0, 2.0], 0.0),
+    ([1.0, 2.0], 1.0),
+    ([1.0, 2.0], np.nan),
+])
+def test_hyperexp_quantile_rejects_bad_inputs(lam, eps):
+    with pytest.raises(ValueError):
+        _hyperexp_gamma_eps(lam, eps)
 
 
 def test_paper_default_parameters():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
+from scipy.linalg import expm
 
 from cellfree.metrics import (
     SampleSizeError,
@@ -108,10 +109,67 @@ def test_coverage_nonincreasing_in_gamma():
 
 
 def test_coverage_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        coverage_perfect(1.0, [0.0])
-    with pytest.raises(ValueError):
-        coverage_perfect(-1.0, [1.0])
+    for gamma, lam in [
+        (1.0, [0.0]),
+        (-1.0, [1.0]),
+        (0.5, [np.nan, 1.0]),
+        (0.5, [np.inf, 1.0]),
+        (0.5, [-1.0, 1.0]),
+        (np.nan, [1.0]),
+        (np.inf, [1.0]),
+        ([0.5, np.nan], [1.0, 2.0]),
+        (0.5, []),
+        (0.5, np.empty((3, 0))),
+        (0.5, 1.0),
+    ]:
+        with pytest.raises(ValueError):
+            coverage_perfect(gamma, lam)
+
+
+def _scipy_coverage(gamma, lam):
+    """Reference: scipy's expm of gamma T, first row summed, one matrix at a time."""
+    lam = np.asarray(lam, dtype=float)
+    t = np.diag(-lam) + np.diag(lam[:-1], 1)
+    return expm(gamma * t)[0].sum()
+
+
+@pytest.mark.parametrize("n_rates", [1, 2, 3, 4])
+def test_stacked_coverage_matches_scipy_row_by_row(n_rates):
+    # one call over rows whose rates run from 1e-12 to 1e3: no row may pay
+    # for the magnitude of another
+    rng = np.random.default_rng(40 + n_rates)
+    rows, gammas = [], []
+    for case in range(300):
+        exponent = rng.uniform(-12, 0)
+        if case % 3 == 0:
+            lam = np.full(n_rates, 10.0 ** (exponent + 3 * rng.uniform()))  # exact ties
+        else:
+            lam = 10.0 ** rng.uniform(exponent, exponent + 3, n_rates)
+        rows.append(lam)
+        gammas.append(10.0 ** rng.uniform(-3, 2) / lam.min())
+    lam, gammas = np.array(rows), np.array(gammas)
+    got = coverage_perfect(gammas, lam)
+    assert got.shape == (300,)
+    # exact ties follow the Erlang law; scipy's expm itself is off by up to
+    # 1.2e-14 on some of these rows (Erlang-2 at gamma lambda ~ 3)
+    ties = np.arange(300) % 3 == 0
+    erlang = stats.gamma(n_rates, scale=1.0 / lam[ties, 0]).sf(gammas[ties])
+    assert np.max(np.abs(got[ties] - erlang)) <= 1e-15
+    want = np.array([_scipy_coverage(g, l) for g, l in zip(gammas[~ties], lam[~ties])])
+    assert np.max(np.abs(got[~ties] - want)) <= 1e-14
+
+
+def test_stacked_coverage_shapes():
+    lam = np.array([[1.0, 2.0, 3.0], [0.5, 0.5, 0.5], [300.0, 0.1, 7.0]])
+    assert isinstance(coverage_perfect(1.0, lam[0]), float)
+    assert coverage_perfect(np.array([0.5, 1.0]), lam[0]).shape == (2,)
+    per_row = coverage_perfect(1.0, lam)
+    assert per_row.shape == (3,)
+    # a row's value does not depend on the rest of the stack
+    assert np.array_equal(per_row, [coverage_perfect(1.0, l) for l in lam])
+    grid = coverage_perfect(np.array([[0.5], [2.0]]), lam)  # gamma (2, 1) x rows (3,)
+    assert grid.shape == (2, 3)
+    assert grid[1, 2] == coverage_perfect(2.0, lam[2])
 
 
 def test_coverage_ls_single_point_mass():
