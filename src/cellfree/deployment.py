@@ -2,7 +2,6 @@
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.spatial import cKDTree
 
 
 @dataclass(frozen=True)
@@ -121,9 +120,76 @@ def mean_nn_spacing(layout):
     """Mean nearest-neighbor distance between APs (km)."""
     if layout.n_aps < 2:
         raise NoAccessPointsError("need at least two APs for a spacing estimate")
-    tree = cKDTree(layout.positions)
-    d, _ = tree.query(layout.positions, k=2)
-    return float(d[:, 1].mean())
+    d = _CellList(layout.positions, layout.region).query(layout.positions, k=2)
+    return float(d.mean())
+
+
+class _CellList:
+    """Exact k-th nearest AP distances from a uniform grid of square cells.
+
+    APs are bucketed into cells of side about 2.5 / sqrt(APs per km^2) of
+    ``region``, so a cell holds about six of them. Each cell keeps the APs of
+    its 3 x 3 block of cells, padded with inf to the longest such list. A
+    query clipped to the grid takes the k-th smallest ``dx*dx + dy*dy`` over
+    its cell's list, which holds every AP within one cell side of it; a query
+    whose answer lies farther scans all APs instead. Distances are computed
+    as ``cKDTree`` computes them, so they are bit-identical to its.
+    """
+
+    def __init__(self, points, region):
+        self.points = points
+        self.side = 2.5 * np.sqrt(region.area_km2 / len(points))
+        # an AP within reach of a query lies in its 3 x 3 block even if the
+        # cell coordinate of either rounds the other way
+        self.reach2 = (self.side * (1.0 - 1e-9)) ** 2
+        self.lo = points.min(axis=0)
+        cell = self._cell(points)
+        self.top = cell.max(axis=0)
+        # each AP joins the lists of the 9 cells around its own, on the grid
+        # with a ring of empty cells around it
+        width = self.top[1] + 3
+        n_cells = (self.top[0] + 3) * width
+        block = (np.arange(-1, 2)[:, None] * width + np.arange(-1, 2)).ravel()
+        member = ((cell @ (width, 1) + width + 1)[:, None] + block).ravel()
+        # a stable sort of integers this small is a radix sort
+        order = np.argsort(member.astype(np.min_scalar_type(n_cells)), kind="stable")
+        member, src = member[order], order // 9
+        counts = np.bincount(member, minlength=n_cells)
+        slot = np.arange(member.size) - (np.cumsum(counts) - counts)[member]
+        m = counts.max()
+        xy = np.full((n_cells, 2, m), np.inf)
+        at = member * (2 * m) + slot
+        xy.reshape(-1)[at] = points[:, 0][src]
+        xy.reshape(-1)[at + m] = points[:, 1][src]
+        # indexed by the unpadded cell coordinates
+        self.xy, self.stride = xy[width + 1:], (width, 1)
+
+    def _cell(self, q):
+        """Cell coordinates of q, truncated; truncation is the floor at or above 0."""
+        return ((q - self.lo) / self.side).astype(np.intp)
+
+    def query(self, q, k=1):
+        """Distance from each row of q to its k-th nearest AP (k = 1 or 2)."""
+        cell = np.minimum(np.maximum(self._cell(q), 0), self.top)
+        d2 = self._kth(q, self.xy[cell @ self.stride], k)
+        far = np.flatnonzero(d2 > self.reach2)
+        chunk = max(1, (1 << 20) // len(self.points))
+        for start in range(0, far.size, chunk):
+            f = far[start:start + chunk]
+            d2[f] = self._kth(q[f], np.tile(self.points.T, (f.size, 1, 1)), k)
+        return np.sqrt(d2)
+
+    @staticmethod
+    def _kth(q, xy, k):
+        """k-th smallest squared distance from q[i] to the points xy[i].T.
+
+        Overwrites xy, of shape (len(q), 2, points).
+        """
+        xy -= q[:, :, None]
+        xy *= xy
+        d2 = xy[:, 0]
+        d2 += xy[:, 1]
+        return d2.min(axis=1) if k == 1 else np.partition(d2, k - 1, axis=1)[:, k - 1]
 
 
 #: The worst-position search starts with every stride-th grid point per axis,
@@ -171,12 +237,12 @@ def worst_position(layout, grid_resolution=None, region=None):
     hw = region.half_width_km
     axis = np.arange(-hw, hw + grid_resolution / 2.0, grid_resolution)
     n = axis.size
-    tree = cKDTree(layout.positions)
+    cells = _CellList(layout.positions, layout.region)
     slack = 1e-9 * max(hw, np.abs(layout.positions).max())
     stride = 1 << max(0, (n // _COARSE_ANCHORS).bit_length() - 1)
     anchors = np.arange(0, n, stride)
     i, j = np.repeat(anchors, anchors.size), np.tile(anchors, anchors.size)
-    d = tree.query(np.column_stack([axis[i], axis[j]]))[0]
+    d = cells.query(np.column_stack([axis[i], axis[j]]))
     # (i, j, d) are the anchors of the live blocks. The best point queried so
     # far always stays live, so d.max() is the best distance found so far.
     while stride > 1:
@@ -191,6 +257,6 @@ def worst_position(layout, grid_resolution=None, region=None):
         inside = (ci < n) & (cj < n)
         ci, cj = ci[inside], cj[inside]
         i, j = np.concatenate([i, ci]), np.concatenate([j, cj])
-        d = np.concatenate([d, tree.query(np.column_stack([axis[ci], axis[cj]]))[0]])
+        d = np.concatenate([d, cells.query(np.column_stack([axis[ci], axis[cj]]))])
     k = (i * n + j)[d == d.max()].min()
     return np.array([axis[k // n], axis[k % n]])

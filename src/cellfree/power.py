@@ -4,11 +4,10 @@ import math
 
 import numpy as np
 from dataclasses import dataclass
-from scipy import optimize
 
 from .deployment import worst_position
 from .propagation import path_loss_db
-from .snr import lambda_ls
+from .snr import lambda_ls  # noqa: F401  (bench/spans.py traces power.lambda_ls)
 
 
 class BudgetExhaustedError(ValueError):
@@ -56,42 +55,22 @@ def path_loss_only_beta(layout, position, pl_params):
     return float(layout.antennas_per_ap * np.sum(10.0 ** (-path_loss_db(d, pl_params) / 10.0)))
 
 
-def _lambda_of_pilot_power(rho_p, beta_w, energy, tau_p, tau_c, es):
-    rho_d = (energy - rho_p * tau_p) / (tau_c - tau_p)
-    return lambda_ls(beta_w, rho_p, tau_p, rho_d, es)
-
-
 def optimal_pilot_power(beta_w, energy, tau_p, tau_c, es=1.0):
     """Pilot power minimizing lambda_ls under the budget identity.
 
     Setting the derivative to zero gives the quadratic
-    c1 * tau_p * x^2 + 2 c0 * tau_p * x - c0 E = 0 with
-    c0 = 1 + beta Es E / (tau_c - tau_p) and c1 = beta tau_p (1 - Es/(tau_c - tau_p)),
-    whose positive root is the minimizer; a bracketed search is the fallback
-    when the root leaves the feasible interval.
+    f(x) = c1 tau_p x^2 + 2 c0 tau_p x - c0 E = 0 with
+    c0 = 1 + beta Es E / (tau_c - tau_p) and c1 = beta tau_p (1 - Es/(tau_c - tau_p)).
+    Its discriminant is c0 tau_p^2 (1 + beta E) > 0, and f(0) < 0 < f(E/tau_p)
+    for either sign of c1, so the minimizer is the root in (0, E/tau_p). It is
+    written as c0 E / (c0 tau_p + sqrt(disc)), which neither cancels at small
+    beta nor divides by c1.
     """
     d = tau_c - tau_p
     c0 = 1.0 + beta_w * es * energy / d
     c1 = beta_w * tau_p * (1.0 - es / d)
-    hi = energy / tau_p
-    if abs(c1) > 1e-300:
-        disc = (c0 * tau_p) ** 2 + c1 * tau_p * c0 * energy
-        if disc >= 0:
-            x = (-c0 * tau_p + math.sqrt(disc)) / (c1 * tau_p)
-            if 0 < x < hi:
-                return x
-    else:
-        x = energy / (2.0 * tau_p)
-        if 0 < x < hi:
-            return x
-    res = optimize.minimize_scalar(
-        _lambda_of_pilot_power,
-        bounds=(hi * 1e-9, hi * (1 - 1e-9)),
-        args=(beta_w, energy, tau_p, tau_c, es),
-        method="bounded",
-        options={"xatol": hi * 1e-12},
-    )
-    return float(res.x)
+    disc = (c0 * tau_p) ** 2 + c1 * tau_p * c0 * energy
+    return c0 * energy / (c0 * tau_p + math.sqrt(disc))
 
 
 def optimize_pilot_power(layout, pl_params, rho, tau_p, tau_c, es=1.0, grid_resolution=None):

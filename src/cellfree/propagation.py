@@ -2,8 +2,11 @@
 
 import numpy as np
 from dataclasses import dataclass
+# The one scipy import on the CLI's path. At n = 500 (2-vCPU Xeon VM, 1 BLAS
+# thread) np.linalg.cholesky takes about 3.5 ms against 1.7 ms for scipy's
+# in-place factor, and importing scipy.linalg inside the correlated path
+# instead would add its 0.3 s import to the run time of every correlated run.
 from scipy.linalg import LinAlgError, cholesky
-from scipy.spatial.distance import cdist
 
 from .grouping import group_large_scale
 
@@ -106,11 +109,27 @@ def path_loss_db(d, params=PathLossParams()):
 
 
 def _covariance(positions, sigma_db, d_u):
-    """sigma^2 * 2^(-d_ij/d_u) over all position pairs, built in one buffer."""
-    cov = cdist(positions, positions)
-    np.divide(cov, -d_u, out=cov)
-    np.exp2(cov, out=cov)
-    cov *= sigma_db**2
+    """sigma^2 * 2^(-d_ij/d_u) over all position pairs.
+
+    Built in blocks of 64 rows, so that each block's temporaries stay in
+    cache. d_ij = sqrt(dx*dx + dy*dy) is bit-identical to scipy's ``cdist``.
+    """
+    n, rows = len(positions), 64
+    x, y = positions[:, 0], positions[:, 1]
+    cov, dy = np.empty((n, n)), np.empty((min(rows, n), n))
+    for start in range(0, n, rows):
+        block, dy_block = cov[start:start + rows], dy[:min(rows, n - start)]
+        block[:] = x
+        block -= x[start:start + rows, None]
+        block *= block
+        dy_block[:] = y
+        dy_block -= y[start:start + rows, None]
+        dy_block *= dy_block
+        block += dy_block
+        np.sqrt(block, out=block)
+        block /= -d_u
+        np.exp2(block, out=block)
+        block *= sigma_db**2
     return cov
 
 

@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import cellfree
 from cellfree import harness
 from cellfree.cli import build_parser, main
 from cellfree.harness import ScenarioConfig, config_to_text
@@ -242,3 +245,15 @@ def test_threads_default_is_cpus_available_to_process(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 5)
     assert _run_args().threads == 5
     assert _run_args("--threads", "2").threads == 2
+
+
+def test_cli_import_loads_no_optimize_spatial_or_sparse():
+    # scipy.linalg (the correlated Cholesky) is the only scipy module on this path
+    code = "import sys, cellfree.cli; print(*(m for m in sys.modules if m.startswith('scipy.')))"
+    src = os.path.dirname(os.path.dirname(cellfree.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    loaded = {m.split(".")[1] for m in out.split()}
+    assert "linalg" in loaded
+    assert not loaded & {"optimize", "spatial", "sparse"}

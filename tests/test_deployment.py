@@ -5,6 +5,7 @@ from scipy.spatial import cKDTree
 
 from cellfree.deployment import (
     NetworkLayout,
+    _CellList,
     NoAccessPointsError,
     Region,
     hex_spacing,
@@ -234,6 +235,93 @@ def test_worst_position_non_positive_step_rejected(step):
 def test_worst_position_coincident_aps_rejected():
     # mean spacing 0 gives a zero default step
     layout = NetworkLayout(np.array([[0.1, 0.2], [0.1, 0.2]]), 1, "ppp", Region(1.0))
+    with pytest.raises(ValueError, match="grid_resolution"):
+        worst_position(layout)
+
+
+def _grid(hw, n):
+    axis = np.linspace(-hw, hw, n)
+    return np.column_stack([np.repeat(axis, n), np.tile(axis, n)])
+
+
+@pytest.mark.parametrize("density,seed", [(1.0, 0), (5.0, 1), (20.0, 2), (20.0, 3),
+                                          (300.0, 4), (2000.0, 5)])
+def test_cell_list_nearest_bit_identical_to_kdtree_on_ppp(density, seed):
+    rng = rng_for(seed)
+    layout = place_ppp(density, Region(2.0), rng)
+    assert layout.n_aps > 1
+    queries = np.concatenate([rng.uniform(-2.0, 2.0, (3000, 2)), _grid(2.0, 61)])
+    cells = _CellList(layout.positions, layout.region)
+    assert np.array_equal(cells.query(queries), cKDTree(layout.positions).query(queries)[0])
+
+
+def test_cell_list_nearest_bit_identical_to_kdtree_on_hex():
+    layout = place_hex(20.0, Region(2.5))
+    queries = np.concatenate([rng_for(6).uniform(-2.5, 2.5, (3000, 2)), _grid(2.5, 101)])
+    cells = _CellList(layout.positions, layout.region)
+    assert np.array_equal(cells.query(queries), cKDTree(layout.positions).query(queries)[0])
+
+
+def test_cell_list_queries_in_smaller_region():
+    # most APs lie outside the queried square
+    layout = place_ppp(20.0, Region(5.0), rng_for(7))
+    queries = _grid(1.3, 131)
+    cells = _CellList(layout.positions, layout.region)
+    assert np.array_equal(cells.query(queries), cKDTree(layout.positions).query(queries)[0])
+
+
+def test_cell_list_single_ap():
+    layout = NetworkLayout(np.array([[0.3, -0.2]]), 1, "ppp", Region(1.0))
+    queries = _grid(1.0, 41)
+    cells = _CellList(layout.positions, layout.region)
+    assert np.array_equal(cells.query(queries), cKDTree(layout.positions).query(queries)[0])
+
+
+@pytest.mark.parametrize("corner", [1.0, -1.0])
+def test_cell_list_far_queries_scan_every_ap(corner):
+    # 100 APs crowd one corner, so the cell side (0.5 km) is far below the
+    # distance from the opposite corner, below or above the grid of cells;
+    # 14,641 such queries take two chunks
+    positions = corner * rng_for(8).uniform(0.9, 1.0, (100, 2))
+    layout = NetworkLayout(positions, 1, "ppp", Region(1.0))
+    cells = _CellList(layout.positions, layout.region)
+    queries = corner * (_grid(1.0, 121) * 0.4 - 0.6)
+    tree = cKDTree(positions)
+    want = tree.query(queries)[0]
+    assert want.min() > cells.side
+    assert np.array_equal(cells.query(queries), want)
+    assert np.array_equal(cells.query(queries, k=2), tree.query(queries, k=2)[0][:, 1])
+
+
+def test_cell_list_block_answer_beyond_reach_is_rescanned():
+    # cell side 0.5 km, cells from -1: the query's 3 x 3 block spans x in
+    # [-0.5, 1). Its best AP there is 0.75 km away, but an AP two cells to
+    # the left is 0.6 km away; 98 more APs fill the far corner
+    q = np.array([[0.001, 0.1]])
+    positions = np.concatenate([[[-1.0, -1.0], [q[0, 0] - 0.6, 0.1], [q[0, 0] + 0.75, 0.1]],
+                                rng_for(12).uniform(-1.0, -0.9, (97, 2))])
+    cells = _CellList(positions, Region(1.0))
+    assert cells.side == 0.5
+    assert np.array_equal(cells.query(q), cKDTree(positions).query(q)[0])
+    assert cells.query(q)[0] == pytest.approx(0.6)
+
+
+def test_mean_nn_spacing_bit_identical_to_kdtree():
+    for layout in (place_ppp(20.0, Region(2.0), rng_for(9)), place_hex(20.0, Region(2.0)),
+                   place_ppp(1.0, Region(3.0), rng_for(10))):
+        d = cKDTree(layout.positions).query(layout.positions, k=2)[0][:, 1]
+        assert mean_nn_spacing(layout) == d.mean()
+    # coincident APs: their nearest-neighbour distance is 0
+    positions = place_ppp(20.0, Region(1.0), rng_for(11)).positions
+    layout = NetworkLayout(np.concatenate([positions, positions[:7]]), 1, "ppp", Region(1.0))
+    d = cKDTree(layout.positions).query(layout.positions, k=2)[0][:, 1]
+    assert np.count_nonzero(d == 0) == 14
+    assert mean_nn_spacing(layout) == d.mean()
+
+
+def test_coincident_aps_have_zero_spacing_and_no_default_grid():
+    layout = NetworkLayout(np.array([[0.1, 0.2]] * 3), 1, "ppp", Region(1.0))
+    assert mean_nn_spacing(layout) == 0.0
     with pytest.raises(ValueError, match="grid_resolution"):
         worst_position(layout)
 

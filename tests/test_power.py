@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
@@ -91,6 +93,57 @@ def test_optimal_pilot_power_matches_golden_section(beta, tau_p):
     assert lambda_of(star, beta, energy, tau_p, tau_c) <= lambda_of(
         rho, beta, energy, tau_p, tau_c
     )
+
+
+def textbook_root(beta, energy, tau_p, tau_c, es):
+    """(-c0 tau_p + sqrt(disc)) / (c1 tau_p) in 60-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        beta, energy, tau_p, es = (Decimal(float(v)) for v in (beta, energy, tau_p, es))
+        d = Decimal(tau_c) - tau_p
+        c0 = 1 + beta * es * energy / d
+        c1 = beta * tau_p * (1 - es / d)
+        disc = (c0 * tau_p) ** 2 + c1 * tau_p * c0 * energy
+        return float((-c0 * tau_p + disc.sqrt()) / (c1 * tau_p))
+
+
+def test_optimal_pilot_power_fuzz_full_range():
+    # rho*beta from 1e-18 to 1e12; a third of the cases have Es > tau_c - tau_p,
+    # where c1 < 0 and the quadratic opens downwards
+    rng = np.random.default_rng(17)
+    rho = DEFAULT_RHO
+    for case in range(300):
+        tau_c = int(rng.integers(2, 1001))
+        tau_p = int(rng.integers(1, min(tau_c - 1, 16) + 1))
+        if case % 3 == 0:
+            es = (tau_c - tau_p) * rng.uniform(1.01, 5.0)
+        else:
+            es = 10 ** rng.uniform(-2, 1)
+        beta = 10 ** rng.uniform(-18, 12) / rho
+        energy = rho * tau_c
+        hi = energy / tau_p
+        star = optimal_pilot_power(beta, energy, tau_p, tau_c, es)
+        assert 0 < star < hi
+        assert star == pytest.approx(textbook_root(beta, energy, tau_p, tau_c, es), rel=1e-13)
+
+        def lam(x):
+            return lambda_of(x, beta, energy, tau_p, tau_c, es)
+
+        oracle = golden_section_min(lam, hi * 1e-9, hi * (1 - 1e-9))
+        assert star == pytest.approx(oracle, rel=1e-6)
+        assert lam(star) <= lam(oracle) * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("rho_beta", [1e-12, 1e-15, 1e-18])
+def test_optimal_pilot_power_at_tiny_snr(rho_beta):
+    # the root -c0 tau_p + sqrt(disc) cancels here; at 1e-18 it cancels to 0
+    rho, tau_p, tau_c = DEFAULT_RHO, 1, 300
+    energy = rho * tau_c
+    star = optimal_pilot_power(rho_beta / rho, energy, tau_p, tau_c)
+    want = textbook_root(rho_beta / rho, energy, tau_p, tau_c, 1.0)
+    assert star == pytest.approx(want, rel=1e-14)
+    # with beta -> 0 the split maximizing rho_p * rho_d is E / (2 tau_p)
+    assert star == pytest.approx(energy / (2 * tau_p), rel=1e-6)
 
 
 def test_lambda_unimodal_on_feasible_interval():

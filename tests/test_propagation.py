@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from cellfree import propagation
 from cellfree.deployment import NetworkLayout, Region, place_ppp
@@ -105,6 +106,18 @@ def test_correlated_covariance_is_psd():
     cov = _reference_cov(layout.positions, 8.0, 0.2)
     assert np.allclose(cov, cov.T)
     assert np.linalg.eigvalsh(cov).min() > -1e-8 * 64.0
+
+
+def test_covariance_bit_identical_to_cdist_build():
+    # sizes below, at and off the 64-row block, and a full layout
+    rng = np.random.default_rng(13)
+    for positions in (rng.uniform(-1, 1, (1, 2)), rng.uniform(-1, 1, (64, 2)),
+                      rng.uniform(-1, 1, (65, 2)), _layout(seed=2, density=20.0, hw=2.4).positions):
+        want = cdist(positions, positions)
+        np.divide(want, -0.2, out=want)
+        np.exp2(want, out=want)
+        want *= 8.0**2
+        assert np.array_equal(propagation._covariance(positions, 8.0, 0.2), want)
 
 
 def test_duplicate_positions_fall_back_to_jitter():
