@@ -8,7 +8,6 @@ from .channel import (
     EffectiveChannel,
     PilotBlock,
     draw_effective_channel,
-    estimate_energy_law,
     ls_estimate,
     make_pilot_block,
 )
@@ -32,9 +31,9 @@ from .metrics import (
     outage_rate,
     quantile_threshold,
 )
-from .ostbc import OstbcCode, SymbolBlock, alamouti, build_code, rate_three_quarter, single_group
+from .ostbc import OstbcCode, alamouti, rate_three_quarter, single_group
 from .power import PowerPlan, data_power, optimize_pilot_power
 from .propagation import LargeScale, PathLossParams, ShadowParams, large_scale, path_loss_db
-from .snr import SnrSample, lambda_ls, lambda_perfect, snr_ls, snr_mrc, snr_perfect
+from .snr import lambda_ls, lambda_perfect, snr_ls
 
 __version__ = "0.1.0"

@@ -119,14 +119,3 @@ def ls_estimate(h, pilot, beta_bar, rng):
     y_p = np.sqrt(pilot.pilot_power) * pilot.x_p @ h + w
     return ls_estimate_from_obs(y_p, pilot, beta_bar)
 
-
-def estimate_energy_law(beta_bar, pilot):
-    """Exponential rate of |hhat|^2 in the single-group case.
-
-    |hhat|^2 ~ Exp(rho_p tau_p / (rho_p tau_p beta_bar + 1)) when N_g = 1.
-    """
-    beta_bar = np.asarray(beta_bar, dtype=float)
-    if beta_bar.size != 1 or pilot.n_groups != 1:
-        raise ValueError("estimate_energy_law only applies to the single-group case")
-    energy = pilot.pilot_power * pilot.tau_p
-    return float(energy / (energy * beta_bar.reshape(()) + 1.0))

@@ -12,6 +12,7 @@ from .harness import (
     experiment_catalog,
     run_experiment,
     validate_config,
+    with_overrides,
     write_cdf_tables,
     write_result_csv,
     write_summary_csv,
@@ -36,13 +37,6 @@ class UsageError(Exception):
     pass
 
 
-def _available_cpus():
-    """CPUs this process may run on: its affinity mask, not the host's count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _load_experiment(name_or_path):
     if name_or_path in PRESETS:
         return PRESETS[name_or_path]()
@@ -61,15 +55,14 @@ def _load_experiment(name_or_path):
 
 
 def cmd_run(args):
-    exp = _load_experiment(args.scenario)
-    seed = _seed_override(args)
+    exp = with_overrides(_load_experiment(args.scenario), seed=_seed_override(args),
+                         outer=args.outer, inner=args.inner)
     try:
         for _, cfg in exp.members:
             validate_config(cfg)
     except ValueError as e:
         raise UsageError(f"invalid scenario configuration: {e}")
-    results = run_experiment(exp, threads=args.threads, seed=seed,
-                             outer=args.outer, inner=args.inner)
+    results = run_experiment(exp)
     try:
         write_result_csv(args.out, results)
         if args.summary:
@@ -139,9 +132,9 @@ def build_parser():
     run.add_argument("--out", required=True, help="result CSV path")
     run.add_argument("--summary", default=None, help="summary CSV path")
     run.add_argument("--cdf", default=None, help="gnuplot CDF table path")
-    run.add_argument("--threads", type=int, default=_available_cpus(),
-                     help="worker threads for the outer trial loop "
-                     "(default: the CPUs this process may run on)")
+    run.add_argument("--threads", type=int, default=1,
+                     help="accepted and ignored: trials run one after another "
+                     "on one thread (default: 1)")
     run.set_defaults(func=cmd_run)
 
     lst = sub.add_parser("list-scenarios", help="list preset experiments")

@@ -1,17 +1,17 @@
 """Monte-Carlo experiment engine: scenario configs, presets, deterministic runs.
 
 Every outer trial draws from its own counter-based stream keyed by
-(master seed, trial index), so results are bit-identical for any worker
-count. Closed-form conditional SNR distributions are used whenever they
-exist (perfect CSI, and LS with a single group); only the remaining cases
-evaluate the general-OSTBC SNR at simulated estimates.
+(master seed, trial index), so a trial's draws depend on nothing but its
+index. Trials are independent Monte-Carlo repetitions and run one after
+another on one thread. Closed-form conditional SNR distributions are used
+whenever they exist (perfect CSI, and LS with a single group); only the
+remaining cases evaluate the general-OSTBC SNR at simulated estimates.
 """
 
 import hashlib
 import math
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -48,8 +48,8 @@ DEFAULT_RHO = normalized_power()
 def trial_stream(seed, index, domain=0):
     """Counter-based Philox stream keyed by (seed, domain, index).
 
-    A pure function of its arguments: any worker regenerates the same stream
-    for the same trial, independent of execution order.
+    A pure function of its arguments: the same trial always regenerates the
+    same stream, independent of which trials ran before it.
     """
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(domain, index))
     return np.random.Generator(np.random.Philox(ss))
@@ -109,7 +109,11 @@ class ScenarioConfig:
 
 
 def validate_config(cfg):
-    """Raise ValueError on any configuration conflict, before any trial runs."""
+    """Raise ValueError on any configuration conflict, before any trial runs.
+
+    Builds the fixed layout to check that it can run, and returns the code
+    and that layout (None when each trial draws its own).
+    """
     for f in fields(ScenarioConfig):
         v = getattr(cfg, f.name)
         if isinstance(v, float) or f.name in _TUPLE_FIELDS:
@@ -127,12 +131,15 @@ def validate_config(cfg):
         raise ValueError(f"unknown power strategy {cfg.power!r}")
     if cfg.vary not in ("network", "grouping"):
         raise ValueError(f"unknown vary mode {cfg.vary!r}")
+    cfg.region()
     cfg.shadow_params()
     code = ostbc.by_name(cfg.code)
     if cfg.tau_c <= 0 or not 0 < cfg.epsilon < 1:
         raise ValueError("tau_c must be positive and epsilon in (0, 1)")
     if cfg.outer < 1 or cfg.inner < 1:
         raise ValueError("trial counts must be >= 1")
+    if cfg.seed < 0 or (cfg.layout_seed is not None and cfg.layout_seed < 0):
+        raise ValueError("seeds must be >= 0")
     if cfg.rx_antennas < 1 or cfg.antennas_per_ap < 1:
         raise ValueError("antenna counts must be >= 1")
     if min(cfg.rho, cfg.es) <= 0:
@@ -160,7 +167,11 @@ def validate_config(cfg):
             raise ValueError("vary='grouping' needs the random grouping strategy")
     elif len(cfg.terminals) != 1:
         raise ValueError("vary='network' supports a single terminal")
-    return code
+    fixed = _fixed_layout(cfg)
+    if fixed is not None and fixed.n_antennas < code.n_groups:
+        raise ValueError(f"fixed layout has {fixed.n_antennas} antennas; code {cfg.code!r} "
+                         f"needs at least {code.n_groups}")
+    return code, fixed
 
 
 # -- canonical key=value serialization (also the CLI config-file format) --
@@ -250,7 +261,6 @@ class RunResult:
     terminal_index: np.ndarray
     values: np.ndarray
     power_note: str
-    wall_time_s: float
 
     @property
     def seed(self):
@@ -399,16 +409,39 @@ def _plan_spread(plans):
             f"rho_d {spread([p.rho_d for p in planned])}, tau_p={planned[0].tau_p}")
 
 
-def run_scenario(cfg, threads=1, label=None):
-    """Run one scenario; deterministic for fixed (config, seed) and any threads."""
-    code = validate_config(cfg)
-    label = label or "scenario"
-    t0 = time.perf_counter()
-    fixed = _fixed_layout(cfg)
-    terminals = np.asarray(cfg.terminals, dtype=float)
-    pl_params = PathLossParams()
-    sh_params = cfg.shadow_params()
+def _grouping_trial(cfg, code, layout, beta_ant, t):
+    """Group rates of trial t per terminal (rows); their quantiles are found
+    after the loop. beta_ant holds the path-loss beta per (terminal, antenna)."""
+    rng = trial_stream(cfg.seed, t)
+    g = _trial_grouping(cfg, code, layout, None, rng)
+    es = _symbol_energy(cfg, code)
+    return np.stack([1.0 / (cfg.rho * es * group_large_scale(b, g)) for b in beta_ant])
 
+
+def _network_trial(cfg, code, fixed, grouping, plan, t):
+    """SNR samples and power plan of trial t; a degenerate layout scores zero
+    SNR and has no plan. fixed, grouping and plan are None when the trial
+    draws or computes its own."""
+    rng = trial_stream(cfg.seed, t)
+    layout = fixed if fixed is not None else place_ppp(
+        cfg.density, cfg.region(), rng, cfg.antennas_per_ap
+    )
+    if layout.n_antennas < code.n_groups:
+        return np.zeros(cfg.inner), None
+    g = _trial_grouping(cfg, code, layout, grouping, rng)
+    terminal = np.asarray(cfg.terminals[0], dtype=float)
+    if cfg.shadow == "none":
+        shadow = np.zeros(layout.n_aps)
+    else:
+        shadow = shadow_fields(layout, [terminal], cfg.shadow_params(), rng)[0]
+    ls = large_scale_from_shadow(layout, terminal, PathLossParams(), shadow, g)
+    plan = plan if plan is not None else _trial_plan(cfg, layout, None)
+    return _sample_snr(code, ls.beta_bar, plan, cfg, rng), plan
+
+
+def run_scenario(cfg, label=None):
+    """Run one scenario's outer trials in order; deterministic for fixed (config, seed)."""
+    code, fixed = validate_config(cfg)
     cached_grouping = None
     if fixed is not None and cfg.grouping == "neighbor" and code.n_groups > 1:
         cached_grouping = neighbor_grouping(fixed, code.n_groups)
@@ -417,69 +450,27 @@ def run_scenario(cfg, threads=1, label=None):
         cached_plan = _trial_plan(cfg, fixed, None)
 
     if cfg.vary == "grouping":
-        if fixed.n_antennas < code.n_groups:
-            raise ValueError(
-                f"fixed layout has {fixed.n_antennas} antennas, fewer than "
-                f"{code.n_groups} groups"
-            )
         # path-loss-only beta per (terminal, antenna); shadow is 'none' here
+        terminals = np.asarray(cfg.terminals, dtype=float)
         d = np.linalg.norm(fixed.positions[None, :, :] - terminals[:, None, :], axis=-1)
-        beta_ant = np.repeat(10.0 ** (-path_loss_db(d, pl_params) / 10.0),
+        beta_ant = np.repeat(10.0 ** (-path_loss_db(d, PathLossParams()) / 10.0),
                              fixed.antennas_per_ap, axis=1)
-
-        es = _symbol_energy(cfg, code)
-
-        def worker(t):
-            # per-terminal group rates; their quantiles are found after the loop
-            rng = trial_stream(cfg.seed, t)
-            g = _trial_grouping(cfg, code, fixed, None, rng)
-            return np.stack([1.0 / (cfg.rho * es * group_large_scale(b, g))
-                             for b in beta_ant]), None
+        trial = partial(_grouping_trial, cfg, code, fixed, beta_ant)
     else:
-        terminal = terminals[0]
+        trial = partial(_network_trial, cfg, code, fixed, cached_grouping, cached_plan)
 
-        def worker(t):
-            rng = trial_stream(cfg.seed, t)
-            layout = fixed if fixed is not None else place_ppp(
-                cfg.density, cfg.region(), rng, cfg.antennas_per_ap
-            )
-            if layout.n_antennas < code.n_groups:
-                return np.zeros(cfg.inner), None
-            g = _trial_grouping(cfg, code, layout, cached_grouping, rng)
-            if sh_params.mode == "none":
-                shadow = np.zeros(layout.n_aps)
-            else:
-                shadow = shadow_fields(layout, [terminal], sh_params, rng)[0]
-            ls = large_scale_from_shadow(layout, terminal, pl_params, shadow, g)
-            plan = cached_plan if cached_plan is not None else _trial_plan(cfg, layout, None)
-            return _sample_snr(code, ls.beta_bar, plan, cfg, rng), plan
+    outputs = [trial(t) for t in range(cfg.outer)]
 
-    results = [None] * cfg.outer
-    plans = [None] * cfg.outer
-
-    def run_range(indices):
-        for t in indices:
-            results[t], plans[t] = worker(t)
-
-    threads = max(1, int(threads))
-    if threads == 1 or cfg.outer == 1:
-        run_range(range(cfg.outer))
-    else:
-        chunks = np.array_split(np.arange(cfg.outer), threads)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_range, chunks))
-
-    per_trial = len(results[0])
-    values = np.concatenate(results)
-    trial_index = np.repeat(np.arange(cfg.outer), per_trial)
     if cfg.vary == "grouping":
-        gamma = _hyperexp_gamma_eps(values, cfg.epsilon)
+        gamma = _hyperexp_gamma_eps(np.concatenate(outputs), cfg.epsilon)
         values = outage_rate(gamma, 0, cfg.tau_c, code)
-        terminal_index = np.tile(np.arange(len(terminals)), cfg.outer)
-        kind = "rate_bpcu"
+        per_trial, kind = len(cfg.terminals), "rate_bpcu"
+        terminal_index = np.tile(np.arange(per_trial), cfg.outer)
     else:
+        snrs, plans = zip(*outputs)
+        values = np.concatenate(snrs)
+        per_trial, kind = cfg.inner, "snr_linear"
         terminal_index = np.zeros(values.size, dtype=int)
-        kind = "snr_linear"
 
     if cfg.csi == "perfect":
         power_note = f"rho_p=rho_d=rho={cfg.rho:.6g} (perfect CSI, no pilots)"
@@ -493,13 +484,12 @@ def run_scenario(cfg, threads=1, label=None):
 
     return RunResult(
         config=cfg,
-        label=label,
+        label=label or "scenario",
         kind=kind,
-        trial_index=trial_index,
+        trial_index=np.repeat(np.arange(cfg.outer), per_trial),
         terminal_index=terminal_index,
         values=values,
         power_note=power_note,
-        wall_time_s=time.perf_counter() - t0,
     )
 
 
@@ -726,18 +716,13 @@ def experiment_catalog():
     return {name: build() for name, build in PRESETS.items()}
 
 
-def run_experiment(exp, threads=1, seed=None, outer=None, inner=None):
-    """Run all members, applying CLI overrides; returns RunResults in order."""
-    results = []
-    for member_label, cfg in exp.members:
-        overrides = {}
-        if seed is not None:
-            overrides["seed"] = seed
-        if outer is not None:
-            overrides["outer"] = outer
-        if inner is not None:
-            overrides["inner"] = inner
-        if overrides:
-            cfg = replace(cfg, **overrides)
-        results.append(run_scenario(cfg, threads=threads, label=f"{exp.name}/{member_label}"))
-    return results
+def with_overrides(exp, **values):
+    """The experiment with every member's fields replaced by the non-None values."""
+    values = {k: v for k, v in values.items() if v is not None}
+    return replace(exp, members=tuple((label, replace(cfg, **values))
+                                      for label, cfg in exp.members))
+
+
+def run_experiment(exp):
+    """Run all members in order; returns their RunResults."""
+    return [run_scenario(cfg, label=f"{exp.name}/{label}") for label, cfg in exp.members]

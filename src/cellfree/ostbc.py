@@ -51,20 +51,6 @@ class OstbcCode:
         return self.n_symbols / self.block_len
 
 
-@dataclass(frozen=True)
-class SymbolBlock:
-    """N_s complex symbols sharing per-symbol energy E_s = E[|s_n|^2]."""
-
-    symbols: np.ndarray
-    energy: float = 1.0
-
-    def __post_init__(self):
-        s = np.asarray(self.symbols, dtype=complex)
-        if not np.all(np.isfinite(s)):
-            raise ValueError("symbols must be finite")
-        object.__setattr__(self, "symbols", s)
-
-
 def code_matrix(code, symbols):
     """Code matrix for a symbol vector, batched over leading axes.
 
@@ -76,11 +62,6 @@ def code_matrix(code, symbols):
     return np.einsum("ntg,...n->...tg", code.a, s.real) + 1j * np.einsum(
         "ntg,...n->...tg", code.b, s.imag
     )
-
-
-def build_code(code, block):
-    """Code matrix X for a :class:`SymbolBlock`."""
-    return code_matrix(code, block.symbols)
 
 
 def dispersion_matrices(generator, n_symbols):

@@ -21,19 +21,6 @@ class NumericalDegeneracyError(ArithmeticError):
 
 
 @dataclass(frozen=True)
-class SnrSample:
-    """A per-symbol SNR value together with how it was conditioned."""
-
-    value: float
-    csi_mode: str          # "perfect" | "ls"
-    conditioning: object = None  # the h (or hhat) realization it derives from
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise ValueError("SNR must be >= 0")
-
-
-@dataclass(frozen=True)
 class ConditionalSnrTerms:
     """Closed-form pieces of the LS SNR for one symbol index."""
 
@@ -48,15 +35,6 @@ def lambda_perfect(beta_bar, rho, es=1.0):
     """Exponential rates lambda_n = 1/(rho Es beta_bar_n) of the perfect-CSI SNR."""
     beta_bar = np.asarray(beta_bar, dtype=float)
     return 1.0 / (rho * es * beta_bar)
-
-
-def snr_perfect(h, rho, es=1.0):
-    """Per-symbol SNR rho Es ||h||^2 under perfect CSI."""
-    if rho <= 0 or es <= 0:
-        raise ValueError("rho and Es must be positive")
-    h = np.asarray(h)
-    value = float(rho * es * np.sum(np.abs(h) ** 2))
-    return SnrSample(value=value, csi_mode="perfect", conditioning=h)
 
 
 def conditional_snr_terms(code, n, estimate, rho_d, es=1.0):
@@ -106,13 +84,17 @@ def conditional_snr_terms(code, n, estimate, rho_d, es=1.0):
 
 
 def snr_ls(code, n, estimate, rho_d, es=1.0):
-    """Per-symbol SNR under LS estimation, conditioned on the estimate."""
+    """Per-symbol SNR under LS estimation, conditioned on the estimate.
+
+    The literal matrix form of :func:`conditional_snr_terms`; the reference
+    that :func:`snr_ls_values` is checked against.
+    """
     terms = conditional_snr_terms(code, n, estimate, rho_d, es)
     num = es * abs(np.sqrt(rho_d) * terms.z_power + terms.c_n) ** 2
     den = terms.eta_power + terms.z_power - es * abs(terms.c_n) ** 2
     if den <= 0:
         raise NumericalDegeneracyError(f"non-positive SNR denominator {den}")
-    return SnrSample(value=float(num / den), csi_mode="ls", conditioning=estimate.h_hat)
+    return float(num / den)
 
 
 def snr_ls_values(code, n, h_hat, cond_gain, cond_cov, rho_d, es=1.0):
@@ -167,21 +149,3 @@ def lambda_ls(beta_bar_total, rho_p, tau_p, rho_d, es=1.0):
     out = (1.0 + b * (rho_p * tau_p + rho_d * es)) / (rho_d * es * rho_p * tau_p * b**2)
     return float(out) if out.ndim == 0 else out
 
-
-def snr_mrc(branch_snrs):
-    """Combined SNR after maximum-ratio combining of independent branches.
-
-    Each branch's processed symbol is gain * s + noise with noise independent
-    across antennas, so MRC with gain/noise-variance weights attains the sum
-    of the per-branch SNRs.
-    """
-    if not branch_snrs:
-        raise ValueError("need at least one branch")
-    modes = {s.csi_mode for s in branch_snrs}
-    if len(modes) != 1:
-        raise ValueError(f"branches mix csi modes {sorted(modes)}")
-    return SnrSample(
-        value=float(sum(s.value for s in branch_snrs)),
-        csi_mode=modes.pop(),
-        conditioning=tuple(s.conditioning for s in branch_snrs),
-    )

@@ -94,7 +94,7 @@ def test_criterion_06_path_loss_anchor():
 
 
 def test_criterion_07_deployment_ordering():
-    results = run_experiment(experiment_catalog()["fig3"], threads=4)
+    results = run_experiment(experiment_catalog()["fig3"])
     rates = {r.label.split("/")[1]: summarize(r)[0]["rate_bpcu"] for r in results}
     pairs = [(rates[f"hex-d{d}"], rates[f"ppp-d{d}"]) for d in (10, 20, 40)]
     ok = all(hx >= pp for hx, pp in pairs)
@@ -104,7 +104,7 @@ def test_criterion_07_deployment_ordering():
 
 
 def test_criterion_08_shadow_model_ordering():
-    results = run_experiment(experiment_catalog()["fig4"], threads=4)
+    results = run_experiment(experiment_catalog()["fig4"])
     gammas = {r.label.split("/")[1]: summarize(r)[0]["gamma_eps"] for r in results}
     ok = gammas["correlated"] < gammas["none"] < gammas["uncorrelated"]
     db = {k: 10 * np.log10(v) for k, v in gammas.items()}
@@ -190,7 +190,7 @@ def test_criterion_09_pilot_tradeoff_shape():
 
 
 def test_criterion_10_diversity_ordering():
-    results = run_experiment(experiment_catalog()["fig6"], threads=4)
+    results = run_experiment(experiment_catalog()["fig6"])
     rows = {r.label.split("/")[1]: summarize(r)[0] for r in results}
     r = {k: v["rate_bpcu"] for k, v in rows.items()}
     ci = {k: v["ci_halfwidth"] for k, v in rows.items()}
@@ -207,7 +207,7 @@ def test_criterion_10_diversity_ordering():
 def test_criterion_11_grouping_effect():
     cat = experiment_catalog()
     cfg = cat["fig7_positions"].members[0][1]
-    res = run_scenario(cfg, threads=4)
+    res = run_scenario(cfg)
     rates = res.terminal_values(0)
 
     # label each trial by whether the two APs dominating terminal 0 split
@@ -236,7 +236,7 @@ def test_criterion_11_grouping_effect():
 
 
 def test_criterion_12_mrc_gain():
-    results = run_experiment(experiment_catalog()["fig8"], threads=4)
+    results = run_experiment(experiment_catalog()["fig8"])
     rows = {r.label.split("/")[1]: summarize(r)[0] for r in results}
     r = {k: v["rate_bpcu"] for k, v in rows.items()}
     gains = {ng: (r[f"ng{ng}-rx1"], r[f"ng{ng}-rx2"]) for ng in (1, 2, 4)}

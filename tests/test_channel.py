@@ -6,7 +6,6 @@ from cellfree.channel import (
     ChannelEstimate,
     conditional_error_stats,
     draw_effective_channel,
-    estimate_energy_law,
     ls_estimate,
     ls_estimate_from_obs,
     make_pilot_block,
@@ -154,36 +153,6 @@ def test_pilot_path_identity_exact():
     est = ls_estimate_from_obs(y, pilot, beta_bar)
     expected = h + pilot.x_p.conj().T @ w / (np.sqrt(rho_p) * tau_p)
     assert np.abs(est.h_hat - expected).max() < 1e-12
-
-
-def test_energy_law_unit_parameters():
-    pilot = make_pilot_block(1, 1, pilot_power=1.0)
-    assert estimate_energy_law(np.array([1.0]), pilot) == pytest.approx(0.5)
-
-
-def test_energy_law_high_energy_limit():
-    pilot = make_pilot_block(1, 1, pilot_power=1e9)
-    rate = estimate_energy_law(np.array([2.0]), pilot)
-    assert rate == pytest.approx(0.5, rel=1e-6)
-
-
-def test_energy_law_distribution():
-    rng = np.random.default_rng(9)
-    beta, rho_p, tau_p = 1.5, 2.0, 3
-    pilot = make_pilot_block(tau_p, 1, pilot_power=rho_p)
-    n = 100_000
-    h = draw_effective_channel(np.array([beta]), rng, size=n)[:, 0]
-    w = (rng.standard_normal((n, tau_p)) + 1j * rng.standard_normal((n, tau_p))) / np.sqrt(2)
-    h_hat = h + (w @ pilot.x_p.conj())[:, 0] / (np.sqrt(rho_p) * tau_p)
-    rate = estimate_energy_law(np.array([beta]), pilot)
-    res = stats.kstest(np.abs(h_hat) ** 2, "expon", args=(0, 1.0 / rate))
-    assert res.pvalue > 0.01
-
-
-def test_energy_law_multi_group_unsupported():
-    pilot = make_pilot_block(2, 2)
-    with pytest.raises(ValueError):
-        estimate_energy_law(np.array([1.0, 2.0]), pilot)
 
 
 def test_estimate_invariants():

@@ -236,15 +236,54 @@ def _run_args(*extra):
     return build_parser().parse_args(["run", "--scenario", "fig3", "--out", "x.csv", *extra])
 
 
-def test_threads_default_is_cpus_available_to_process(monkeypatch):
-    if hasattr(os, "sched_getaffinity"):
-        assert _run_args().threads == len(os.sched_getaffinity(0))
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-    assert _run_args().threads == 3
-    monkeypatch.delattr(os, "sched_getaffinity")
-    monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert _run_args().threads == 5
-    assert _run_args("--threads", "2").threads == 2
+def test_threads_flag_is_accepted_with_a_fixed_default():
+    assert _run_args().threads == 1
+    assert _run_args("--threads", "8").threads == 8
+
+
+@pytest.mark.parametrize("override", [("--outer", "0"), ("--inner", "0"), ("--seed", "-1"),
+                                      ("CELLFREE_SEED", "-5")],
+                         ids=["outer=0", "inner=0", "seed=-1", "env-seed=-5"])
+def test_bad_override_rejected_before_any_trial(tmp_path, capsys, monkeypatch, override):
+    flag, value = override
+    args = ["run", "--scenario", "fig4", "--out", str(tmp_path / "x.csv")]
+    if flag.startswith("--"):
+        args += [flag, value]
+    else:
+        monkeypatch.setenv(flag, value)
+    assert main(args) == 2
+    assert "invalid scenario configuration" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("lines", [
+    "vary=grouping\nlayout_seed=3\ndensity=0.5\nhalf_width_km=0.5\ncode=alamouti\n"
+    "csi=perfect\nshadow=none\n",
+    "deployment=hexagonal\ndensity=0.01\nhalf_width_km=0.5\n",
+    "csi=ls\npower=optimized\nlayout_seed=3\ndensity=0.5\nhalf_width_km=0.5\n",
+], ids=["grouping-no-antennas", "empty-hex-lattice", "optimized-power-no-aps"])
+def test_unrunnable_fixed_layout_rejected_before_any_trial(tmp_path, capsys, lines):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(lines + "outer=3\ninner=2\n")
+    out = tmp_path / "x.csv"
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert "invalid:" in capsys.readouterr().err
+    assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert "invalid scenario configuration" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("line", ["seed=-1", "layout_seed=-1", "half_width_km=0"])
+def test_out_of_range_config_rejected_before_any_trial(tmp_path, capsys, line):
+    bad = tmp_path / "bad.cfg"
+    key = line.split("=", 1)[0]
+    kept = [l for l in TINY.splitlines() if not l.startswith(key + "=")]
+    bad.write_text("\n".join(kept + [line]) + "\n")
+    out = tmp_path / "x.csv"
+    assert main(["validate", "--config", str(bad)]) == 1
+    assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert "invalid scenario configuration" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_import_loads_no_optimize_spatial_or_sparse():

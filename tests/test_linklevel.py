@@ -16,7 +16,7 @@ from cellfree.linklevel import (
 )
 from cellfree.ostbc import alamouti, code_matrix, draw_symbols, rate_three_quarter
 from cellfree.propagation import LargeScale
-from cellfree.snr import snr_ls, snr_mrc
+from cellfree.snr import snr_ls
 
 
 def perfect_estimate(h_hat):
@@ -192,7 +192,7 @@ def test_mrc_oracle_matches_branch_sum():
             rng.standard_normal(2) + 1j * rng.standard_normal(2)
         )
         estimates.append(ChannelEstimate(h_hat=h_hat, error_var=c_e, cond_gain=u, cond_cov=cc))
-    closed = snr_mrc([snr_ls(code, 0, est, rho_d) for est in estimates]).value
+    closed = sum(snr_ls(code, 0, est, rho_d) for est in estimates)
     reps = np.array([
         mrc_empirical_sinr(code, 0, estimates, rho_d, 10_000, rng) for _ in range(8)
     ])

@@ -5,9 +5,7 @@ from hypothesis import strategies as st
 
 from cellfree.ostbc import (
     NotLinearError,
-    SymbolBlock,
     alamouti,
-    build_code,
     by_name,
     code_matrix,
     dispersion_matrices,
@@ -103,13 +101,6 @@ def test_linearity_superposition(seed):
 def test_symbol_count_mismatch():
     with pytest.raises(ValueError):
         code_matrix(alamouti(), np.zeros(3))
-
-
-def test_build_code_from_symbol_block():
-    block = SymbolBlock(np.array([1.0, 1.0j]))
-    assert np.allclose(build_code(alamouti(), block), [[1, 1j], [1j, 1]])
-    with pytest.raises(ValueError):
-        SymbolBlock(np.array([np.inf + 0j]))
 
 
 def test_zero_symbols_give_zero_matrix():
