@@ -116,6 +116,18 @@ def place_hex(density, region, antennas_per_ap=1):
     return NetworkLayout(pts, antennas_per_ap, "hexagonal", region)
 
 
+def closest_pair(positions):
+    """Pairwise distances with an infinite diagonal, and the closest pair (i, j).
+
+    Row-major argmin visits (i, j) with i < j first, so i is the lower index.
+    """
+    diff = positions[:, None, :] - positions[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    np.fill_diagonal(dist, np.inf)
+    i, j = np.unravel_index(np.argmin(dist), dist.shape)
+    return dist, int(i), int(j)
+
+
 def mean_nn_spacing(layout):
     """Mean nearest-neighbor distance between APs (km)."""
     if layout.n_aps < 2:

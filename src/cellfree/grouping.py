@@ -3,6 +3,8 @@
 import numpy as np
 from dataclasses import dataclass
 
+from .deployment import closest_pair
+
 
 class InfeasibleGroupingError(ValueError):
     """Fewer antennas than groups."""
@@ -77,12 +79,7 @@ def neighbor_grouping(layout, n_groups):
     if n_aps == 1:
         order = [0]
     else:
-        diff = layout.positions[:, None, :] - layout.positions[None, :, :]
-        dist = np.sqrt(np.sum(diff * diff, axis=-1))
-        np.fill_diagonal(dist, np.inf)
-        # row-major argmin visits (i, j) with i < j first, so this is the
-        # lower-index AP of the closest pair
-        start = int(np.unravel_index(np.argmin(dist), dist.shape)[0])
+        dist, start, _ = closest_pair(layout.positions)
         unassigned = np.ones(n_aps, dtype=bool)
         unassigned[start] = False
         order = [start]

@@ -17,15 +17,15 @@ import numpy as np
 
 from . import ostbc
 from .channel import conditional_error_stats
-from .deployment import Region, place_hex, place_ppp, worst_position
+from .deployment import Region, closest_pair, place_hex, place_ppp, worst_position
 from .grouping import Grouping, group_large_scale, neighbor_grouping, random_grouping
 from .metrics import SampleSizeError, as_rates, coverage_perfect, outage_rate, outage_result
 from .power import optimize_pilot_power, uniform_plan
 from .propagation import (
     PathLossParams,
     ShadowParams,
+    antenna_beta,
     large_scale_from_shadow,
-    path_loss_db,
     shadow_fields,
 )
 from .snr import lambda_ls, snr_ls_values
@@ -131,6 +131,8 @@ def validate_config(cfg):
         raise ValueError(f"unknown power strategy {cfg.power!r}")
     if cfg.vary not in ("network", "grouping"):
         raise ValueError(f"unknown vary mode {cfg.vary!r}")
+    if not cfg.terminals:
+        raise ValueError("terminals must contain at least one x,y pair")
     cfg.region()
     cfg.shadow_params()
     code = ostbc.by_name(cfg.code)
@@ -247,31 +249,28 @@ def config_hash(cfg):
 
 @dataclass
 class RunResult:
-    """Per-sample values plus the outage summary inputs.
+    """Samples of one run, shaped (outer trial, terminal, sample of the trial).
 
-    kind is 'snr_linear' for network-randomness runs (one SNR sample per
-    (outer, inner) pair) and 'rate_bpcu' for grouping-randomness runs (one
-    conditional outage rate per (outer trial, terminal)).
+    kind is 'snr_linear' for network-randomness runs (one terminal, inner SNR
+    samples per trial) and 'rate_bpcu' for grouping-randomness runs (one
+    conditional outage rate per trial and terminal).
     """
 
     config: ScenarioConfig
     label: str
     kind: str
-    trial_index: np.ndarray
-    terminal_index: np.ndarray
     values: np.ndarray
     power_note: str
 
-    @property
-    def seed(self):
-        return self.config.seed
+    def terminals(self):
+        """(row name, samples of shape (outer, per trial)) for each terminal.
 
-    @property
-    def hash(self):
-        return config_hash(self.config)
-
-    def terminal_values(self, k=0):
-        return self.values[self.terminal_index == k]
+        The row name is the label for a single terminal and label/t<k> for
+        terminal k of several.
+        """
+        n = self.values.shape[1]
+        for k in range(n):
+            yield (self.label if n == 1 else f"{self.label}/t{k}"), self.values[:, k]
 
 
 def _fixed_layout(cfg):
@@ -297,14 +296,12 @@ def _trial_grouping(cfg, code, layout, cached, rng):
     return random_grouping(layout.n_antennas, code.n_groups, rng)
 
 
-def _trial_plan(cfg, layout, cached):
+def _trial_plan(cfg, layout):
     tau_p = cfg.effective_tau_p()
     if cfg.csi == "perfect":
         return uniform_plan(cfg.rho, 1, cfg.tau_c)  # tau_p unused; rate uses 0
     if cfg.power == "uniform":
         return uniform_plan(cfg.rho, tau_p, cfg.tau_c)
-    if cached is not None:
-        return cached
     return optimize_pilot_power(
         layout, PathLossParams(), cfg.rho, tau_p, cfg.tau_c, cfg.es,
         grid_resolution=cfg.opt_grid_km,
@@ -435,7 +432,7 @@ def _network_trial(cfg, code, fixed, grouping, plan, t):
     else:
         shadow = shadow_fields(layout, [terminal], cfg.shadow_params(), rng)[0]
     ls = large_scale_from_shadow(layout, terminal, PathLossParams(), shadow, g)
-    plan = plan if plan is not None else _trial_plan(cfg, layout, None)
+    plan = plan if plan is not None else _trial_plan(cfg, layout)
     return _sample_snr(code, ls.beta_bar, plan, cfg, rng), plan
 
 
@@ -447,14 +444,11 @@ def run_scenario(cfg, label=None):
         cached_grouping = neighbor_grouping(fixed, code.n_groups)
     cached_plan = None
     if fixed is not None or cfg.csi == "perfect" or cfg.power == "uniform":
-        cached_plan = _trial_plan(cfg, fixed, None)
+        cached_plan = _trial_plan(cfg, fixed)
 
     if cfg.vary == "grouping":
         # path-loss-only beta per (terminal, antenna); shadow is 'none' here
-        terminals = np.asarray(cfg.terminals, dtype=float)
-        d = np.linalg.norm(fixed.positions[None, :, :] - terminals[:, None, :], axis=-1)
-        beta_ant = np.repeat(10.0 ** (-path_loss_db(d, PathLossParams()) / 10.0),
-                             fixed.antennas_per_ap, axis=1)
+        beta_ant = antenna_beta(fixed, cfg.terminals, PathLossParams())
         trial = partial(_grouping_trial, cfg, code, fixed, beta_ant)
     else:
         trial = partial(_network_trial, cfg, code, fixed, cached_grouping, cached_plan)
@@ -463,14 +457,12 @@ def run_scenario(cfg, label=None):
 
     if cfg.vary == "grouping":
         gamma = _hyperexp_gamma_eps(np.concatenate(outputs), cfg.epsilon)
-        values = outage_rate(gamma, 0, cfg.tau_c, code)
-        per_trial, kind = len(cfg.terminals), "rate_bpcu"
-        terminal_index = np.tile(np.arange(per_trial), cfg.outer)
+        values = outage_rate(gamma, 0, cfg.tau_c, code).reshape(cfg.outer, -1, 1)
+        kind = "rate_bpcu"
     else:
         snrs, plans = zip(*outputs)
-        values = np.concatenate(snrs)
-        per_trial, kind = cfg.inner, "snr_linear"
-        terminal_index = np.zeros(values.size, dtype=int)
+        values = np.stack(snrs)[:, None, :]
+        kind = "snr_linear"
 
     if cfg.csi == "perfect":
         power_note = f"rho_p=rho_d=rho={cfg.rho:.6g} (perfect CSI, no pilots)"
@@ -482,73 +474,61 @@ def run_scenario(cfg, label=None):
     else:
         power_note = _plan_spread(plans)
 
-    return RunResult(
-        config=cfg,
-        label=label or "scenario",
-        kind=kind,
-        trial_index=np.repeat(np.arange(cfg.outer), per_trial),
-        terminal_index=terminal_index,
-        values=values,
-        power_note=power_note,
-    )
+    return RunResult(cfg, label or "scenario", kind, values, power_note)
 
 
 def summarize(result):
     """Summary rows (one per terminal) for the summary CSV.
 
     SNR runs report the empirical epsilon-quantile gamma_eps and the outage
-    rate it implies. Grouping-randomness runs already hold per-grouping
-    outage rates, so gamma_eps is nan and rate_bpcu is their median.
+    rate it implies; underpowered smoke runs get a row of NaN fields.
+    Grouping-randomness runs already hold per-grouping outage rates, so
+    gamma_eps is nan and rate_bpcu is their median.
     """
     cfg = result.config
     code = ostbc.by_name(cfg.code)
     rows = []
-    n_terminals = int(result.terminal_index.max()) + 1 if result.values.size else 1
-    for k in range(n_terminals):
-        vals = result.terminal_values(k)
-        name = result.label if n_terminals == 1 else f"{result.label}/t{k}"
+    for name, samples in result.terminals():
+        vals = samples.ravel()
+        row = dict(scenario=name, epsilon=cfg.epsilon, gamma_eps=np.nan, rate_bpcu=np.nan,
+                   ci_halfwidth=np.nan, n_trials=vals.size)
         if result.kind == "snr_linear":
             try:
                 res = outage_result(vals, cfg.epsilon, cfg.effective_tau_p(), cfg.tau_c, code)
+                row.update(gamma_eps=res.gamma_eps, rate_bpcu=res.rate_bpcu,
+                           ci_halfwidth=res.ci_halfwidth)
             except SampleSizeError:
-                # underpowered smoke runs still get a summary row
-                rows.append(dict(scenario=name, epsilon=cfg.epsilon,
-                                 gamma_eps=float("nan"), rate_bpcu=float("nan"),
-                                 ci_halfwidth=float("nan"), n_trials=vals.size))
-                continue
-            rows.append(
-                dict(scenario=name, epsilon=res.epsilon, gamma_eps=res.gamma_eps,
-                     rate_bpcu=res.rate_bpcu, ci_halfwidth=res.ci_halfwidth,
-                     n_trials=res.n_trials)
-            )
+                pass
         else:
             lo, med, hi = np.quantile(vals, [0.25, 0.5, 0.75])
-            rows.append(
-                dict(scenario=name, epsilon=cfg.epsilon, gamma_eps=float("nan"),
-                     rate_bpcu=float(med), ci_halfwidth=float((hi - lo) / 2.0),
-                     n_trials=vals.size)
-            )
+            row.update(rate_bpcu=float(med), ci_halfwidth=float((hi - lo) / 2.0))
+        rows.append(row)
     return rows
 
 
 # -- CSV output --
 
 def write_result_csv(path, results):
-    """Result CSV: scenario, seed, trial, snr_linear|rate_bpcu (one value kind)."""
+    """Result CSV: scenario, seed, trial, snr_linear|rate_bpcu (one value kind).
+
+    Rows run trial by trial; within a trial, terminal by terminal.
+    """
     kinds = {r.kind for r in results}
     if len(kinds) != 1:
         raise ValueError("cannot mix snr and rate results in one file")
     kind = kinds.pop()
     with open(path, "w", newline="") as f:
         for r in results:
-            f.write(f"# scenario={r.label} seed={r.seed} config_hash={r.hash}\n")
+            f.write(f"# scenario={r.label} seed={r.config.seed} "
+                    f"config_hash={config_hash(r.config)}\n")
             f.write(f"# power_plan[{r.label}]: {r.power_note}\n")
         f.write(f"scenario,seed,trial,{kind}\n")
         for r in results:
-            multi = r.terminal_index.max() > 0 if r.values.size else False
-            for trial, term, value in zip(r.trial_index, r.terminal_index, r.values):
-                name = f"{r.label}/t{term}" if multi else r.label
-                f.write(f"{name},{r.seed},{trial},{value:.17g}\n")
+            series = [(name, samples.tolist()) for name, samples in r.terminals()]
+            for trial in range(r.config.outer):
+                for name, samples in series:
+                    head = f"{name},{r.config.seed},{trial},"
+                    f.writelines(f"{head}{v:.17g}\n" for v in samples[trial])
 
 
 def write_summary_csv(path, results):
@@ -563,16 +543,14 @@ def write_summary_csv(path, results):
 
 
 def write_cdf_tables(path, results):
-    """Gnuplot-friendly CDF tables: blocks of 'value cdf' per scenario."""
+    """Gnuplot-friendly CDF tables: blocks of 'value cdf' per scenario row."""
     with open(path, "w") as f:
         for r in results:
-            n_terminals = int(r.terminal_index.max()) + 1 if r.values.size else 1
-            for k in range(n_terminals):
-                vals = np.sort(r.terminal_values(k))
-                name = r.label if n_terminals == 1 else f"{r.label}/t{k}"
+            for name, samples in r.terminals():
+                vals = np.sort(samples, axis=None).tolist()
                 f.write(f"# {name} ({r.kind})\n")
-                for i, v in enumerate(vals):
-                    f.write(f"{v:.17g} {(i + 1) / vals.size:.17g}\n")
+                f.writelines(f"{v:.17g} {i / len(vals):.17g}\n"
+                             for i, v in enumerate(vals, 1))
                 f.write("\n\n")
 
 
@@ -598,10 +576,7 @@ def _fig7_geometry():
     rng = trial_stream(_FIG7_LAYOUT_SEED, 0, domain=_SETUP_DOMAIN)
     layout = place_ppp(20.0, Region(0.5), rng)
     pos = layout.positions
-    diff = pos[:, None, :] - pos[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
-    np.fill_diagonal(dist, np.inf)
-    i, j = np.unravel_index(np.argmin(dist), dist.shape)
+    _, i, j = closest_pair(pos)
     t0 = (pos[i] + pos[j]) / 2.0
     away = np.argmax(np.linalg.norm(pos - t0, axis=1))
     t1 = pos[away] + np.array([0.02, 0.0])

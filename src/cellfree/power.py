@@ -6,7 +6,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .deployment import worst_position
-from .propagation import path_loss_db
+from .propagation import antenna_beta
 from .snr import lambda_ls  # noqa: F401  (bench/spans.py traces power.lambda_ls)
 
 
@@ -51,8 +51,8 @@ def data_power(energy, rho_p, tau_p, tau_c):
 
 def path_loss_only_beta(layout, position, pl_params):
     """Total large-scale coefficient at a position, path loss only, all antennas."""
-    d = np.linalg.norm(layout.positions - np.asarray(position, dtype=float), axis=1)
-    return float(layout.antennas_per_ap * np.sum(10.0 ** (-path_loss_db(d, pl_params) / 10.0)))
+    m = layout.antennas_per_ap  # the antennas of an AP share its beta
+    return float(m * np.sum(antenna_beta(layout, position, pl_params)[::m]))
 
 
 def optimal_pilot_power(beta_w, energy, tau_p, tau_c, es=1.0):

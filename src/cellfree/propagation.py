@@ -194,8 +194,17 @@ def large_scale(layout, terminal, pl_params, sh_params, grouping, rng):
 
 def large_scale_from_shadow(layout, terminal, pl_params, shadow_db, grouping):
     """As :func:`large_scale` but with the shadow realization supplied."""
-    d = np.linalg.norm(layout.positions - np.asarray(terminal, dtype=float), axis=1)
-    loss_db = path_loss_db(d, pl_params) + shadow_db
-    beta_ap = 10.0 ** (-np.asarray(loss_db) / 10.0)
-    beta = np.repeat(beta_ap, layout.antennas_per_ap)
+    beta = antenna_beta(layout, terminal, pl_params, shadow_db)
     return LargeScale(beta=beta, beta_bar=group_large_scale(beta, grouping))
+
+
+def antenna_beta(layout, terminals, pl_params, shadow_db=0.0):
+    """Linear beta = 10^(-(PL(d) + v)/10) per antenna.
+
+    Shape (n_antennas,) for one terminal position, (K, n_antennas) for K.
+    shadow_db is the shadow loss v per AP; all antennas of an AP share its beta.
+    """
+    terminals = np.asarray(terminals, dtype=float)
+    d = np.linalg.norm(layout.positions - terminals[..., None, :], axis=-1)
+    beta_ap = 10.0 ** (-(path_loss_db(d, pl_params) + shadow_db) / 10.0)
+    return np.repeat(beta_ap, layout.antennas_per_ap, axis=-1)

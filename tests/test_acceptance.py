@@ -208,7 +208,7 @@ def test_criterion_11_grouping_effect():
     cat = experiment_catalog()
     cfg = cat["fig7_positions"].members[0][1]
     res = run_scenario(cfg)
-    rates = res.terminal_values(0)
+    rates = res.values[:, 0, 0]
 
     # label each trial by whether the two APs dominating terminal 0 split
     from cellfree.harness import _fig7_geometry

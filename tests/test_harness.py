@@ -24,6 +24,7 @@ from cellfree.harness import (
     trial_stream,
     validate_config,
     with_overrides,
+    write_cdf_tables,
     write_result_csv,
     write_summary_csv,
 )
@@ -65,7 +66,7 @@ def test_run_scenario_deterministic():
     r1 = run_scenario(cfg)
     r2 = run_scenario(cfg)
     assert np.array_equal(r1.values, r2.values)
-    assert np.array_equal(r1.trial_index, r2.trial_index)
+    assert r1.values.shape == (cfg.outer, 1, cfg.inner)
 
 
 def test_run_scenario_seed_changes_samples():
@@ -163,6 +164,9 @@ def test_validate_config_conflicts():
         validate_config(ScenarioConfig(vary="grouping"))
     with pytest.raises(ValueError):
         validate_config(ScenarioConfig(terminals=((0, 0), (1, 1))))
+    with pytest.raises(ValueError, match="terminals"):
+        validate_config(ScenarioConfig(vary="grouping", layout_seed=1, csi="perfect",
+                                       shadow="none", terminals=()))
     with pytest.raises(ValueError):
         validate_config(ScenarioConfig(deployment="hexagonal", density=0.0))
     with pytest.raises(ValueError):
@@ -353,9 +357,8 @@ def test_fig7_scenario_rates_and_terminal_split():
     cfg = replace(cat["fig7_positions"].members[0][1], outer=150)
     res = run_scenario(cfg)
     assert res.kind == "rate_bpcu"
-    assert res.values.size == 150 * 3
-    for k in range(3):
-        assert res.terminal_values(k).size == 150
+    assert res.values.shape == (150, 3, 1)
+    assert [samples.size for _, samples in res.terminals()] == [150, 150, 150]
     rows = summarize(res)
     assert [r["scenario"].split("/")[-1] for r in rows] == ["t0", "t1", "t2"]
 
@@ -436,8 +439,27 @@ def test_multi_terminal_csv_suffixes(tmp_path):
     write_result_csv(path, [res])
     body = [l for l in path.read_text().splitlines() if not l.startswith("#")]
     assert body[0] == "scenario,seed,trial,rate_bpcu"
-    names = {l.split(",")[0] for l in body[1:]}
-    assert names == {"fig7/t0", "fig7/t1", "fig7/t2"}
+    # trial-major: t0, t1 and t2 of trial 0, then of trial 1, and so on
+    keys = [tuple(l.split(",")[::2]) for l in body[1:]]
+    assert keys == [(f"fig7/t{k}", str(t)) for t in range(20) for k in range(3)]
+    values = [float(l.split(",")[3]) for l in body[1:]]
+    assert values == res.values.ravel().tolist()
+
+
+def test_single_terminal_grouping_run_writes_unsuffixed_name(tmp_path):
+    cfg = experiment_catalog()["fig7_positions"].members[0][1]
+    cfg = replace(cfg, terminals=cfg.terminals[:1], outer=10)
+    res = run_scenario(cfg, label="fig7")
+    assert res.values.shape == (10, 1, 1)
+    write_result_csv(tmp_path / "r.csv", [res])
+    write_summary_csv(tmp_path / "s.csv", [res])
+    write_cdf_tables(tmp_path / "c.dat", [res])
+    result = (tmp_path / "r.csv").read_text().splitlines()
+    assert {l.split(",")[0] for l in result if not l.startswith("#")} == {"scenario", "fig7"}
+    summary = (tmp_path / "s.csv").read_text().splitlines()
+    assert [l.split(",")[0] for l in summary[1:]] == ["fig7"]
+    cdf = (tmp_path / "c.dat").read_text().splitlines()
+    assert [l for l in cdf if l.startswith("#")] == ["# fig7 (rate_bpcu)"]
 
 
 def test_mixed_kinds_rejected(tmp_path):
