@@ -5,7 +5,6 @@ optimization, and stochastic-geometry deployment experiments."""
 
 from .channel import (
     ChannelEstimate,
-    EffectiveChannel,
     PilotBlock,
     draw_effective_channel,
     ls_estimate,

@@ -11,14 +11,6 @@ from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
-class EffectiveChannel:
-    """One realization of the per-group effective channel."""
-
-    h: np.ndarray         # (n_groups,) complex
-    cov_diag: np.ndarray  # beta_bar, the diagonal of C_h
-
-
-@dataclass(frozen=True)
 class PilotBlock:
     """tau_p x n_groups pilot matrix with X_p^H X_p = tau_p I, plus pilot power."""
 
@@ -63,18 +55,16 @@ class ChannelEstimate:
 def draw_effective_channel(beta_bar, rng, size=None):
     """Draw h with independent CN(0, beta_bar_k) components.
 
-    size, when given, prepends batch axes: returned h has shape (*size, n_groups).
+    Returns h of shape beta_bar.shape; size, when given, prepends batch axes:
+    h then has shape (*size, n_groups).
     """
     beta_bar = np.asarray(beta_bar, dtype=float)
     if np.any(beta_bar <= 0):
         raise ValueError("beta_bar entries must be positive")
     shape = beta_bar.shape if size is None else (*np.atleast_1d(size), *beta_bar.shape)
-    h = np.sqrt(beta_bar / 2.0) * (
+    return np.sqrt(beta_bar / 2.0) * (
         rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     )
-    if size is None:
-        return EffectiveChannel(h=h, cov_diag=beta_bar)
-    return h
 
 
 def make_pilot_block(tau_p, n_groups, pilot_power=1.0):

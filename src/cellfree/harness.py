@@ -10,8 +10,10 @@ remaining cases evaluate the general-OSTBC SNR at simulated estimates.
 
 import hashlib
 import math
+import types
 from dataclasses import dataclass, fields, replace
 from functools import partial
+from typing import Literal, get_args, get_origin
 
 import numpy as np
 
@@ -62,24 +64,26 @@ _SETUP_DOMAIN = 1  # reserved for fixed-layout draws; trials use domain 0
 class ScenarioConfig:
     """Full description of one simulation scenario.
 
-    tau_p = None picks the minimum (one pilot per group) for LS and 0 for
-    perfect CSI. rho defaults to the reference power normalization.
-    Terminals beyond the origin are only supported with vary='grouping'.
+    The annotations are the schema: validation, parsing and serialization
+    read each field's type from them. tau_p = None picks the minimum (one
+    pilot per group) for LS and 0 for perfect CSI. rho defaults to the
+    reference power normalization. Terminals beyond the origin are only
+    supported with vary='grouping'.
     """
 
-    deployment: str = "ppp"            # ppp | hexagonal
+    deployment: Literal["ppp", "hexagonal"] = "ppp"
     density: float = 20.0              # APs per km^2
     half_width_km: float = 5.0
-    shadow: str = "correlated"         # none | uncorrelated | correlated
+    shadow: str = "correlated"         # a ShadowParams mode
     sigma_db: float = 8.0
     delta: float = 0.5
     decorrelation_km: float = 0.2
-    code: str = "single"               # single | alamouti | rate34
-    grouping: str = "random"           # random | neighbor
-    csi: str = "ls"                    # perfect | ls
+    code: str = "single"               # an ostbc.by_name code
+    grouping: Literal["random", "neighbor"] = "random"
+    csi: Literal["perfect", "ls"] = "ls"
     tau_c: int = 300
     tau_p: int | None = None
-    power: str = "uniform"             # uniform | optimized
+    power: Literal["uniform", "optimized"] = "uniform"
     rho: float = DEFAULT_RHO
     es: float = 1.0
     rx_antennas: int = 1
@@ -88,9 +92,9 @@ class ScenarioConfig:
     outer: int = 1000
     inner: int = 100
     seed: int = 1
-    vary: str = "network"              # network | grouping
+    vary: Literal["network", "grouping"] = "network"
     layout_seed: int | None = None     # fixed layout drawn once when set
-    terminals: tuple = ((0.0, 0.0),)
+    terminals: tuple[tuple[float, float], ...] = ((0.0, 0.0),)
     opt_grid_km: float | None = None   # grid step of the worst-position search
 
     def n_groups(self):
@@ -116,21 +120,13 @@ def validate_config(cfg):
     """
     for f in fields(ScenarioConfig):
         v = getattr(cfg, f.name)
-        if isinstance(v, float) or f.name in _TUPLE_FIELDS:
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"{f.name} must be finite, got {v}")
-    if cfg.deployment not in ("ppp", "hexagonal"):
-        raise ValueError(f"unknown deployment {cfg.deployment!r}")
+        if get_origin(f.type) is Literal and v not in get_args(f.type):
+            allowed = ", ".join(map(repr, get_args(f.type)))
+            raise ValueError(f"{f.name} must be one of {allowed}, got {v!r}")
+        if _value_type(f.type) in (float, tuple) and v is not None and not np.all(np.isfinite(v)):
+            raise ValueError(f"{f.name} must be finite, got {v}")
     if cfg.density < 0 or (cfg.deployment == "hexagonal" and cfg.density <= 0):
         raise ValueError(f"invalid density {cfg.density}")
-    if cfg.csi not in ("perfect", "ls"):
-        raise ValueError(f"unknown csi mode {cfg.csi!r}")
-    if cfg.grouping not in ("random", "neighbor"):
-        raise ValueError(f"unknown grouping strategy {cfg.grouping!r}")
-    if cfg.power not in ("uniform", "optimized"):
-        raise ValueError(f"unknown power strategy {cfg.power!r}")
-    if cfg.vary not in ("network", "grouping"):
-        raise ValueError(f"unknown vary mode {cfg.vary!r}")
     if not cfg.terminals:
         raise ValueError("terminals must contain at least one x,y pair")
     cfg.region()
@@ -178,9 +174,13 @@ def validate_config(cfg):
 
 # -- canonical key=value serialization (also the CLI config-file format) --
 
-_TUPLE_FIELDS = {"terminals"}
-_OPTIONAL_INT = {"tau_p", "layout_seed"}
-_OPTIONAL_FLOAT = {"opt_grid_km"}
+def _value_type(annotation):
+    """Type of a field's values: str for a Literal, X for X | None, tuple for tuple[...]."""
+    if get_origin(annotation) is Literal:
+        return str
+    if get_origin(annotation) is types.UnionType:  # X | None
+        annotation, _ = get_args(annotation)
+    return get_origin(annotation) or annotation
 
 
 def config_to_text(cfg):
@@ -188,12 +188,13 @@ def config_to_text(cfg):
     lines = []
     for f in fields(ScenarioConfig):
         v = getattr(cfg, f.name)
-        if f.name in _TUPLE_FIELDS:
-            v = ";".join(f"{x!r},{y!r}" for x, y in v)
-        elif v is None:
+        kind = _value_type(f.type)
+        if v is None:
             v = "none"
-        elif isinstance(v, float):
-            v = repr(v)
+        elif kind is tuple:
+            v = ";".join(f"{float(x)!r},{float(y)!r}" for x, y in v)
+        elif kind is float:
+            v = repr(float(v))
         lines.append(f"{f.name}={v}")
     return "\n".join(lines) + "\n"
 
@@ -214,31 +215,18 @@ def config_from_text(text):
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in kwargs:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        kwargs[key] = _parse_value(key, val)
+        kwargs[key] = _parse_value(known[key].type, val)
     return ScenarioConfig(**kwargs)
 
 
-def _parse_value(key, val):
-    if key in _TUPLE_FIELDS:
-        pairs = []
-        for part in val.split(";"):
-            if not part.strip():
-                continue
-            x, _, y = part.partition(",")
-            pairs.append((float(x), float(y)))
-        if not pairs:
-            raise ValueError("terminals must contain at least one x,y pair")
-        return tuple(pairs)
-    if key in _OPTIONAL_INT:  # 'none' only means None for the optional fields
-        return None if val == "none" else int(val)
-    if key in _OPTIONAL_FLOAT:
-        return None if val == "none" else float(val)
-    default = ScenarioConfig.__dataclass_fields__[key].default
-    if isinstance(default, int):
-        return int(val)
-    if isinstance(default, float):
-        return float(val)
-    return val
+def _parse_value(annotation, val):
+    if val == "none" and type(None) in get_args(annotation):  # only optional fields take none
+        return None
+    kind = _value_type(annotation)
+    if kind is tuple:  # x,y pairs separated by ';'
+        pairs = (part.partition(",") for part in val.split(";") if part.strip())
+        return tuple((float(x), float(y)) for x, _, y in pairs)
+    return kind(val)
 
 
 def config_hash(cfg):
@@ -566,24 +554,21 @@ class Experiment:
 _FIG7_LAYOUT_SEED = 70_2018
 
 
-def _fig7_geometry():
-    """Fixed example layout plus three terminals with distinct surroundings.
+def _fig7_terminals(layout):
+    """Three terminals with distinct surroundings in a fixed example layout.
 
     Terminal 0 sits at the midpoint of the closest AP pair (two dominant
     APs), terminal 1 next to a single AP, terminal 2 at the worst grid
-    position. Deterministic: derived from the frozen layout seed.
+    position.
     """
-    rng = trial_stream(_FIG7_LAYOUT_SEED, 0, domain=_SETUP_DOMAIN)
-    layout = place_ppp(20.0, Region(0.5), rng)
     pos = layout.positions
     _, i, j = closest_pair(pos)
     t0 = (pos[i] + pos[j]) / 2.0
     away = np.argmax(np.linalg.norm(pos - t0, axis=1))
-    t1 = pos[away] + np.array([0.02, 0.0])
-    t1 = np.clip(t1, -0.5, 0.5)
+    hw = layout.region.half_width_km
+    t1 = np.clip(pos[away] + np.array([0.02, 0.0]), -hw, hw)
     t2 = worst_position(layout, grid_resolution=0.02)
-    terminals = tuple((float(x), float(y)) for x, y in (t0, t1, t2))
-    return layout, terminals
+    return tuple((float(x), float(y)) for x, y in (t0, t1, t2))
 
 
 # Desk-scale operating point: epsilon = 1e-2 with shrunken regions where
@@ -638,16 +623,15 @@ def _fig6():
 
 
 def _fig7_positions():
-    _, terminals = _fig7_geometry()
-    return Experiment(
-        "fig7_positions",
-        (("terminals", ScenarioConfig(
-            deployment="ppp", density=20.0, half_width_km=0.5, shadow="none",
-            csi="perfect", code="alamouti", grouping="random", power="uniform",
-            epsilon=1e-3, outer=4000, inner=1, seed=1, vary="grouping",
-            layout_seed=_FIG7_LAYOUT_SEED, terminals=terminals)),),
-        "grouping randomness for three fixed terminals",
-    )
+    cfg = ScenarioConfig(
+        deployment="ppp", density=20.0, half_width_km=0.5, shadow="none",
+        csi="perfect", code="alamouti", grouping="random", power="uniform",
+        epsilon=1e-3, outer=4000, inner=1, seed=1, vary="grouping",
+        layout_seed=_FIG7_LAYOUT_SEED)
+    # the terminals are placed in the very layout the run simulates
+    cfg = replace(cfg, terminals=_fig7_terminals(_fixed_layout(cfg)))
+    return Experiment("fig7_positions", (("terminals", cfg),),
+                      "grouping randomness for three fixed terminals")
 
 
 def _fig8():

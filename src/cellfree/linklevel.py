@@ -63,11 +63,8 @@ def run_trial(code, grouping, large_scale, rho_p, rho_d, tau_p, rng, es=1.0):
     y = np.sqrt(rho_d) * x_d @ h + w
 
     processed = detect_symbols(code, h_hat, y)
-    va = np.einsum("ntg,g->nt", code.a.conj(), h_hat.conj())
-    vb = np.einsum("ntg,g->nt", code.b.conj(), h_hat.conj())
-    xe = x_d @ e
-    eta = -np.sqrt(rho_d) * ((va @ xe).real + 1j * (vb @ xe).imag)
-    z = (va @ w).real + 1j * (vb @ w).imag
+    eta = -np.sqrt(rho_d) * detect_symbols(code, h_hat, x_d @ e)
+    z = detect_symbols(code, h_hat, w)
     return TrialRecord(
         h=h, h_hat=h_hat, symbols=s, processed=processed, eta=eta, z=z, estimate=estimate
     )

@@ -124,12 +124,13 @@ def rate_three_quarter():
     return OstbcCode(a, b, "rate34")
 
 
-_BY_NAME = {"single": single_group, "alamouti": alamouti, "rate34": rate_three_quarter}
+# Built once: codes are frozen with read-only arrays, so callers share them.
+_BY_NAME = {code.name: code for code in (single_group(), alamouti(), rate_three_quarter())}
 
 
 def by_name(name):
     try:
-        return _BY_NAME[name]()
+        return _BY_NAME[name]
     except KeyError:
         raise ValueError(f"unknown code {name!r}; choose from {sorted(_BY_NAME)}") from None
 

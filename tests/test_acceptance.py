@@ -211,10 +211,10 @@ def test_criterion_11_grouping_effect():
     rates = res.values[:, 0, 0]
 
     # label each trial by whether the two APs dominating terminal 0 split
-    from cellfree.harness import _fig7_geometry
+    from cellfree.harness import _fixed_layout
 
-    layout, terminals = _fig7_geometry()
-    t0 = np.asarray(terminals[0])
+    layout = _fixed_layout(cfg)
+    t0 = np.asarray(cfg.terminals[0])
     d = np.linalg.norm(layout.positions - t0, axis=1)
     a, b = np.argsort(d)[:2]
     split = np.empty(cfg.outer, dtype=bool)

@@ -30,9 +30,11 @@ def test_effective_channel_zero_mean():
 
 def test_effective_channel_scalar_draw():
     rng = np.random.default_rng(2)
-    ec = draw_effective_channel(np.array([0.5, 1.5]), rng)
-    assert ec.h.shape == (2,)
-    assert np.array_equal(ec.cov_diag, [0.5, 1.5])
+    h = draw_effective_channel(np.array([0.5, 1.5]), rng)
+    assert h.shape == (2,) and np.iscomplexobj(h)
+    # an unbatched draw is the one row of a size-1 batch from the same stream
+    batch = draw_effective_channel(np.array([0.5, 1.5]), np.random.default_rng(2), size=1)
+    assert np.array_equal(h, batch[0])
 
 
 def test_nonpositive_beta_rejected():
@@ -80,7 +82,7 @@ def test_pilot_block_infeasible():
 def test_ls_near_noiseless():
     rng = np.random.default_rng(4)
     beta_bar = np.array([1.0, 2.0])
-    h = draw_effective_channel(beta_bar, rng).h
+    h = draw_effective_channel(beta_bar, rng)
     pilot = make_pilot_block(2, 2, pilot_power=1e12 / 2)
     est = ls_estimate(h, pilot, beta_bar, rng)
     assert np.linalg.norm(est.h_hat - h) < 1e-3
@@ -135,7 +137,7 @@ def test_estimate_marginal_covariance():
     for i in range(n // 1000):
         for j in range(1000):
             k = i * 1000 + j
-            h = draw_effective_channel(beta_bar, rng).h
+            h = draw_effective_channel(beta_bar, rng)
             hh[k] = ls_estimate(h, pilot, beta_bar, rng).h_hat
     var = np.mean(np.abs(hh) ** 2, axis=0)
     target = beta_bar + 1.0 / (rho_p * tau_p)
@@ -147,7 +149,7 @@ def test_pilot_path_identity_exact():
     beta_bar = np.array([1.0, 0.5, 2.0])
     rho_p, tau_p = 1.3, 5
     pilot = make_pilot_block(tau_p, 3, pilot_power=rho_p)
-    h = draw_effective_channel(beta_bar, rng).h
+    h = draw_effective_channel(beta_bar, rng)
     w = (rng.standard_normal(tau_p) + 1j * rng.standard_normal(tau_p)) / np.sqrt(2)
     y = np.sqrt(rho_p) * pilot.x_p @ h + w
     est = ls_estimate_from_obs(y, pilot, beta_bar)

@@ -273,7 +273,7 @@ def test_unrunnable_fixed_layout_rejected_before_any_trial(tmp_path, capsys, lin
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["seed=-1", "layout_seed=-1", "half_width_km=0"])
+@pytest.mark.parametrize("line", ["seed=-1", "layout_seed=-1", "half_width_km=0", "terminals="])
 def test_out_of_range_config_rejected_before_any_trial(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
     key = line.split("=", 1)[0]

@@ -175,6 +175,15 @@ def test_validate_config_conflicts():
         validate_config(ScenarioConfig(epsilon=0.0))
     with pytest.raises(ValueError):
         validate_config(ScenarioConfig(rx_antennas=0))
+    # an unknown choice must fail, not fall through to another mode's code path
+    for field, bad, allowed in (("deployment", "hex", ("ppp", "hexagonal")),
+                                ("grouping", "nearest", ("random", "neighbor")),
+                                ("csi", "lss", ("perfect", "ls")),
+                                ("power", "max", ("uniform", "optimized")),
+                                ("vary", "both", ("network", "grouping"))):
+        with pytest.raises(ValueError, match=field) as err:
+            validate_config(ScenarioConfig(**{field: bad}))
+        assert all(repr(value) in str(err.value) for value in allowed), str(err.value)
 
 
 def test_effective_tau_p_defaults():
@@ -191,6 +200,23 @@ def test_config_text_roundtrip_all_presets():
             assert back == cfg
             assert config_to_text(back) == text
             assert config_hash(back) == config_hash(cfg)
+
+
+def test_config_text_reads_field_kinds_from_annotations():
+    # the field's annotation, not the value's type, decides the text form
+    tuple_form = ScenarioConfig(terminals=((0.0, 0.0),))
+    assert config_to_text(ScenarioConfig(terminals=[(0.0, 0.0)])) == config_to_text(tuple_form)
+    assert config_to_text(ScenarioConfig(terminals=[(0, 0)])) == config_to_text(tuple_form)
+    assert config_to_text(replace(tuple_form, density=20)) == config_to_text(tuple_form)
+    numpy_scalars = replace(tuple_form, density=np.float64(20.0),
+                            terminals=[(np.float64(0.0), np.float64(0.0))])
+    assert config_to_text(numpy_scalars) == config_to_text(tuple_form)
+    cfg = config_from_text("tau_p=none\nopt_grid_km=0.05\nterminals=0.1,-0.2;0.3,0.4\n")
+    assert cfg.tau_p is None and cfg.opt_grid_km == 0.05
+    assert cfg.terminals == ((0.1, -0.2), (0.3, 0.4))
+    assert config_from_text("terminals=\n").terminals == ()
+    with pytest.raises(ValueError):
+        config_from_text("seed=none\n")  # 'none' only for optional fields
 
 
 def test_config_text_rejects_unknown_and_duplicate_keys():

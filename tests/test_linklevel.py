@@ -28,7 +28,7 @@ def perfect_estimate(h_hat):
 @pytest.mark.parametrize("code", [alamouti(), rate_three_quarter()])
 def test_noiseless_perfect_csi_recovers_symbols(code):
     rng = np.random.default_rng(0)
-    h = draw_effective_channel(np.ones(code.n_groups), rng).h
+    h = draw_effective_channel(np.ones(code.n_groups), rng)
     s = draw_symbols(rng, code.n_symbols)
     rho_d = 2.0
     y = np.sqrt(rho_d) * code_matrix(code, s) @ h
@@ -40,7 +40,7 @@ def test_noiseless_perfect_csi_recovers_symbols(code):
 def test_detection_decouples_across_symbols(code):
     # with perfect CSI and no noise, symbol n is unaffected by the others
     rng = np.random.default_rng(1)
-    h = draw_effective_channel(np.ones(code.n_groups), rng).h
+    h = draw_effective_channel(np.ones(code.n_groups), rng)
     s = draw_symbols(rng, code.n_symbols)
     for n in range(code.n_symbols):
         t = s.copy()
@@ -94,7 +94,7 @@ def test_trial_estimate_error_statistics():
 def test_conditional_z_power_matches_closed_form():
     code = alamouti()
     rng = np.random.default_rng(4)
-    h_hat = draw_effective_channel(np.array([1.0, 2.0]), rng).h
+    h_hat = draw_effective_channel(np.array([1.0, 2.0]), rng)
     n = 20_000
     w = (rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2))) / np.sqrt(2)
     va = code.a[0] @ h_hat
@@ -107,7 +107,7 @@ def test_conditional_z_power_matches_closed_form():
 
 def test_conditional_moments_zero_error():
     rng = np.random.default_rng(5)
-    est = perfect_estimate(draw_effective_channel(np.ones(2), rng).h)
+    est = perfect_estimate(draw_effective_channel(np.ones(2), rng))
     mc = conditional_moments(alamouti(), 0, est, rho_d=1.0, n_draws=2000, rng=rng)
     assert mc.c_n == 0 and mc.eta_power == 0
 

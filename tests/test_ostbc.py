@@ -53,6 +53,13 @@ def test_code_rates(name, rate):
     assert by_name(name).rate == pytest.approx(rate)
 
 
+@pytest.mark.parametrize("name", ["single", "alamouti", "rate34"])
+def test_by_name_returns_one_shared_code(name):
+    code = by_name(name)
+    assert by_name(name) is code
+    assert code.name == name and not code.a.flags.writeable and not code.b.flags.writeable
+
+
 def test_unknown_code_name():
     with pytest.raises(ValueError):
         by_name("golden")
