@@ -13,12 +13,10 @@ from .channel import (
 from .deployment import NetworkLayout, Region, place_hex, place_ppp, worst_position
 from .grouping import Grouping, group_large_scale, neighbor_grouping, random_grouping
 from .harness import (
-    DEFAULT_RHO,
     Experiment,
     RunResult,
     ScenarioConfig,
     experiment_catalog,
-    normalized_power,
     run_experiment,
     run_scenario,
     trial_stream,
@@ -31,7 +29,7 @@ from .metrics import (
     quantile_threshold,
 )
 from .ostbc import OstbcCode, alamouti, rate_three_quarter, single_group
-from .power import PowerPlan, data_power, optimize_pilot_power
+from .power import DEFAULT_RHO, PowerPlan, data_power, normalized_power, optimize_pilot_power
 from .propagation import LargeScale, PathLossParams, ShadowParams, large_scale, path_loss_db
 from .snr import lambda_ls, lambda_perfect, snr_ls
 

@@ -37,13 +37,12 @@ class PilotBlock:
 class ChannelEstimate:
     """LS estimate with its conditional error statistics (all diagonal).
 
-    error_var : scalar diagonal of C_e = I/(rho_p tau_p)
+    h_hat     : estimate, shape (..., n_groups); leading axes index draws
     cond_gain : diagonal of U_cond = C_e (C_e + C_h)^-1, entries in (0, 1)
     cond_cov  : diagonal of C_cond = (C_e^-1 + C_h^-1)^-1
     """
 
     h_hat: np.ndarray
-    error_var: float
     cond_gain: np.ndarray
     cond_cov: np.ndarray
 
@@ -82,7 +81,8 @@ def make_pilot_block(tau_p, n_groups, pilot_power=1.0):
 
 
 def conditional_error_stats(beta_bar, rho_p, tau_p):
-    """(error_var, cond_gain, cond_cov) diagonals for given pilot energy."""
+    """(c_e, cond_gain, cond_cov) for given pilot energy: c_e is the scalar
+    diagonal of C_e = I/(rho_p tau_p), the others are diagonals."""
     if rho_p <= 0 or tau_p <= 0:
         raise ValueError("pilot power and length must be positive")
     beta_bar = np.asarray(beta_bar, dtype=float)
@@ -96,16 +96,19 @@ def ls_estimate_from_obs(y_p, pilot, beta_bar):
     """LS estimate from a pilot observation y_p = sqrt(rho_p) X_p h + w.
 
     hhat = (sqrt(rho_p) X_p^H X_p)^-1 X_p^H y_p = h + X_p^H w / (sqrt(rho_p) tau_p).
+    y_p has shape (..., tau_p) and hhat (..., n_groups).
     """
     rho_p, tau_p = pilot.pilot_power, pilot.tau_p
-    h_hat = (pilot.x_p.conj().T @ y_p) / (np.sqrt(rho_p) * tau_p)
-    c_e, u, c = conditional_error_stats(beta_bar, rho_p, tau_p)
-    return ChannelEstimate(h_hat=h_hat, error_var=c_e, cond_gain=u, cond_cov=c)
+    h_hat = (y_p @ pilot.x_p.conj()) / (np.sqrt(rho_p) * tau_p)
+    _, u, c = conditional_error_stats(beta_bar, rho_p, tau_p)
+    return ChannelEstimate(h_hat=h_hat, cond_gain=u, cond_cov=c)
 
 
 def ls_estimate(h, pilot, beta_bar, rng):
-    """Simulate the pilot phase for channel h and return the LS estimate."""
-    w = (rng.standard_normal(pilot.tau_p) + 1j * rng.standard_normal(pilot.tau_p)) / np.sqrt(2.0)
-    y_p = np.sqrt(pilot.pilot_power) * pilot.x_p @ h + w
+    """Simulate the pilot phase for channel h, shape (..., n_groups), and
+    return the LS estimate; each leading index gets its own noise block."""
+    shape = (*h.shape[:-1], pilot.tau_p)
+    w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    y_p = np.sqrt(pilot.pilot_power) * h @ pilot.x_p.T + w
     return ls_estimate_from_obs(y_p, pilot, beta_bar)
 

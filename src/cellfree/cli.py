@@ -99,6 +99,8 @@ def cmd_validate(args):
 
 def cmd_oracle(args):
     seed = _seed_override(args)
+    if seed < 0:
+        raise UsageError(f"oracle seed must be >= 0, got {seed}")
     if args.check == "corollary1":
         res = linklevel.check_corollary1(seed)
         print(f"corollary1: KS statistic={res['statistic']:.5f} p={res['pvalue']:.4f} "

@@ -18,11 +18,11 @@ from typing import Literal, get_args, get_origin
 import numpy as np
 
 from . import ostbc
-from .channel import conditional_error_stats
+from .channel import conditional_error_stats, draw_effective_channel
 from .deployment import Region, closest_pair, place_hex, place_ppp, worst_position
 from .grouping import Grouping, group_large_scale, neighbor_grouping, random_grouping
 from .metrics import SampleSizeError, as_rates, coverage_perfect, outage_rate, outage_result
-from .power import optimize_pilot_power, uniform_plan
+from .power import DEFAULT_RHO, optimize_pilot_power, uniform_plan
 from .propagation import (
     PathLossParams,
     ShadowParams,
@@ -30,21 +30,7 @@ from .propagation import (
     large_scale_from_shadow,
     shadow_fields,
 )
-from .snr import lambda_ls, snr_ls_values
-
-BOLTZMANN_J_PER_K = 1.380649e-23
-
-
-def normalized_power(p_watt=1e-3, bandwidth_hz=200e3, temperature_k=300.0, noise_figure_db=9.0):
-    """Transmit power normalized to unit noise variance: p / (B T k_B F)."""
-    if min(p_watt, bandwidth_hz, temperature_k) <= 0:
-        raise ValueError("power, bandwidth and temperature must be positive")
-    f_lin = 10.0 ** (noise_figure_db / 10.0)
-    return p_watt / (bandwidth_hz * temperature_k * BOLTZMANN_J_PER_K * f_lin)
-
-
-#: Paper-default normalized per-AP power (1 mW over 200 kHz, 300 K, 9 dB NF).
-DEFAULT_RHO = normalized_power()
+from .snr import lambda_ls, lambda_perfect, snr_ls_values
 
 
 def trial_stream(seed, index, domain=0):
@@ -330,10 +316,7 @@ def _sample_snr(code, beta_bar, plan, cfg, rng):
             branch = rng.exponential(1.0 / lam, inner)
         else:
             c_e, u, cc = conditional_error_stats(beta_bar, plan.rho_p, tau_p)
-            h_hat = np.sqrt((beta_bar + c_e) / 2.0) * (
-                rng.standard_normal((inner, code.n_groups))
-                + 1j * rng.standard_normal((inner, code.n_groups))
-            )
+            h_hat = draw_effective_channel(beta_bar + c_e, rng, size=inner)
             branch = snr_ls_values(code, 0, h_hat, u, cc, plan.rho_d, es)
         total += branch
     return total
@@ -400,7 +383,7 @@ def _grouping_trial(cfg, code, layout, beta_ant, t):
     rng = trial_stream(cfg.seed, t)
     g = _trial_grouping(cfg, code, layout, None, rng)
     es = _symbol_energy(cfg, code)
-    return np.stack([1.0 / (cfg.rho * es * group_large_scale(b, g)) for b in beta_ant])
+    return np.stack([lambda_perfect(group_large_scale(b, g), cfg.rho, es) for b in beta_ant])
 
 
 def _network_trial(cfg, code, fixed, grouping, plan, t):
@@ -415,10 +398,7 @@ def _network_trial(cfg, code, fixed, grouping, plan, t):
         return np.zeros(cfg.inner), None
     g = _trial_grouping(cfg, code, layout, grouping, rng)
     terminal = np.asarray(cfg.terminals[0], dtype=float)
-    if cfg.shadow == "none":
-        shadow = np.zeros(layout.n_aps)
-    else:
-        shadow = shadow_fields(layout, [terminal], cfg.shadow_params(), rng)[0]
+    shadow = shadow_fields(layout, [terminal], cfg.shadow_params(), rng)[0]
     ls = large_scale_from_shadow(layout, terminal, PathLossParams(), shadow, g)
     plan = plan if plan is not None else _trial_plan(cfg, layout)
     return _sample_snr(code, ls.beta_bar, plan, cfg, rng), plan

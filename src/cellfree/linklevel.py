@@ -14,7 +14,9 @@ from dataclasses import dataclass
 from . import channel as chan
 from . import ostbc as ost
 from .grouping import group_large_scale
-from .snr import snr_ls_values
+from .metrics import coverage_perfect
+from .power import DEFAULT_RHO
+from .snr import conditional_snr_terms, lambda_ls, lambda_perfect, snr_ls_values
 
 
 @dataclass(frozen=True)
@@ -31,10 +33,13 @@ class TrialRecord:
 
 
 def detect_symbols(code, h_hat, y):
-    """Per-symbol detection shat_n = Re(hhat^H A_n^H y) + i Im(hhat^H B_n^H y)."""
+    """Per-symbol detection shat_n = Re(hhat^H A_n^H y) + i Im(hhat^H B_n^H y).
+
+    y has shape (..., block_len); the result has shape (..., n_symbols).
+    """
     va = np.einsum("ntg,g->nt", code.a.conj(), h_hat.conj())  # (hhat^H A_n^H) rows
     vb = np.einsum("ntg,g->nt", code.b.conj(), h_hat.conj())
-    return (va @ y).real + 1j * (vb @ y).imag
+    return (y @ va.T).real + 1j * (y @ vb.T).imag
 
 
 def run_trial(code, grouping, large_scale, rho_p, rho_d, tau_p, rng, es=1.0):
@@ -81,22 +86,24 @@ class ConditionalMoments:
     n_draws: int
 
 
+def _conditional_error(estimate, n_draws, rng):
+    """n_draws errors from e | hhat ~ CN(U hhat, C_cond), shape (n_draws, n_groups).
+
+    Drawn inline rather than through draw_effective_channel: C_cond is zero
+    for a perfect estimate.
+    """
+    shape = (n_draws, estimate.n_groups)
+    return estimate.cond_gain * estimate.h_hat + np.sqrt(estimate.cond_cov / 2.0) * (
+        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    )
+
+
 def conditional_eta_draws(code, n, estimate, rho_d, n_draws, rng, es=1.0):
     """Draw eta_n and the matching symbols under e | hhat ~ CN(U hhat, C_cond)."""
-    h_hat = np.asarray(estimate.h_hat, dtype=complex)
-    ng, ns = code.n_groups, code.n_symbols
-    e = estimate.cond_gain * h_hat + np.sqrt(estimate.cond_cov / 2.0) * (
-        rng.standard_normal((n_draws, ng)) + 1j * rng.standard_normal((n_draws, ng))
-    )
-    s = ost.draw_symbols(rng, (n_draws, ns), es)
-    x_d = ost.code_matrix(code, s)
-    xe = np.einsum("dtg,dg->dt", x_d, e)
-    va = code.a[n] @ h_hat
-    vb = code.b[n] @ h_hat
-    eta = -np.sqrt(rho_d) * (
-        np.einsum("t,dt->d", va.conj(), xe).real + 1j * np.einsum("t,dt->d", vb.conj(), xe).imag
-    )
-    return s[:, n], eta
+    e = _conditional_error(estimate, n_draws, rng)
+    s = ost.draw_symbols(rng, (n_draws, code.n_symbols), es)
+    xe = np.einsum("dtg,dg->dt", ost.code_matrix(code, s), e)
+    return s[:, n], -np.sqrt(rho_d) * detect_symbols(code, estimate.h_hat, xe)[:, n]
 
 
 def conditional_moments(code, n, estimate, rho_d, n_draws, rng, es=1.0):
@@ -123,46 +130,22 @@ def conditional_moments(code, n, estimate, rho_d, n_draws, rng, es=1.0):
     )
 
 
-class EmpiricalCdf:
-    """Sorted samples with quantile and CDF accessors."""
-
-    def __init__(self, samples):
-        self.samples = np.sort(np.asarray(samples, dtype=float))
-
-    def __len__(self):
-        return self.samples.size
-
-    def quantile(self, eps):
-        return float(np.quantile(self.samples, eps, method="lower"))
-
-    def coverage(self, gamma):
-        """Empirical P(sample >= gamma)."""
-        idx = np.searchsorted(self.samples, gamma, side="left")
-        return 1.0 - idx / self.samples.size
-
-
 def simulate_h_hat(beta_bar, rho_p, tau_p, n_trials, rng):
-    """Draw LS estimates through the simulated pilot phase, batched.
+    """Draw n_trials channels and their LS estimates through the pilot phase.
 
     Runs the actual observation y_p = sqrt(rho_p) X_p h + w per trial and
     applies the LS formula, exercising the full pilot path rather than the
     equivalent hhat = h + CN(0, I/(rho_p tau_p)) shortcut.
     """
     beta_bar = np.asarray(beta_bar, dtype=float)
-    ng = beta_bar.size
-    pilot = chan.make_pilot_block(tau_p, ng, pilot_power=rho_p)
+    pilot = chan.make_pilot_block(tau_p, beta_bar.size, pilot_power=rho_p)
     h = chan.draw_effective_channel(beta_bar, rng, size=n_trials)
-    w = (
-        rng.standard_normal((n_trials, tau_p)) + 1j * rng.standard_normal((n_trials, tau_p))
-    ) / np.sqrt(2.0)
-    y = np.sqrt(rho_p) * np.einsum("tg,dg->dt", pilot.x_p, h) + w
-    h_hat = np.einsum("tg,dt->dg", pilot.x_p.conj(), y) / (np.sqrt(rho_p) * tau_p)
-    return h, h_hat
+    return h, chan.ls_estimate(h, pilot, beta_bar, rng).h_hat
 
 
 def empirical_snr_cdf(code, beta_bar, rho_p, rho_d, tau_p, n_trials, rng,
                       es=1.0, csi="ls", symbol_index=0):
-    """Empirical per-symbol SNR distribution over small-scale randomness.
+    """Sorted per-symbol SNR samples over small-scale randomness.
 
     csi="perfect" draws h and evaluates rho_d Es ||h||^2. csi="ls" simulates
     the pilot phase per trial and evaluates the conditional LS SNR at the
@@ -173,13 +156,13 @@ def empirical_snr_cdf(code, beta_bar, rho_p, rho_d, tau_p, n_trials, rng,
     beta_bar = np.asarray(beta_bar, dtype=float)
     if csi == "perfect":
         h = chan.draw_effective_channel(beta_bar, rng, size=n_trials)
-        return EmpiricalCdf(rho_d * es * np.sum(np.abs(h) ** 2, axis=-1))
+        return np.sort(rho_d * es * np.sum(np.abs(h) ** 2, axis=-1))
     _, h_hat = simulate_h_hat(beta_bar, rho_p, tau_p, n_trials, rng)
     _, u, cc = chan.conditional_error_stats(beta_bar, rho_p, tau_p)
-    return EmpiricalCdf(snr_ls_values(code, symbol_index, h_hat, u, cc, rho_d, es))
+    return np.sort(snr_ls_values(code, symbol_index, h_hat, u, cc, rho_d, es))
 
 
-def check_corollary1(seed, n_trials=100_000, beta_bar=2e-10, rho=None, tau_p=1):
+def check_corollary1(seed, n_trials=100_000, beta_bar=2e-10, rho=DEFAULT_RHO, tau_p=1):
     """KS test of simulated single-group LS SNR against Exp(lambda_ls).
 
     The estimates come from the simulated pilot path; the closed-form rate
@@ -187,17 +170,11 @@ def check_corollary1(seed, n_trials=100_000, beta_bar=2e-10, rho=None, tau_p=1):
     """
     from scipy import stats
 
-    from .snr import lambda_ls
-
-    if rho is None:
-        from .harness import DEFAULT_RHO
-
-        rho = DEFAULT_RHO
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     code = ost.single_group()
-    cdf = empirical_snr_cdf(code, [beta_bar], rho, rho, tau_p, n_trials, rng)
+    samples = empirical_snr_cdf(code, [beta_bar], rho, rho, tau_p, n_trials, rng)
     lam = lambda_ls(beta_bar, rho, tau_p, rho, 1.0)
-    res = stats.kstest(cdf.samples, "expon", args=(0.0, 1.0 / lam))
+    res = stats.kstest(samples, "expon", args=(0.0, 1.0 / lam))
     return {
         "statistic": float(res.statistic),
         "pvalue": float(res.pvalue),
@@ -207,7 +184,7 @@ def check_corollary1(seed, n_trials=100_000, beta_bar=2e-10, rho=None, tau_p=1):
     }
 
 
-def check_hyperexp(seed, n_trials=100_000, beta_bar=(1e-10, 2.3e-10, 0.7e-10), rho=None,
+def check_hyperexp(seed, n_trials=100_000, beta_bar=(1e-10, 2.3e-10, 0.7e-10), rho=DEFAULT_RHO,
                    n_gammas=20):
     """Perfect-CSI SNR draws vs the hyperexponential coverage formula.
 
@@ -215,21 +192,15 @@ def check_hyperexp(seed, n_trials=100_000, beta_bar=(1e-10, 2.3e-10, 0.7e-10), r
     (the phase-type form) at a gamma grid spanning the distribution; every
     point must fall within three binomial standard errors.
     """
-    from .metrics import coverage_perfect
-    from .snr import lambda_perfect
-
-    if rho is None:
-        from .harness import DEFAULT_RHO
-
-        rho = DEFAULT_RHO
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     beta_bar = np.asarray(beta_bar, dtype=float)
-    cdf = empirical_snr_cdf(None, beta_bar, rho, rho, 0, n_trials, rng, csi="perfect")
+    samples = empirical_snr_cdf(None, beta_bar, rho, rho, 0, n_trials, rng, csi="perfect")
     lam = lambda_perfect(beta_bar, rho)
-    gammas = np.quantile(cdf.samples, np.linspace(0.02, 0.98, n_gammas))
+    gammas = np.quantile(samples, np.linspace(0.02, 0.98, n_gammas))
     p = coverage_perfect(gammas, lam)
     se = np.sqrt(np.maximum(p * (1.0 - p), 1e-12) / n_trials)
-    worst = np.max(np.abs(cdf.coverage(gammas) - p) / se)
+    empirical = 1.0 - np.searchsorted(samples, gammas, side="left") / n_trials
+    worst = np.max(np.abs(empirical - p) / se)
     return {"max_dev_se": float(worst), "n_gammas": n_gammas, "n_trials": n_trials,
             "ok": bool(worst < 3.0)}
 
@@ -241,8 +212,6 @@ def check_theorem1(seed, n_configs=20, n_draws=100_000, codes=("alamouti", "rate
     and requires that both c_n and the eta power match within three standard
     errors in at least 19 of 20 configurations.
     """
-    from . import snr as snrmod
-
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     out = {"ok": True, "codes": {}}
     for name in codes:
@@ -254,14 +223,11 @@ def check_theorem1(seed, n_configs=20, n_draws=100_000, codes=("alamouti", "rate
             rho_p = rng.uniform(0.3, 4.0)
             rho_d = rng.uniform(0.3, 4.0)
             tau_p = ng
-            _, u, cc = chan.conditional_error_stats(beta_bar, rho_p, tau_p)
-            c_e = 1.0 / (rho_p * tau_p)
-            h_hat = np.sqrt((beta_bar + c_e) / 2.0) * (
-                rng.standard_normal(ng) + 1j * rng.standard_normal(ng)
-            )
-            est = chan.ChannelEstimate(h_hat=h_hat, error_var=c_e, cond_gain=u, cond_cov=cc)
+            c_e, u, cc = chan.conditional_error_stats(beta_bar, rho_p, tau_p)
+            h_hat = chan.draw_effective_channel(beta_bar + c_e, rng)
+            est = chan.ChannelEstimate(h_hat=h_hat, cond_gain=u, cond_cov=cc)
             n = int(rng.integers(code.n_symbols))
-            terms = snrmod.conditional_snr_terms(code, n, est, rho_d)
+            terms = conditional_snr_terms(code, n, est, rho_d)
             mc = conditional_moments(code, n, est, rho_d, n_draws, rng)
             ok_c = abs(mc.c_n - terms.c_n) <= 3.0 * mc.c_n_se
             ok_p = abs(mc.eta_power - terms.eta_power) <= 3.0 * mc.eta_power_se
@@ -284,24 +250,14 @@ def mrc_empirical_sinr(code, n, estimates, rho_d, n_draws, rng, es=1.0):
     combined = np.zeros(n_draws, dtype=complex)
     for est in estimates:
         h_hat = est.h_hat
-        e = est.cond_gain * h_hat + np.sqrt(est.cond_cov / 2.0) * (
-            rng.standard_normal((n_draws, code.n_groups))
-            + 1j * rng.standard_normal((n_draws, code.n_groups))
-        )
+        e = _conditional_error(est, n_draws, rng)
         w = (
             rng.standard_normal((n_draws, code.block_len))
             + 1j * rng.standard_normal((n_draws, code.block_len))
         ) / np.sqrt(2.0)
         xe = np.einsum("dtg,dg->dt", x_d, e)
-        va = code.a[n] @ h_hat
-        vb = code.b[n] @ h_hat
-        eta = -np.sqrt(rho_d) * (
-            np.einsum("t,dt->d", va.conj(), xe).real
-            + 1j * np.einsum("t,dt->d", vb.conj(), xe).imag
-        )
-        z = np.einsum("t,dt->d", va.conj(), w).real + 1j * np.einsum(
-            "t,dt->d", vb.conj(), w
-        ).imag
+        eta = -np.sqrt(rho_d) * detect_symbols(code, h_hat, xe)[:, n]
+        z = detect_symbols(code, h_hat, w)[:, n]
         hh2 = float(np.sum(np.abs(h_hat) ** 2))
         shat = np.sqrt(rho_d) * hh2 * s[:, n] + eta + z
         # branch gain and uncorrelated-noise power from the closed form

@@ -9,6 +9,20 @@ from .deployment import worst_position
 from .propagation import antenna_beta
 from .snr import lambda_ls  # noqa: F401  (bench/spans.py traces power.lambda_ls)
 
+BOLTZMANN_J_PER_K = 1.380649e-23
+
+
+def normalized_power(p_watt=1e-3, bandwidth_hz=200e3, temperature_k=300.0, noise_figure_db=9.0):
+    """Transmit power normalized to unit noise variance: p / (B T k_B F)."""
+    if min(p_watt, bandwidth_hz, temperature_k) <= 0:
+        raise ValueError("power, bandwidth and temperature must be positive")
+    f_lin = 10.0 ** (noise_figure_db / 10.0)
+    return p_watt / (bandwidth_hz * temperature_k * BOLTZMANN_J_PER_K * f_lin)
+
+
+#: Paper-default normalized per-AP power (1 mW over 200 kHz, 300 K, 9 dB NF).
+DEFAULT_RHO = normalized_power()
+
 
 class BudgetExhaustedError(ValueError):
     """Pilot energy leaves nothing for the data phase."""

@@ -14,7 +14,6 @@ from cellfree.cli import main as cli_main
 from cellfree.deployment import Region, place_ppp
 from cellfree.grouping import neighbor_grouping, random_grouping
 from cellfree.harness import (
-    DEFAULT_RHO,
     ScenarioConfig,
     config_to_text,
     experiment_catalog,
@@ -25,7 +24,7 @@ from cellfree.harness import (
 )
 from cellfree.linklevel import check_corollary1, check_hyperexp, check_theorem1
 from cellfree.ostbc import alamouti, draw_symbols, orthogonality_defect, rate_three_quarter
-from cellfree.power import optimize_pilot_power
+from cellfree.power import DEFAULT_RHO, optimize_pilot_power
 from cellfree.propagation import (
     PathLossParams,
     ShadowParams,

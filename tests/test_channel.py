@@ -157,9 +157,26 @@ def test_pilot_path_identity_exact():
     assert np.abs(est.h_hat - expected).max() < 1e-12
 
 
+def test_batched_ls_estimate_equals_row_by_row():
+    beta_bar = np.array([1.0, 0.5, 2.0])
+    pilot = make_pilot_block(4, 3, pilot_power=1.3)
+    rng = np.random.default_rng(9)
+    h = draw_effective_channel(beta_bar, rng, size=(2, 3))
+    est = ls_estimate(h, pilot, beta_bar, np.random.default_rng(10))
+    assert est.h_hat.shape == (2, 3, 3)
+    # the noise of every row, in the order the batched call draws it
+    noise = np.random.default_rng(10)
+    re, im = noise.standard_normal((2, 3, 4)), noise.standard_normal((2, 3, 4))
+    w = (re + 1j * im) / np.sqrt(2.0)
+    for i in range(2):
+        for j in range(3):
+            y = np.sqrt(1.3) * pilot.x_p @ h[i, j] + w[i, j]
+            row = ls_estimate_from_obs(y, pilot, beta_bar)
+            assert np.allclose(est.h_hat[i, j], row.h_hat, rtol=1e-13, atol=1e-15)
+
+
 def test_estimate_invariants():
     _, u, c = conditional_error_stats(np.array([1.0, 4.0]), 2.0, 2)
-    est = ChannelEstimate(h_hat=np.zeros(2, dtype=complex), error_var=0.25,
-                          cond_gain=u, cond_cov=c)
+    est = ChannelEstimate(h_hat=np.zeros(2, dtype=complex), cond_gain=u, cond_cov=c)
     assert est.n_groups == 2
     assert np.all(est.cond_cov > 0)

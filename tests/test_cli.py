@@ -217,10 +217,18 @@ def test_oracle_hyperexp(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-def test_oracle_env_seed(capsys, monkeypatch):
-    monkeypatch.setenv("CELLFREE_SEED", "not-an-int")
-    assert main(["oracle", "--check", "hyperexp"]) == 2
-    assert "CELLFREE_SEED" in capsys.readouterr().err
+@pytest.mark.parametrize("env, args, message", [
+    ("not-an-int", [], "CELLFREE_SEED"),
+    ("-5", [], "seed must be >= 0, got -5"),
+    (None, ["--seed", "-1"], "seed must be >= 0, got -1"),
+], ids=["env-not-an-int", "env-seed=-5", "seed=-1"])
+def test_oracle_env_seed(capsys, monkeypatch, env, args, message):
+    if env is None:
+        monkeypatch.delenv("CELLFREE_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CELLFREE_SEED", env)
+    assert main(["oracle", "--check", "hyperexp", *args]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_bad_arguments_exit_2():

@@ -10,14 +10,12 @@ from cellfree import harness
 
 from cellfree.deployment import place_ppp
 from cellfree.harness import (
-    DEFAULT_RHO,
     ScenarioConfig,
     _hyperexp_gamma_eps,
     config_from_text,
     config_hash,
     config_to_text,
     experiment_catalog,
-    normalized_power,
     run_experiment,
     run_scenario,
     summarize,
@@ -31,7 +29,7 @@ from cellfree.harness import (
 from cellfree.linklevel import empirical_snr_cdf
 from cellfree.metrics import coverage_ls_single, coverage_perfect
 from cellfree.ostbc import by_name
-from cellfree.power import optimize_pilot_power
+from cellfree.power import DEFAULT_RHO, normalized_power, optimize_pilot_power
 from cellfree.propagation import PathLossParams
 from cellfree.snr import lambda_ls, lambda_perfect
 
@@ -107,13 +105,13 @@ def test_fast_path_matches_link_level_ls_single_group():
     layout = _fixed_layout(cfg)
     beta_bar = np.sum(10 ** (-path_loss_db(np.linalg.norm(layout.positions, axis=1)) / 10))
     rng = np.random.default_rng(0)
-    cdf = empirical_snr_cdf(by_name("single"), np.array([beta_bar]), cfg.rho, cfg.rho,
-                            1, 20_000, rng)
+    samples = empirical_snr_cdf(by_name("single"), np.array([beta_bar]), cfg.rho, cfg.rho,
+                                1, 20_000, rng)
     for q in (0.05, 0.25, 0.5):
-        gamma = cdf.quantile(q)
+        gamma = np.quantile(samples, q, method="lower")
         p1 = np.mean(res.values >= gamma)
-        p2 = cdf.coverage(gamma)
-        se = np.sqrt(p1 * (1 - p1) / res.values.size + p2 * (1 - p2) / len(cdf))
+        p2 = np.mean(samples >= gamma)
+        se = np.sqrt(p1 * (1 - p1) / res.values.size + p2 * (1 - p2) / samples.size)
         assert abs(p1 - p2) < 3.5 * se
 
 

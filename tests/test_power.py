@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cellfree.deployment import Region, place_ppp
-from cellfree.harness import DEFAULT_RHO
 from cellfree.power import (
+    DEFAULT_RHO,
     BudgetExhaustedError,
     PowerPlan,
     data_power,

@@ -21,7 +21,7 @@ def make_estimate(beta_bar, rho_p, tau_p, rng):
     h_hat = np.sqrt((beta_bar + c_e) / 2.0) * (
         rng.standard_normal(beta_bar.size) + 1j * rng.standard_normal(beta_bar.size)
     )
-    return ChannelEstimate(h_hat=h_hat, error_var=c_e, cond_gain=u, cond_cov=cc)
+    return ChannelEstimate(h_hat=h_hat, cond_gain=u, cond_cov=cc)
 
 
 def test_lambda_perfect_unit_case():
@@ -135,7 +135,7 @@ def test_batch_matches_scalar_theorem1():
         for n in range(code.n_symbols):
             batch = snr_ls_values(code, n, h_hat, u, cc, 2.3, 1.1)
             for i in range(50):
-                est = ChannelEstimate(h_hat=h_hat[i], error_var=c_e, cond_gain=u, cond_cov=cc)
+                est = ChannelEstimate(h_hat=h_hat[i], cond_gain=u, cond_cov=cc)
                 assert batch[i] == pytest.approx(
                     snr_ls(code, n, est, 2.3, 1.1), rel=1e-12
                 )
