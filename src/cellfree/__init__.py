@@ -30,7 +30,7 @@ from .metrics import (
 )
 from .ostbc import OstbcCode, alamouti, rate_three_quarter, single_group
 from .power import DEFAULT_RHO, PowerPlan, data_power, normalized_power, optimize_pilot_power
-from .propagation import LargeScale, PathLossParams, ShadowParams, large_scale, path_loss_db
+from .propagation import LargeScale, PathLossParams, ShadowParams, path_loss_db
 from .snr import lambda_ls, lambda_perfect, snr_ls
 
 __version__ = "0.1.0"

@@ -479,7 +479,9 @@ def summarize(result):
 def write_result_csv(path, results):
     """Result CSV: scenario, seed, trial, snr_linear|rate_bpcu (one value kind).
 
-    Rows run trial by trial; within a trial, terminal by terminal.
+    Rows run trial by trial; within a trial, terminal by terminal. Each
+    (trial, terminal) block is formatted by one % operation, so a '%' in a
+    row name is escaped as '%%'.
     """
     kinds = {r.kind for r in results}
     if len(kinds) != 1:
@@ -492,11 +494,11 @@ def write_result_csv(path, results):
             f.write(f"# power_plan[{r.label}]: {r.power_note}\n")
         f.write(f"scenario,seed,trial,{kind}\n")
         for r in results:
-            series = [(name, samples.tolist()) for name, samples in r.terminals()]
+            series = [(name.replace("%", "%%"), samples) for name, samples in r.terminals()]
             for trial in range(r.config.outer):
                 for name, samples in series:
-                    head = f"{name},{r.config.seed},{trial},"
-                    f.writelines(f"{head}{v:.17g}\n" for v in samples[trial])
+                    row = samples[trial].tolist()
+                    f.write(f"{name},{r.config.seed},{trial},%.17g\n" * len(row) % tuple(row))
 
 
 def write_summary_csv(path, results):
@@ -510,15 +512,25 @@ def write_summary_csv(path, results):
                 )
 
 
+_CDF_CHUNK_ROWS = 1024
+
+
 def write_cdf_tables(path, results):
-    """Gnuplot-friendly CDF tables: blocks of 'value cdf' per scenario row."""
+    """Gnuplot-friendly CDF tables: blocks of 'value cdf' per scenario row.
+
+    Rows are built and formatted _CDF_CHUNK_ROWS at a time, so that neither
+    the pairs nor the text of a large block are held in memory at once.
+    """
     with open(path, "w") as f:
         for r in results:
             for name, samples in r.terminals():
-                vals = np.sort(samples, axis=None).tolist()
+                vals = np.sort(samples, axis=None)
                 f.write(f"# {name} ({r.kind})\n")
-                f.writelines(f"{v:.17g} {i / len(vals):.17g}\n"
-                             for i, v in enumerate(vals, 1))
+                for start in range(0, vals.size, _CDF_CHUNK_ROWS):
+                    chunk = vals[start:start + _CDF_CHUNK_ROWS]
+                    cdf = np.arange(start + 1, start + chunk.size + 1) / vals.size
+                    rows = np.column_stack([chunk, cdf]).ravel().tolist()
+                    f.write("%.17g %.17g\n" * chunk.size % tuple(rows))
                 f.write("\n\n")
 
 

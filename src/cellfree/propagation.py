@@ -93,18 +93,17 @@ def path_loss_db(d, params=PathLossParams()):
     """Three-slope path loss in dB at distance d km (scalar or array).
 
     Constant for d <= d_i, slope 20 dB/decade up to d_o, then 35 dB/decade
-    (effective exponent 3.5). d = 0 maps to the inner branch.
+    (effective exponent 3.5). d = 0 maps to the inner branch. Distances are
+    clamped to d_i before the one log10, so the inner branch is the middle
+    one evaluated at d_i.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d < 0):
         raise ValueError("distance must be >= 0")
     L = params.reference_loss_db
     t1 = 15.0 * np.log10(params.d_o_km / params.d_r_km)
-    inner = L + t1 + 20.0 * np.log10(params.d_i_km / params.d_r_km)
-    with np.errstate(divide="ignore"):
-        mid = L + t1 + 20.0 * np.log10(np.maximum(d, params.d_i_km) / params.d_r_km)
-        outer = L + 35.0 * np.log10(np.maximum(d, params.d_i_km) / params.d_r_km)
-    out = np.where(d <= params.d_i_km, inner, np.where(d <= params.d_o_km, mid, outer))
+    ld = np.log10(np.maximum(d, params.d_i_km) / params.d_r_km)
+    out = np.where(d <= params.d_o_km, L + t1 + 20.0 * ld, L + 35.0 * ld)
     return out if out.ndim else float(out)
 
 
@@ -177,23 +176,13 @@ def shadow_fields(layout, terminals, params, rng):
     return np.sqrt(params.delta) * a[:, None] + np.sqrt(1.0 - params.delta) * b[None, :]
 
 
-def shadow_field(layout, terminal, params, rng):
-    """Per-AP shadow losses v_m in dB for a single terminal."""
-    return shadow_fields(layout, [terminal], params, rng)[0]
-
-
-def large_scale(layout, terminal, pl_params, sh_params, grouping, rng):
+def large_scale_from_shadow(layout, terminal, pl_params, shadow_db, grouping):
     """Per-antenna beta and per-group beta_bar for one terminal.
 
-    beta_m = 10^(-(PL(d_m) + v_m)/10) in linear scale; all antennas of an AP
-    share the AP's beta. beta_bar_k sums beta over the antennas of group k.
+    beta_m = 10^(-(PL(d_m) + v_m)/10) in linear scale, with v the shadow
+    losses of :func:`shadow_fields`; all antennas of an AP share the AP's
+    beta. beta_bar_k sums beta over the antennas of group k.
     """
-    v = shadow_field(layout, terminal, sh_params, rng)
-    return large_scale_from_shadow(layout, terminal, pl_params, v, grouping)
-
-
-def large_scale_from_shadow(layout, terminal, pl_params, shadow_db, grouping):
-    """As :func:`large_scale` but with the shadow realization supplied."""
     beta = antenna_beta(layout, terminal, pl_params, shadow_db)
     return LargeScale(beta=beta, beta_bar=group_large_scale(beta, grouping))
 
@@ -205,6 +194,8 @@ def antenna_beta(layout, terminals, pl_params, shadow_db=0.0):
     shadow_db is the shadow loss v per AP; all antennas of an AP share its beta.
     """
     terminals = np.asarray(terminals, dtype=float)
-    d = np.linalg.norm(layout.positions - terminals[..., None, :], axis=-1)
+    dx = layout.positions[:, 0] - terminals[..., None, 0]
+    dy = layout.positions[:, 1] - terminals[..., None, 1]
+    d = np.sqrt(dx * dx + dy * dy)
     beta_ap = 10.0 ** (-(path_loss_db(d, pl_params) + shadow_db) / 10.0)
     return np.repeat(beta_ap, layout.antennas_per_ap, axis=-1)

@@ -10,6 +10,8 @@ from cellfree import harness
 
 from cellfree.deployment import place_ppp
 from cellfree.harness import (
+    _CDF_CHUNK_ROWS,
+    RunResult,
     ScenarioConfig,
     _hyperexp_gamma_eps,
     config_from_text,
@@ -484,6 +486,79 @@ def test_single_terminal_grouping_run_writes_unsuffixed_name(tmp_path):
     assert [l.split(",")[0] for l in summary[1:]] == ["fig7"]
     cdf = (tmp_path / "c.dat").read_text().splitlines()
     assert [l for l in cdf if l.startswith("#")] == ["# fig7 (rate_bpcu)"]
+
+
+def _reference_result_csv(results):
+    """The result CSV as written one f-string per row."""
+    kind = results[0].kind
+    out = []
+    for r in results:
+        out.append(f"# scenario={r.label} seed={r.config.seed} "
+                   f"config_hash={config_hash(r.config)}\n")
+        out.append(f"# power_plan[{r.label}]: {r.power_note}\n")
+    out.append(f"scenario,seed,trial,{kind}\n")
+    for r in results:
+        series = [(name, samples.tolist()) for name, samples in r.terminals()]
+        for trial in range(r.config.outer):
+            for name, samples in series:
+                head = f"{name},{r.config.seed},{trial},"
+                out.extend(f"{head}{v:.17g}\n" for v in samples[trial])
+    return "".join(out)
+
+
+def _reference_cdf_tables(results):
+    """The CDF tables as written one f-string per row."""
+    out = []
+    for r in results:
+        for name, samples in r.terminals():
+            vals = np.sort(samples, axis=None).tolist()
+            out.append(f"# {name} ({r.kind})\n")
+            out.extend(f"{v:.17g} {i / len(vals):.17g}\n" for i, v in enumerate(vals, 1))
+            out.append("\n\n")
+    return "".join(out)
+
+
+def _synthetic_result(n_per_trial, label):
+    """One trial of n_per_trial SNR samples over many magnitudes, with ties."""
+    rng = np.random.default_rng(n_per_trial)
+    values = rng.exponential(size=n_per_trial) * 10.0 ** rng.integers(-300, 300, n_per_trial)
+    values[::7] = values[0]
+    cfg = ScenarioConfig(deployment="ppp", shadow="none", csi="perfect", code="single",
+                         epsilon=0.1, outer=1, inner=n_per_trial, seed=7)
+    return [RunResult(cfg, label, "snr_linear", values.reshape(1, 1, -1), "rho=1")]
+
+
+def _zero_snr_results(label):
+    # at density 0.3 some trial layouts have no AP and score an all-zero row
+    cfg = ScenarioConfig(deployment="ppp", density=0.3, shadow="none", csi="perfect",
+                         code="single", half_width_km=1.0, epsilon=0.1, outer=12,
+                         inner=100, seed=3)
+    res = run_scenario(cfg, label=label)
+    assert np.any(np.all(res.values == 0.0, axis=-1))
+    return [res]
+
+
+def _three_terminal_results(label):
+    cfg = experiment_catalog()["fig7_positions"].members[0][1]
+    res = run_scenario(replace(cfg, outer=_CDF_CHUNK_ROWS + 50), label=label)
+    assert res.values.shape[1] == 3
+    return [res]
+
+
+@pytest.mark.parametrize("make", [
+    lambda label: _synthetic_result(1, label),
+    lambda label: _synthetic_result(_CDF_CHUNK_ROWS, label),
+    lambda label: _synthetic_result(_CDF_CHUNK_ROWS + 1, label),
+    _zero_snr_results,
+    _three_terminal_results,
+], ids=["one-row", "one-chunk", "chunk-plus-one", "zero-snr", "three-terminals"])
+def test_writers_match_per_row_formatting(tmp_path, make):
+    # a label may hold '%', which the block formatting must escape
+    results = make("run%d 50%s%%")
+    write_result_csv(tmp_path / "r.csv", results)
+    write_cdf_tables(tmp_path / "c.dat", results)
+    assert (tmp_path / "r.csv").read_bytes() == _reference_result_csv(results).encode()
+    assert (tmp_path / "c.dat").read_bytes() == _reference_cdf_tables(results).encode()
 
 
 def test_mixed_kinds_rejected(tmp_path):

@@ -9,9 +9,9 @@ from cellfree.propagation import (
     CovarianceFactorizationError,
     PathLossParams,
     ShadowParams,
-    large_scale,
+    antenna_beta,
+    large_scale_from_shadow,
     path_loss_db,
-    shadow_field,
     shadow_fields,
 )
 
@@ -49,6 +49,49 @@ def test_negative_distance_rejected():
         path_loss_db(-0.1, PL)
 
 
+def _three_branch_path_loss(d, params):
+    """The path loss as three separate branches, each with its own log10."""
+    d = np.asarray(d, dtype=float)
+    L = params.reference_loss_db
+    t1 = 15.0 * np.log10(params.d_o_km / params.d_r_km)
+    inner = L + t1 + 20.0 * np.log10(params.d_i_km / params.d_r_km)
+    with np.errstate(divide="ignore"):
+        mid = L + t1 + 20.0 * np.log10(d / params.d_r_km)
+        outer = L + 35.0 * np.log10(d / params.d_r_km)
+    out = np.where(d <= params.d_i_km, inner, np.where(d <= params.d_o_km, mid, outer))
+    return out if out.ndim else float(out)
+
+
+def test_path_loss_bit_identical_to_three_branch_form():
+    edges = [0.0, np.nextafter(0.0, 1.0)]
+    for b in (PL.d_i_km, PL.d_o_km):
+        edges += [np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)]
+    d = np.concatenate([edges, np.random.default_rng(14).uniform(0.0, 10.0, 10_000)])
+    want = _three_branch_path_loss(d, PL)
+    assert np.array_equal(path_loss_db(d, PL), want)
+    assert np.array_equal(path_loss_db(d.reshape(2, -1), PL), want.reshape(2, -1))
+    for x, w in zip(d.tolist(), want.tolist()):
+        got = path_loss_db(x, PL)
+        assert type(got) is float and got == w == _three_branch_path_loss(x, PL)
+
+
+def test_antenna_beta_distances_equal_norm(monkeypatch):
+    layout = _layout(seed=15, density=30.0)
+    seen = []
+
+    def recording(d, params):
+        seen.append(d)
+        return path_loss_db(d, params)
+
+    monkeypatch.setattr(propagation, "path_loss_db", recording)
+    rng = np.random.default_rng(15)
+    for terminals in (rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (4, 2))):
+        antenna_beta(layout, terminals, PL)
+        want = np.linalg.norm(layout.positions - terminals[..., None, :], axis=-1)
+        assert seen[-1].shape == want.shape
+        assert np.array_equal(seen[-1], want)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         PathLossParams(d_i_km=0.1, d_o_km=0.05)
@@ -64,7 +107,7 @@ def _layout(seed=0, density=20.0, hw=1.0):
 
 def test_shadow_none_is_zero():
     layout = _layout()
-    v = shadow_field(layout, (0.0, 0.0), ShadowParams(mode="none"), np.random.default_rng(0))
+    v = shadow_fields(layout, [(0.0, 0.0)], ShadowParams(mode="none"), np.random.default_rng(0))[0]
     assert np.all(v == 0.0)
 
 
@@ -72,7 +115,7 @@ def test_shadow_uncorrelated_variance():
     layout = NetworkLayout(np.zeros((1, 2)), 1, "ppp", Region(1.0))
     rng = np.random.default_rng(8)
     params = ShadowParams(mode="uncorrelated", sigma_db=8.0)
-    draws = np.array([shadow_field(layout, (0, 0), params, rng)[0] for _ in range(100_000)])
+    draws = np.array([shadow_fields(layout, [(0, 0)], params, rng)[0][0] for _ in range(100_000)])
     assert abs(draws.var() - 64.0) < 1.0  # 3 SE of the variance estimate
 
 
@@ -82,7 +125,7 @@ def test_shadow_correlated_pair_correlation():
     layout = NetworkLayout(np.array([[0.0, 0.0], [0.2, 0.0]]), 1, "ppp", Region(1.0))
     params = ShadowParams(mode="correlated", sigma_db=8.0, delta=0.0, decorrelation_km=0.2)
     rng = np.random.default_rng(9)
-    draws = np.array([shadow_field(layout, (0, 0), params, rng) for _ in range(10_000)])
+    draws = np.array([shadow_fields(layout, [(0, 0)], params, rng)[0] for _ in range(10_000)])
     corr = np.corrcoef(draws.T)[0, 1]
     assert abs(corr - 0.5) < 0.05
 
@@ -91,7 +134,7 @@ def test_shadow_correlated_variance_includes_both_parts():
     layout = NetworkLayout(np.zeros((1, 2)), 1, "ppp", Region(1.0))
     params = ShadowParams(mode="correlated", sigma_db=8.0, delta=0.5)
     rng = np.random.default_rng(10)
-    draws = np.array([shadow_field(layout, (0, 0), params, rng)[0] for _ in range(50_000)])
+    draws = np.array([shadow_fields(layout, [(0, 0)], params, rng)[0][0] for _ in range(50_000)])
     assert abs(draws.var() - 64.0) < 1.5
 
 
@@ -123,7 +166,7 @@ def test_covariance_bit_identical_to_cdist_build():
 def test_duplicate_positions_fall_back_to_jitter():
     layout = NetworkLayout(np.zeros((3, 2)), 1, "ppp", Region(1.0))
     params = ShadowParams(mode="correlated", sigma_db=8.0)
-    v = shadow_field(layout, (0, 0), params, np.random.default_rng(11))
+    v = shadow_fields(layout, [(0, 0)], params, np.random.default_rng(11))[0]
     assert np.all(np.isfinite(v))
 
 
@@ -174,10 +217,16 @@ def test_cross_terminal_field_shape():
     assert v.shape == (2, layout.n_aps)
 
 
+def _large_scale(layout, sh_params, grouping, rng):
+    """LargeScale at the origin, shadowed by one draw of shadow_fields."""
+    shadow = shadow_fields(layout, [(0, 0)], sh_params, rng)[0]
+    return large_scale_from_shadow(layout, (0, 0), PL, shadow, grouping)
+
+
 def test_large_scale_beta_at_one_km():
     layout = NetworkLayout(np.array([[1.0, 0.0]]), 1, "ppp", Region(2.0))
     g = Grouping(np.zeros(1, dtype=int), 1)
-    ls = large_scale(layout, (0, 0), PL, ShadowParams(mode="none"), g, np.random.default_rng(0))
+    ls = _large_scale(layout, ShadowParams(mode="none"), g, np.random.default_rng(0))
     # 141.2 dB of loss is about 7.6e-15 in linear scale
     assert ls.beta[0] == pytest.approx(10 ** (-path_loss_db(1.0, PL) / 10.0))
     assert abs(ls.beta[0] - 7.6e-15) < 0.05 * 7.6e-15
@@ -186,14 +235,14 @@ def test_large_scale_beta_at_one_km():
 def test_beta_bar_single_group_sums_both_aps():
     layout = NetworkLayout(np.array([[0.5, 0.0], [0.0, 0.5]]), 1, "ppp", Region(1.0))
     g = Grouping(np.zeros(2, dtype=int), 1)
-    ls = large_scale(layout, (0, 0), PL, ShadowParams(mode="none"), g, np.random.default_rng(0))
+    ls = _large_scale(layout, ShadowParams(mode="none"), g, np.random.default_rng(0))
     assert ls.beta_bar[0] == pytest.approx(ls.beta.sum(), rel=1e-15)
 
 
 def test_multi_antenna_aps_share_beta():
     layout = NetworkLayout(np.array([[0.3, 0.2]]), 2, "ppp", Region(1.0))
     g = Grouping(np.array([0, 1]), 2)
-    ls = large_scale(layout, (0, 0), PL, ShadowParams(mode="none"), g, np.random.default_rng(0))
+    ls = _large_scale(layout, ShadowParams(mode="none"), g, np.random.default_rng(0))
     assert ls.beta[0] == ls.beta[1]
 
 
@@ -202,7 +251,7 @@ def test_partition_property_any_grouping():
     rng = np.random.default_rng(13)
     for n_groups in (1, 2, 4, 7):
         g = random_grouping(layout.n_antennas, n_groups, rng)
-        ls = large_scale(layout, (0, 0), PL, ShadowParams(mode="correlated"), g, rng)
+        ls = _large_scale(layout, ShadowParams(mode="correlated"), g, rng)
         assert ls.beta_bar.sum() == pytest.approx(ls.beta.sum(), rel=1e-12)
         assert ls.beta_bar.shape == (n_groups,)
 
@@ -211,4 +260,4 @@ def test_grouping_must_cover_layout():
     layout = _layout(seed=6)
     g = Grouping(np.zeros(3, dtype=int), 1)
     with pytest.raises(ValueError):
-        large_scale(layout, (0, 0), PL, ShadowParams(mode="none"), g, np.random.default_rng(0))
+        _large_scale(layout, ShadowParams(mode="none"), g, np.random.default_rng(0))
