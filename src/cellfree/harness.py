@@ -21,7 +21,8 @@ from . import ostbc
 from .channel import conditional_error_stats, draw_effective_channel
 from .deployment import Region, closest_pair, place_hex, place_ppp, worst_position
 from .grouping import Grouping, group_large_scale, neighbor_grouping, random_grouping
-from .metrics import SampleSizeError, as_rates, coverage_perfect, outage_rate, outage_result
+from .metrics import SampleSizeError, as_rates, coverage_and_density, outage_rate, outage_result
+from .metrics import coverage_perfect  # noqa: F401  (bench/spans.py traces it here)
 from .power import DEFAULT_RHO, optimize_pilot_power, uniform_plan
 from .propagation import (
     PathLossParams,
@@ -327,14 +328,24 @@ def _hyperexp_gamma_eps(lambdas, eps):
 
     lambdas is one rate set of shape (n,), which gives a float, or a stack of
     shape (m, n), which gives m roots found together: every step evaluates
-    the coverage of all unfinished rows in one :func:`coverage_perfect` call.
+    the coverage and density of all unfinished rows in one
+    :func:`coverage_and_density` call, whose density is the last entry of the
+    same first row of expm(gamma T) whose sum is the coverage.
     The density never exceeds prod(lambda), so P(sum < g) <= prod(lambda)
     g^n / n! and the coverage exceeds 1 - eps at g = (n! eps / prod(lambda))^(1/n).
     The search starts from half that point, which stays a lower bracket when
-    rounding hides the last digits of the coverage at tiny eps, doubles the
-    upper end until the coverage there is at most 1 - eps, then bisects until
-    the bracket is at most 4 machine epsilons of its upper end wide (brentq's
-    default relative tolerance) and returns its midpoint.
+    rounding hides the last digits of the coverage at tiny eps, and doubles
+    the upper end until the coverage there is at most 1 - eps. From that end,
+    each row runs a safeguarded Newton iteration (rtsafe, Press et al.,
+    Numerical Recipes ch. 9.4) in its own bracket: it takes the Newton step
+    when the step lands inside the bracket and is less than half the step
+    before last, and bisects otherwise. A row stops when its step is at most
+    4 machine epsilons of gamma (brentq's default relative tolerance), when
+    its bracket is that narrow, or when coverage - (1 - eps) is within n
+    machine epsilons of zero, the rounding error of an n-rate coverage: on
+    that plateau the computed coverage no longer pins the root, and the row
+    ends with one last Newton step, kept inside its bracket. A row's root
+    does not depend on the other rows of the stack.
     """
     lam = as_rates(lambdas)
     if not 0 < eps < 1:
@@ -342,20 +353,42 @@ def _hyperexp_gamma_eps(lambdas, eps):
     stack = lam.reshape(-1, lam.shape[-1])
     n = stack.shape[1]
     target = 1.0 - eps
+    rtol = 4.0 * np.finfo(float).eps
+    plateau = n * np.finfo(float).eps
     hi = np.exp((math.lgamma(n + 1) + math.log(eps) - np.log(stack).sum(axis=1)) / n)
     lo = hi / 2.0
+    excess, density = np.empty_like(hi), np.empty_like(hi)
     rows = np.arange(hi.size)
     while rows.size:
-        rows = rows[coverage_perfect(hi[rows], stack[rows]) > target]
+        cov, density[rows] = coverage_and_density(hi[rows], stack[rows])
+        excess[rows] = cov - target
+        rows = rows[cov > target]
         lo[rows] = hi[rows]
         hi[rows] *= 2.0
-    rtol = 4.0 * np.finfo(float).eps
-    while (rows := np.flatnonzero(hi - lo > rtol * hi)).size:
-        mid = 0.5 * (lo[rows] + hi[rows])
-        above = coverage_perfect(mid, stack[rows]) > target
-        lo[rows[above]] = mid[above]
-        hi[rows[~above]] = mid[~above]
-    root = 0.5 * (lo + hi)
+    # excess and density hold each row's values at its last evaluated point
+    root = hi.copy()
+    step = hi - lo
+    last = step.copy()
+    rows = np.arange(hi.size)
+    while True:
+        newton = excess[rows] / density[rows]
+        a, b = lo[rows], hi[rows]
+        half = 0.5 * (b - a)
+        at = root[rows] + newton
+        flat = np.abs(excess[rows]) <= plateau
+        take = flat | ((a < at) & (at < b) & (2.0 * np.abs(newton) < last[rows]))
+        last[rows] = step[rows]
+        root[rows] = np.where(take, np.clip(at, a, b), a + half)
+        step[rows] = np.where(take, np.abs(newton), half)
+        rows = rows[~flat & (step[rows] > rtol * root[rows])]
+        if not rows.size:
+            break
+        cov, density[rows] = coverage_and_density(root[rows], stack[rows])
+        excess[rows] = cov - target
+        above = excess[rows] > 0
+        lo[rows[above]] = root[rows[above]]
+        hi[rows[~above]] = root[rows[~above]]
+        rows = rows[hi[rows] - lo[rows] > rtol * hi[rows]]
     return float(root[0]) if lam.ndim == 1 else root.reshape(lam.shape[:-1])
 
 

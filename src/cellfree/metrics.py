@@ -57,7 +57,7 @@ def coverage_perfect(gamma, lambdas):
     lambdas may be one rate set of shape (n,) or a stack of shape (..., n);
     gamma broadcasts against lambdas.shape[:-1], and the result has the
     broadcast shape (a float when that shape is empty). The whole stack is
-    evaluated at once by :func:`_expm_first_row`.
+    evaluated at once by :func:`coverage_and_density`.
     """
     lam = as_rates(lambdas)
     gamma = np.asarray(gamma, dtype=float)
@@ -65,9 +65,24 @@ def coverage_perfect(gamma, lambdas):
         raise ValueError("gamma must be finite and >= 0")
     shape = np.broadcast_shapes(gamma.shape, lam.shape[:-1])
     n = lam.shape[-1]
-    x = np.broadcast_to(gamma, shape)[..., None] * np.broadcast_to(lam, shape + (n,))
-    out = _expm_first_row(x.reshape(-1, n)).sum(axis=-1).reshape(shape)
+    gamma = np.broadcast_to(gamma, shape).reshape(-1)
+    out, _ = coverage_and_density(gamma, np.broadcast_to(lam, shape + (n,)).reshape(-1, n))
+    out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out
+
+
+def coverage_and_density(gamma, lam):
+    """Coverage P(snr >= gamma[k]) and density of snr at gamma[k], rate sets lam[k].
+
+    gamma has shape (m,) and lam shape (m, n); both are taken as valid (see
+    :func:`coverage_perfect`, which checks them). Both values come from one
+    first row of expm(gamma T): its sum is the coverage, and since the chain
+    is absorbed only from its last phase, at rate lam[-1], the density is
+    row[-1] * lam[-1] (Neuts 1981). Each row is computed on its own, so a
+    row's values do not depend on the other rows of the stack.
+    """
+    row = _expm_first_row(gamma[:, None] * lam)
+    return row.sum(axis=1), row[:, -1] * lam[:, -1]
 
 
 _TAYLOR_DEGREE = 12

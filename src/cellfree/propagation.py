@@ -140,8 +140,12 @@ def _correlation_chol(positions, sigma_db, d_u, jitter_rel=1e-10):
     If the factorization fails (e.g. coincident positions), jitter of
     jitter_rel * sigma^2 is added to the diagonal of a rebuilt covariance and
     multiplied by 100 on each of at most 3 retries. The returned factor is
-    Fortran-ordered with its strict upper triangle zeroed.
+    Fortran-ordered with its strict upper triangle zeroed. A single position
+    skips the factorization: its factor is sqrt(sigma^2), bit-identical to
+    LAPACK's dpotrf on [[sigma^2]].
     """
+    if len(positions) == 1:
+        return np.array([[np.sqrt(sigma_db**2)]])
     jitter = 0.0
     for attempt in range(4):
         cov = _covariance(positions, sigma_db, d_u)

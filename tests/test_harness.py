@@ -6,7 +6,7 @@ from dataclasses import replace
 from scipy import optimize, stats
 from scipy.linalg import expm
 
-from cellfree import harness
+from cellfree import harness, metrics
 
 from cellfree.deployment import place_ppp
 from cellfree.harness import (
@@ -256,18 +256,20 @@ def _scipy_coverage_and_density(gamma, lam):
     return row.sum(), row[-1] * lam[-1]
 
 
-def _brentq_gamma_eps(lam, eps):
-    """Reference: the scalar brentq search on the scipy coverage, one rate set."""
+def _brentq_gamma_eps(lam, eps, coverage=None, xtol=2e-12):
+    """Reference: the scalar brentq search on the scipy coverage, or on
+    coverage(gamma, lam) when given, one rate set."""
     lam = np.asarray(lam, dtype=float)
+    coverage = coverage or (lambda g, rates: _scipy_coverage_and_density(g, rates)[0])
 
     def excess(g):
-        return _scipy_coverage_and_density(g, lam)[0] - (1.0 - eps)
+        return coverage(g, lam) - (1.0 - eps)
 
     hi = (math.factorial(lam.size) * eps / np.prod(lam)) ** (1.0 / lam.size)
     lo = hi / 2.0
     while excess(hi) > 0:
         lo, hi = hi, 2.0 * hi
-    return optimize.brentq(excess, lo, hi)
+    return optimize.brentq(excess, lo, hi, xtol=xtol)
 
 
 def _assert_roots_match_brentq(lams, eps):
@@ -314,6 +316,59 @@ def test_batched_quantiles_match_brentq_on_ties():
 
 def test_batched_quantile_at_tiny_eps():
     _assert_roots_match_brentq(np.array([[0.5, 0.2], [0.2, 0.5]]), 1e-12)
+
+
+def test_quantile_search_evaluation_count_on_fig7_rate_sets(monkeypatch):
+    lams, eps = _fig7_rate_sets(outer=100)
+    kernel, rows = metrics._expm_first_row, []
+
+    def counted(x):
+        rows.append(len(x))
+        return kernel(x)
+
+    monkeypatch.setattr(metrics, "_expm_first_row", counted)
+    _hyperexp_gamma_eps(lams, eps)
+    # plain bisection to a 4-machine-epsilon bracket takes about 54
+    assert 0 < len(rows) <= 12, rows
+
+
+def _exact_coverage(gamma, lam):
+    """Reference: P(sum > gamma) in 60-digit arithmetic, rounded to a float.
+
+    The Erlang law when all rates are equal, partial fractions when all are
+    distinct (rates 1e-9 apart cancel about 9 digits per rate).
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        g, rates = mpmath.mpf(gamma), [mpmath.mpf(x) for x in lam]
+        if len(set(rates)) == 1:
+            return float(mpmath.gammainc(len(rates), rates[0] * g, regularized=True))
+        assert len(set(rates)) == len(rates), "partly equal rates"
+        return float(mpmath.fsum(
+            mpmath.exp(-r * g) * mpmath.fprod(s / (s - r) for s in rates if s != r)
+            for r in rates))
+
+
+def test_batched_quantiles_over_the_whole_input_range():
+    # lambda = 1/(rho beta), rho beta log-uniform over [1e-3, 1e12], 1 to 4
+    # groups: spread rates, exact ties and ties 1e-9 apart
+    rng = np.random.default_rng(0)
+    tiny = np.finfo(float).tiny
+    for n in (1, 2, 3, 4):
+        spread = 1.0 / 10.0 ** rng.uniform(-3, 12, size=(3, n))
+        one = 1.0 / 10.0 ** rng.uniform(-3, 12, size=(2, 1))
+        lams = np.concatenate([spread, np.repeat(one, n, axis=1), one * (1 + 1e-9 * np.arange(n))])
+        for eps in (0.1, 1e-3, 1e-6, 1e-12):
+            roots = _hyperexp_gamma_eps(lams, eps)
+            for lam, root in zip(lams, roots):
+                assert _hyperexp_gamma_eps(lam, eps) == root
+                want = _brentq_gamma_eps(lam, eps, _exact_coverage, xtol=tiny)
+                # brentq's relative tolerance, plus the plateau of an n-rate
+                # coverage, which rounding leaves uncertain by n machine
+                # epsilons (the search's own plateau stop)
+                density = _scipy_coverage_and_density(want, lam)[1]
+                tol = np.finfo(float).eps * (4 * abs(want) + n / density)
+                assert abs(root - want) <= tol, (lam, eps, root, want, abs(root - want) / tol)
 
 
 def test_batched_quantile_shapes():

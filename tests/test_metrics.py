@@ -7,6 +7,7 @@ from scipy.linalg import expm
 
 from cellfree.metrics import (
     SampleSizeError,
+    coverage_and_density,
     coverage_ls_single,
     coverage_perfect,
     outage_rate,
@@ -170,6 +171,19 @@ def test_stacked_coverage_shapes():
     grid = coverage_perfect(np.array([[0.5], [2.0]]), lam)  # gamma (2, 1) x rows (3,)
     assert grid.shape == (2, 3)
     assert grid[1, 2] == coverage_perfect(2.0, lam[2])
+
+
+def test_coverage_and_density_match_closed_forms():
+    g = np.array([0.05, 0.3, 1.0, 4.0, 30.0])
+    erlang = stats.gamma(3, scale=1.0 / 1.5)
+    cov, dens = coverage_and_density(g, np.full((5, 3), 1.5))
+    assert np.allclose(cov, erlang.sf(g), rtol=1e-14, atol=0)
+    assert np.allclose(dens, erlang.pdf(g), rtol=1e-13, atol=0)
+    a, b = 0.4, 3.0
+    lam = np.tile([a, b], (5, 1))
+    cov, dens = coverage_and_density(g, lam)
+    assert np.array_equal(cov, coverage_perfect(g, lam))
+    assert np.allclose(dens, a * b / (b - a) * (np.exp(-a * g) - np.exp(-b * g)), rtol=1e-13, atol=0)
 
 
 def test_coverage_ls_single_point_mass():
