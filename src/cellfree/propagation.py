@@ -2,11 +2,14 @@
 
 import numpy as np
 from dataclasses import dataclass
-# The one scipy import on the CLI's path. At n = 500 (2-vCPU Xeon VM, 1 BLAS
-# thread) np.linalg.cholesky takes about 3.5 ms against 1.7 ms for scipy's
-# in-place factor, and importing scipy.linalg inside the correlated path
-# instead would add its 0.3 s import to the run time of every correlated run.
-from scipy.linalg import LinAlgError, cholesky
+# The one scipy package on the CLI's path. At n = 500 (2-vCPU Xeon VM, 1 BLAS
+# thread) the whole correlated draw, built on one triangle, factored in place
+# by LAPACK's dpotrf and multiplied by BLAS dtrmv, takes 3.0-3.3 ms, less than
+# np.linalg.cholesky alone on the full matrix (3.2-3.7 ms). Importing
+# scipy.linalg inside the correlated path instead would add its 0.3 s import
+# to the run time of every correlated run.
+from scipy.linalg.blas import dtrmv
+from scipy.linalg.lapack import dpotrf
 
 from .grouping import group_large_scale
 
@@ -107,56 +110,71 @@ def path_loss_db(d, params=PathLossParams()):
     return out if out.ndim else float(out)
 
 
-def _covariance(positions, sigma_db, d_u):
-    """sigma^2 * 2^(-d_ij/d_u) over all position pairs.
+def _covariance_triangle(positions, sigma_db, d_u):
+    """Upper triangle of sigma^2 * 2^(-d_ij/d_u) in a C-ordered n x n buffer.
 
-    Built in blocks of 64 rows, so that each block's temporaries stay in
-    cache. d_ij = sqrt(dx*dx + dy*dy) is bit-identical to scipy's ``cdist``.
+    That triangle is the lower triangle of the buffer's transpose in Fortran
+    order, the one ``dpotrf(..., lower=1)`` reads; the rest of the buffer is
+    left unset. Rows are built in blocks of 64 over columns s:, each block in
+    contiguous scratch so its temporaries stay in cache (numpy is no faster
+    over strided half rows). d_ij = sqrt(dx*dx + dy*dy) is bit-identical to
+    scipy's ``cdist``.
     """
     n, rows = len(positions), 64
     x, y = positions[:, 0], positions[:, 1]
-    cov, dy = np.empty((n, n)), np.empty((min(rows, n), n))
-    for start in range(0, n, rows):
-        block, dy_block = cov[start:start + rows], dy[:min(rows, n - start)]
-        block[:] = x
-        block -= x[start:start + rows, None]
-        block *= block
-        dy_block[:] = y
-        dy_block -= y[start:start + rows, None]
-        dy_block *= dy_block
-        block += dy_block
-        np.sqrt(block, out=block)
-        block /= -d_u
-        np.exp2(block, out=block)
-        block *= sigma_db**2
+    cov = np.empty((n, n))
+    dx_buf, dy_buf = np.empty((2, min(rows, n) * n))
+    for s in range(0, n, rows):
+        r, m = min(rows, n - s), n - s
+        dx, dy = dx_buf[:r * m].reshape(r, m), dy_buf[:r * m].reshape(r, m)
+        dx[:] = x[s:]
+        dx -= x[s:s + r, None]
+        dx *= dx
+        dy[:] = y[s:]
+        dy -= y[s:s + r, None]
+        dy *= dy
+        dx += dy
+        np.sqrt(dx, out=dx)
+        dx /= -d_u
+        np.exp2(dx, out=dx)
+        np.multiply(dx, sigma_db**2, out=cov[s:s + r, s:])
     return cov
 
 
-def _correlation_chol(positions, sigma_db, d_u, jitter_rel=1e-10):
+def _cholesky_lower(positions, sigma_db, d_u, jitter_rel=1e-10):
     """Lower Cholesky factor of sigma^2 * 2^(-d_ij/d_u) with jitter fallback.
 
-    The covariance is factored in place: its transpose is the same symmetric
-    matrix in Fortran order, so LAPACK overwrites the buffer without a copy.
-    If the factorization fails (e.g. coincident positions), jitter of
-    jitter_rel * sigma^2 is added to the diagonal of a rebuilt covariance and
-    multiplied by 100 on each of at most 3 retries. The returned factor is
-    Fortran-ordered with its strict upper triangle zeroed. A single position
-    skips the factorization: its factor is sqrt(sigma^2), bit-identical to
-    LAPACK's dpotrf on [[sigma^2]].
+    Fortran-ordered; only its lower triangle is set, and only that triangle
+    may be read. LAPACK factors the triangle of :func:`_covariance_triangle`
+    in place. If the factorization fails (e.g. coincident positions), jitter
+    of jitter_rel * sigma^2 is added to the diagonal of a rebuilt covariance
+    and multiplied by 100 on each of at most 3 retries.
     """
-    if len(positions) == 1:
-        return np.array([[np.sqrt(sigma_db**2)]])
     jitter = 0.0
     for attempt in range(4):
-        cov = _covariance(positions, sigma_db, d_u)
+        cov = _covariance_triangle(positions, sigma_db, d_u)
         cov.flat[::len(cov) + 1] += jitter
-        try:
-            return cholesky(cov.T, lower=True, overwrite_a=True, check_finite=False)
-        except LinAlgError:
-            jitter = jitter_rel * sigma_db**2 if attempt == 0 else jitter * 100.0
+        chol, info = dpotrf(cov.T, lower=1, clean=0, overwrite_a=1)
+        if info == 0:
+            return chol
+        if info < 0:
+            raise ValueError(f"dpotrf: illegal value in argument {-info}")
+        jitter = jitter_rel * sigma_db**2 if attempt == 0 else jitter * 100.0
     raise CovarianceFactorizationError(
         f"shadow covariance not factorizable for {len(positions)} APs even with jitter"
     )
+
+
+def _correlated_draw(positions, sigma_db, d_u, z):
+    """L z for the lower Cholesky factor L of sigma^2 * 2^(-d_ij/d_u).
+
+    ``dtrmv`` reads only L's lower triangle. Fewer than two positions skip
+    the factorization: one position's factor is sqrt(sigma^2), bit-identical
+    to LAPACK's dpotrf on [[sigma^2]].
+    """
+    if len(positions) <= 1:
+        return np.sqrt(sigma_db**2) * z
+    return dtrmv(_cholesky_lower(positions, sigma_db, d_u), z, lower=1, overwrite_x=1)
 
 
 def shadow_fields(layout, terminals, params, rng):
@@ -173,10 +191,9 @@ def shadow_fields(layout, terminals, params, rng):
         return np.zeros((k, n))
     if params.mode == "uncorrelated":
         return rng.normal(0.0, params.sigma_db, size=(k, n))
-    chol_a = _correlation_chol(terminals, params.sigma_db, params.decorrelation_km)
-    chol_b = _correlation_chol(layout.positions, params.sigma_db, params.decorrelation_km)
-    a = chol_a @ rng.standard_normal(k)
-    b = chol_b @ rng.standard_normal(n)
+    d_u = params.decorrelation_km
+    a = _correlated_draw(terminals, params.sigma_db, d_u, rng.standard_normal(k))
+    b = _correlated_draw(layout.positions, params.sigma_db, d_u, rng.standard_normal(n))
     return np.sqrt(params.delta) * a[:, None] + np.sqrt(1.0 - params.delta) * b[None, :]
 
 

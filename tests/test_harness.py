@@ -371,6 +371,21 @@ def test_batched_quantiles_over_the_whole_input_range():
                 assert abs(root - want) <= tol, (lam, eps, root, want, abs(root - want) / tol)
 
 
+def test_coverage_error_for_rates_spread_over_many_decades():
+    # the scaled-and-squared first row is not exact to one machine epsilon
+    # when 3-4 rates span many decades; pin its error at the quantile roots
+    # so that it cannot grow unnoticed (worst seen over 2,000 rate sets per
+    # size: 4.5 eps for 3 rates, 5.5 for 4)
+    rng = np.random.default_rng(0)
+    for n in (3, 4):
+        lams = 1.0 / 10.0 ** rng.uniform(-3, 12, size=(100, n))
+        for eps in (0.1, 1e-3, 1e-6, 1e-12):
+            roots = _hyperexp_gamma_eps(lams, eps)
+            for lam, root, cov in zip(lams, roots, coverage_perfect(roots, lams)):
+                err = abs(cov - _exact_coverage(root, lam)) / np.finfo(float).eps
+                assert err <= 6.0, (lam, eps, err)
+
+
 def test_batched_quantile_shapes():
     lams = np.array([[1.0, 2.0], [0.5, 0.5], [3.0, 0.1]])
     single = _hyperexp_gamma_eps(lams[1], 0.01)

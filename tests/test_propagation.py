@@ -152,7 +152,8 @@ def test_correlated_covariance_is_psd():
 
 
 def test_covariance_bit_identical_to_cdist_build():
-    # sizes below, at and off the 64-row block, and a full layout
+    # sizes below, at and off the 64-row block, and a full layout; only the
+    # upper triangle of the C-ordered buffer is built
     rng = np.random.default_rng(13)
     for positions in (rng.uniform(-1, 1, (1, 2)), rng.uniform(-1, 1, (64, 2)),
                       rng.uniform(-1, 1, (65, 2)), _layout(seed=2, density=20.0, hw=2.4).positions):
@@ -160,7 +161,9 @@ def test_covariance_bit_identical_to_cdist_build():
         np.divide(want, -0.2, out=want)
         np.exp2(want, out=want)
         want *= 8.0**2
-        assert np.array_equal(propagation._covariance(positions, 8.0, 0.2), want)
+        upper = np.triu_indices(len(positions))
+        cov = propagation._covariance_triangle(positions, 8.0, 0.2)
+        assert np.array_equal(cov[upper], want[upper])
 
 
 def test_duplicate_positions_fall_back_to_jitter():
@@ -170,13 +173,43 @@ def test_duplicate_positions_fall_back_to_jitter():
     assert np.all(np.isfinite(v))
 
 
-def test_correlation_chol_matches_reference_construction():
+def test_cholesky_lower_matches_reference_construction():
     layout = _layout(seed=1, density=20.0, hw=2.4)
     assert 400 < layout.n_aps < 520
     ref = np.linalg.cholesky(_reference_cov(layout.positions, 8.0, 0.2))
-    chol = propagation._correlation_chol(layout.positions, 8.0, 0.2)
+    chol = np.tril(propagation._cholesky_lower(layout.positions, 8.0, 0.2))
     assert np.max(np.abs(chol - ref)) <= 1e-12 * np.max(np.abs(ref))
-    assert np.array_equal(chol, np.tril(chol))
+
+
+def test_correlated_draw_matches_reference_construction():
+    layout = _layout(seed=1, density=20.0, hw=2.4)
+    z = np.random.default_rng(14).standard_normal(layout.n_aps)
+    want = np.linalg.cholesky(_reference_cov(layout.positions, 8.0, 0.2)) @ z
+    b = propagation._correlated_draw(layout.positions, 8.0, 0.2, z.copy())
+    assert np.max(np.abs(b - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_correlated_draw_ignores_the_unset_triangle(monkeypatch):
+    # neither LAPACK nor BLAS may read the triangle the build leaves unset
+    layout = _layout(seed=1, density=20.0, hw=2.4)
+    z = np.random.default_rng(15).standard_normal(layout.n_aps)
+    want = propagation._correlated_draw(layout.positions, 8.0, 0.2, z.copy())
+    empty = np.empty
+    monkeypatch.setattr(np, "empty", lambda *a, **kw: np.full_like(empty(*a, **kw), np.nan))
+    cov = propagation._covariance_triangle(layout.positions, 8.0, 0.2)
+    assert np.isnan(cov[-1, 0])
+    assert np.array_equal(propagation._correlated_draw(layout.positions, 8.0, 0.2, z.copy()), want)
+
+
+def test_single_position_draw_is_sigma_times_z():
+    z = np.random.default_rng(16).standard_normal(1)
+    assert np.array_equal(propagation._correlated_draw(np.zeros((1, 2)), 8.0, 0.2, z.copy()), 8.0 * z)
+
+
+def test_empty_layout_correlated_field():
+    layout = NetworkLayout(np.zeros((0, 2)), 1, "ppp", Region(1.0))
+    v = shadow_fields(layout, [(0, 0)], ShadowParams(mode="correlated"), np.random.default_rng(17))
+    assert v.shape == (1, 0)
 
 
 def test_jitter_fallback_factors_rebuilt_covariance():
@@ -187,27 +220,39 @@ def test_jitter_fallback_factors_rebuilt_covariance():
     cov = _reference_cov(positions, sigma_db, 0.2)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(cov)
-    chol = propagation._correlation_chol(positions, sigma_db, 0.2)
-    assert np.array_equal(chol, np.tril(chol))
+    chol = np.tril(propagation._cholesky_lower(positions, sigma_db, 0.2))
     target = cov + jitter * np.eye(4)
     assert np.allclose(chol @ chol.T, target, rtol=0, atol=1e-2 * jitter)
 
 
-def test_factorization_error_after_four_attempts(monkeypatch):
+def _record_dpotrf(monkeypatch, info):
+    """Patch dpotrf to report ``info`` and record the matrices it is given."""
     calls = []
 
     def failing(a, **kwargs):
         calls.append(a.copy())
-        raise np.linalg.LinAlgError("not positive definite")
+        return a, info
 
-    monkeypatch.setattr(propagation, "cholesky", failing)
+    monkeypatch.setattr(propagation, "dpotrf", failing)
+    return calls
+
+
+def test_factorization_error_after_four_attempts(monkeypatch):
+    calls = _record_dpotrf(monkeypatch, 1)
     positions = np.array([[0.0, 0.0], [0.3, 0.0]])
     with pytest.raises(CovarianceFactorizationError):
-        propagation._correlation_chol(positions, 8.0, 0.2)
+        propagation._cholesky_lower(positions, 8.0, 0.2)
     assert len(calls) == 4
     jitters = [c[0, 0] - 64.0 for c in calls]
     assert jitters[0] == 0.0
     assert jitters[1:] == pytest.approx([64e-10, 64e-8, 64e-6], rel=1e-4)
+
+
+def test_illegal_argument_raises_without_retry(monkeypatch):
+    calls = _record_dpotrf(monkeypatch, -1)
+    with pytest.raises(ValueError, match="argument 1"):
+        propagation._cholesky_lower(np.array([[0.0, 0.0], [0.3, 0.0]]), 8.0, 0.2)
+    assert len(calls) == 1
 
 
 def test_cross_terminal_field_shape():
