@@ -26,7 +26,7 @@ class Region:
 
 @dataclass(frozen=True)
 class NetworkLayout:
-    """AP positions in km plus deployment metadata.
+    """AP positions in km and the region they lie in.
 
     All antennas of an AP are co-located; antenna i of AP m has flat index
     m * antennas_per_ap + i throughout the package.
@@ -34,7 +34,6 @@ class NetworkLayout:
 
     positions: np.ndarray  # (n_aps, 2) km
     antennas_per_ap: int = 1
-    deployment_kind: str = "ppp"
     region: Region = field(default_factory=Region)
 
     def __post_init__(self):
@@ -42,10 +41,6 @@ class NetworkLayout:
         object.__setattr__(self, "positions", pos)
         if self.antennas_per_ap < 1:
             raise ValueError("antennas_per_ap must be >= 1")
-        if self.deployment_kind not in ("ppp", "hexagonal"):
-            raise ValueError(f"unknown deployment kind {self.deployment_kind!r}")
-        if len(pos) == 0 and self.deployment_kind != "ppp":
-            raise ValueError("only a ppp layout may be empty")
         if len(pos) and not self.region.contains(pos).all():
             raise ValueError("all AP positions must lie inside the region")
 
@@ -81,7 +76,7 @@ def place_ppp(density, region, rng, antennas_per_ap=1):
     n = rng.poisson(density * region.area_km2)
     hw = region.half_width_km
     positions = rng.uniform(-hw, hw, size=(n, 2))
-    return NetworkLayout(positions, antennas_per_ap, "ppp", region)
+    return NetworkLayout(positions, antennas_per_ap, region)
 
 
 def hex_spacing(density):
@@ -113,7 +108,7 @@ def place_hex(density, region, antennas_per_ap=1):
         rows.append(np.column_stack([xs, ys]))
     pts = np.concatenate(rows)
     pts = pts[np.all(np.abs(pts) <= hw, axis=1)]
-    return NetworkLayout(pts, antennas_per_ap, "hexagonal", region)
+    return NetworkLayout(pts, antennas_per_ap, region)
 
 
 def closest_pair(positions):
@@ -210,8 +205,8 @@ class _CellList:
 _COARSE_ANCHORS = 16
 
 
-def worst_position(layout, grid_resolution=None, region=None):
-    """Grid point maximizing the minimum distance to any AP.
+def worst_position(layout, grid_resolution=None):
+    """Grid point of the layout's region maximizing the minimum distance to any AP.
 
     Parameters
     ----------
@@ -219,8 +214,6 @@ def worst_position(layout, grid_resolution=None, region=None):
     grid_resolution : float, optional
         Grid step in km (> 0). Defaults to one tenth of the mean
         nearest-neighbor spacing (or half_width/20 for a single-AP layout).
-    region : Region, optional
-        Search region; defaults to the layout's region.
 
     The grid is ``axis x axis`` with ``axis = arange(-hw, hw + step/2, step)``,
     and the result equals the argmax of the nearest-AP distance over every
@@ -238,19 +231,18 @@ def worst_position(layout, grid_resolution=None, region=None):
     """
     if layout.n_aps == 0:
         raise NoAccessPointsError("worst_position needs a non-empty layout")
-    region = region or layout.region
+    hw = layout.region.half_width_km
     if grid_resolution is None:
         if layout.n_aps < 2:
-            grid_resolution = region.half_width_km / 20.0
+            grid_resolution = hw / 20.0
         else:
             grid_resolution = mean_nn_spacing(layout) / 10.0
     if not grid_resolution > 0:
         raise ValueError(f"grid_resolution must be > 0, got {grid_resolution}")
-    hw = region.half_width_km
     axis = np.arange(-hw, hw + grid_resolution / 2.0, grid_resolution)
     n = axis.size
     cells = _CellList(layout.positions, layout.region)
-    slack = 1e-9 * max(hw, np.abs(layout.positions).max())
+    slack = 1e-9 * hw  # APs lie in the region, so distances are at most 2 * sqrt(2) * hw
     stride = 1 << max(0, (n // _COARSE_ANCHORS).bit_length() - 1)
     anchors = np.arange(0, n, stride)
     i, j = np.repeat(anchors, anchors.size), np.tile(anchors, anchors.size)

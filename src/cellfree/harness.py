@@ -24,13 +24,7 @@ from .grouping import Grouping, group_large_scale, neighbor_grouping, random_gro
 from .metrics import SampleSizeError, as_rates, coverage_and_density, outage_rate, outage_result
 from .metrics import coverage_perfect  # noqa: F401  (bench/spans.py traces it here)
 from .power import DEFAULT_RHO, optimize_pilot_power, uniform_plan
-from .propagation import (
-    PathLossParams,
-    ShadowParams,
-    antenna_beta,
-    large_scale_from_shadow,
-    shadow_fields,
-)
+from .propagation import ShadowParams, antenna_beta, large_scale_from_shadow, shadow_fields
 from .snr import lambda_ls, lambda_perfect, snr_ls_values
 
 
@@ -54,8 +48,8 @@ class ScenarioConfig:
     The annotations are the schema: validation, parsing and serialization
     read each field's type from them. tau_p = None picks the minimum (one
     pilot per group) for LS and 0 for perfect CSI. rho defaults to the
-    reference power normalization. Terminals beyond the origin are only
-    supported with vary='grouping'.
+    reference power normalization. vary='network' runs exactly one
+    terminal, at any position; only vary='grouping' runs several.
     """
 
     deployment: Literal["ppp", "hexagonal"] = "ppp"
@@ -150,6 +144,8 @@ def validate_config(cfg):
                              "requires perfect CSI and no shadowing")
         if cfg.grouping != "random":
             raise ValueError("vary='grouping' needs the random grouping strategy")
+        if cfg.rx_antennas != 1:
+            raise ValueError("vary='grouping' scores one receive antenna; set rx_antennas=1")
     elif len(cfg.terminals) != 1:
         raise ValueError("vary='network' supports a single terminal")
     fixed = _fixed_layout(cfg)
@@ -278,8 +274,7 @@ def _trial_plan(cfg, layout):
     if cfg.power == "uniform":
         return uniform_plan(cfg.rho, tau_p, cfg.tau_c)
     return optimize_pilot_power(
-        layout, PathLossParams(), cfg.rho, tau_p, cfg.tau_c, cfg.es,
-        grid_resolution=cfg.opt_grid_km,
+        layout, cfg.rho, tau_p, cfg.tau_c, cfg.es, grid_resolution=cfg.opt_grid_km
     )
 
 
@@ -432,9 +427,9 @@ def _network_trial(cfg, code, fixed, grouping, plan, t):
     g = _trial_grouping(cfg, code, layout, grouping, rng)
     terminal = np.asarray(cfg.terminals[0], dtype=float)
     shadow = shadow_fields(layout, [terminal], cfg.shadow_params(), rng)[0]
-    ls = large_scale_from_shadow(layout, terminal, PathLossParams(), shadow, g)
+    beta_bar = large_scale_from_shadow(layout, terminal, shadow, g)
     plan = plan if plan is not None else _trial_plan(cfg, layout)
-    return _sample_snr(code, ls.beta_bar, plan, cfg, rng), plan
+    return _sample_snr(code, beta_bar, plan, cfg, rng), plan
 
 
 def run_scenario(cfg, label=None):
@@ -449,7 +444,7 @@ def run_scenario(cfg, label=None):
 
     if cfg.vary == "grouping":
         # path-loss-only beta per (terminal, antenna); shadow is 'none' here
-        beta_ant = antenna_beta(fixed, cfg.terminals, PathLossParams())
+        beta_ant = antenna_beta(fixed, cfg.terminals)
         trial = partial(_grouping_trial, cfg, code, fixed, beta_ant)
     else:
         trial = partial(_network_trial, cfg, code, fixed, cached_grouping, cached_plan)

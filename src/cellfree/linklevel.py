@@ -42,7 +42,7 @@ def detect_symbols(code, h_hat, y):
     return (y @ va.T).real + 1j * (y @ vb.T).imag
 
 
-def run_trial(code, grouping, large_scale, rho_p, rho_d, tau_p, rng, es=1.0):
+def run_trial(code, grouping, beta, rho_p, rho_d, tau_p, rng, es=1.0):
     """Full forward simulation of one coherence interval.
 
     Draws per-antenna small-scale fading g_m ~ CN(0,1) and aggregates the
@@ -51,14 +51,14 @@ def run_trial(code, grouping, large_scale, rho_p, rho_d, tau_p, rng, es=1.0):
     code, and detects with the estimate. The record decomposes the processed
     symbols into signal, eta (estimation error), and z (noise) parts.
     """
-    beta = np.asarray(large_scale.beta, dtype=float)
+    beta = np.asarray(beta, dtype=float)
     g = (rng.standard_normal(beta.size) + 1j * rng.standard_normal(beta.size)) / np.sqrt(2.0)
     per_antenna = g * np.sqrt(beta)
     h = group_large_scale(per_antenna.real, grouping)
     h = h + 1j * group_large_scale(per_antenna.imag, grouping)
 
     pilot = chan.make_pilot_block(tau_p, code.n_groups, pilot_power=rho_p)
-    estimate = chan.ls_estimate(h, pilot, large_scale.beta_bar, rng)
+    estimate = chan.ls_estimate(h, pilot, group_large_scale(beta, grouping), rng)
     h_hat = estimate.h_hat
     e = h_hat - h
 

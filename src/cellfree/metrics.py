@@ -151,25 +151,25 @@ def coverage_ls_single(gamma, lambda_ls_samples):
     return float(out) if out.ndim == 0 else out
 
 
-def quantile_threshold(snr_samples, epsilon, min_exceedances=50.0, z=1.959964):
+def quantile_threshold(snr_samples, epsilon):
     """Empirical epsilon-quantile gamma_eps with a binomial confidence interval.
 
     Uses the lower-interpolation quantile (conservative for coverage claims).
-    Requires at least min_exceedances/epsilon samples so the quantile rests on
-    enough mass. Returns (gamma_eps, (gamma_lo, gamma_hi)) where the interval
+    Requires at least 50/epsilon samples, so that about 50 fall below the
+    quantile. Returns (gamma_eps, (gamma_lo, gamma_hi)) where the interval
     is the 95% order-statistic CI.
     """
     x = np.sort(np.asarray(snr_samples, dtype=float))
     n = x.size
     if not 0 < epsilon < 1:
         raise ValueError("epsilon must lie in (0, 1)")
-    if n < min_exceedances / epsilon:
+    if n < 50.0 / epsilon:
         raise SampleSizeError(
-            f"{n} samples < {min_exceedances / epsilon:.0f} required for epsilon={epsilon}"
+            f"{n} samples < {50.0 / epsilon:.0f} required for epsilon={epsilon}"
         )
     gamma = float(np.quantile(x, epsilon, method="lower"))
     k = int(np.floor(epsilon * (n - 1)))
-    half = z * np.sqrt(n * epsilon * (1.0 - epsilon))
+    half = 1.959964 * np.sqrt(n * epsilon * (1.0 - epsilon))  # 97.5% normal quantile
     lo = int(np.clip(np.floor(k - half), 0, n - 1))
     hi = int(np.clip(np.ceil(k + half), 0, n - 1))
     return gamma, (float(x[lo]), float(x[hi]))

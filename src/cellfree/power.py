@@ -63,10 +63,10 @@ def data_power(energy, rho_p, tau_p, tau_c):
     return (energy - rho_p * tau_p) / (tau_c - tau_p)
 
 
-def path_loss_only_beta(layout, position, pl_params):
+def path_loss_only_beta(layout, position):
     """Total large-scale coefficient at a position, path loss only, all antennas."""
     m = layout.antennas_per_ap  # the antennas of an AP share its beta
-    return float(m * np.sum(antenna_beta(layout, position, pl_params)[::m]))
+    return float(m * np.sum(antenna_beta(layout, position)[::m]))
 
 
 def optimal_pilot_power(beta_w, energy, tau_p, tau_c, es=1.0):
@@ -87,7 +87,7 @@ def optimal_pilot_power(beta_w, energy, tau_p, tau_c, es=1.0):
     return c0 * energy / (c0 * tau_p + math.sqrt(disc))
 
 
-def optimize_pilot_power(layout, pl_params, rho, tau_p, tau_c, es=1.0, grid_resolution=None):
+def optimize_pilot_power(layout, rho, tau_p, tau_c, es=1.0, grid_resolution=None):
     """Heuristic pilot/data split performed without CSI at the APs.
 
     Finds the grid position furthest from the closest AP, computes its
@@ -97,7 +97,7 @@ def optimize_pilot_power(layout, pl_params, rho, tau_p, tau_c, es=1.0, grid_reso
     useful; only AP locations enter.
     """
     t_w = worst_position(layout, grid_resolution=grid_resolution)
-    beta_w = path_loss_only_beta(layout, t_w, pl_params)
+    beta_w = path_loss_only_beta(layout, t_w)
     energy = rho * tau_c
     rho_p = optimal_pilot_power(beta_w, energy, tau_p, tau_c, es)
     rho_d = data_power(energy, rho_p, tau_p, tau_c)

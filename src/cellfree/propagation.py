@@ -14,41 +14,19 @@ from scipy.linalg.lapack import dpotrf
 from .grouping import group_large_scale
 
 
-@dataclass(frozen=True)
-class PathLossParams:
-    """Three-slope COST-Hata parameters (suburban defaults).
+#: Inner and outer break distances (km) of the three slopes.
+D_I_KM, D_O_KM = 0.01, 0.05
 
-    f_c_mhz : carrier frequency in MHz
-    h_ap_m, h_t_m : AP and terminal heights in m
-    d_r_km : reference distance for the fixed loss term
-    d_i_km, d_o_km : inner/outer break distances of the three slopes
-    """
-
-    f_c_mhz: float = 1900.0
-    h_ap_m: float = 15.0
-    h_t_m: float = 1.5
-    d_r_km: float = 1.0
-    d_i_km: float = 0.01
-    d_o_km: float = 0.05
-
-    def __post_init__(self):
-        if not (0 < self.d_i_km < self.d_o_km):
-            raise ValueError("require 0 < d_i < d_o")
-        if min(self.f_c_mhz, self.h_ap_m, self.h_t_m, self.d_r_km) <= 0:
-            raise ValueError("frequency, heights and reference distance must be positive")
-
-    @property
-    def reference_loss_db(self):
-        """Fixed loss L (dB) at the reference distance."""
-        lf = np.log10(self.f_c_mhz)
-        return (
-            46.3
-            + 33.9 * lf
-            - 13.82 * np.log10(self.h_ap_m)
-            - (1.1 * lf - 0.7) * self.h_t_m
-            + 1.56 * lf
-            - 0.8
-        )
+#: Fixed COST-Hata loss (dB) at 1 km, suburban: 1900 MHz carrier, AP and
+#: terminal heights of 15 m and 1.5 m.
+REFERENCE_LOSS_DB = (
+    46.3
+    + 33.9 * np.log10(1900.0)
+    - 13.82 * np.log10(15.0)
+    - (1.1 * np.log10(1900.0) - 0.7) * 1.5
+    + 1.56 * np.log10(1900.0)
+    - 0.8
+)
 
 
 @dataclass(frozen=True)
@@ -76,37 +54,25 @@ class ShadowParams:
             raise ValueError("decorrelation_km must be > 0 for correlated shadowing")
 
 
-@dataclass(frozen=True)
-class LargeScale:
-    """Per-antenna linear coefficients beta and their per-group sums."""
-
-    beta: np.ndarray      # (n_antennas,)
-    beta_bar: np.ndarray  # (n_groups,)
-
-    def __post_init__(self):
-        if np.any(self.beta <= 0):
-            raise ValueError("all beta coefficients must be positive")
-
-
 class CovarianceFactorizationError(RuntimeError):
     """Cholesky of the shadow covariance failed even after jitter."""
 
 
-def path_loss_db(d, params=PathLossParams()):
+def path_loss_db(d):
     """Three-slope path loss in dB at distance d km (scalar or array).
 
-    Constant for d <= d_i, slope 20 dB/decade up to d_o, then 35 dB/decade
-    (effective exponent 3.5). d = 0 maps to the inner branch. Distances are
-    clamped to d_i before the one log10, so the inner branch is the middle
-    one evaluated at d_i.
+    Constant for d <= D_I_KM, slope 20 dB/decade up to D_O_KM, then 35
+    dB/decade (effective exponent 3.5), anchored at REFERENCE_LOSS_DB at
+    1 km. d = 0 maps to the inner branch. Distances are clamped to D_I_KM
+    before the one log10, so the inner branch is the middle one evaluated
+    at D_I_KM.
     """
     d = np.asarray(d, dtype=float)
     if np.any(d < 0):
         raise ValueError("distance must be >= 0")
-    L = params.reference_loss_db
-    t1 = 15.0 * np.log10(params.d_o_km / params.d_r_km)
-    ld = np.log10(np.maximum(d, params.d_i_km) / params.d_r_km)
-    out = np.where(d <= params.d_o_km, L + t1 + 20.0 * ld, L + 35.0 * ld)
+    L = REFERENCE_LOSS_DB
+    ld = np.log10(np.maximum(d, D_I_KM))
+    out = np.where(d <= D_O_KM, L + 15.0 * np.log10(D_O_KM) + 20.0 * ld, L + 35.0 * ld)
     return out if out.ndim else float(out)
 
 
@@ -141,13 +107,13 @@ def _covariance_triangle(positions, sigma_db, d_u):
     return cov
 
 
-def _cholesky_lower(positions, sigma_db, d_u, jitter_rel=1e-10):
+def _cholesky_lower(positions, sigma_db, d_u):
     """Lower Cholesky factor of sigma^2 * 2^(-d_ij/d_u) with jitter fallback.
 
     Fortran-ordered; only its lower triangle is set, and only that triangle
     may be read. LAPACK factors the triangle of :func:`_covariance_triangle`
     in place. If the factorization fails (e.g. coincident positions), jitter
-    of jitter_rel * sigma^2 is added to the diagonal of a rebuilt covariance
+    of 1e-10 * sigma^2 is added to the diagonal of a rebuilt covariance
     and multiplied by 100 on each of at most 3 retries.
     """
     jitter = 0.0
@@ -159,7 +125,7 @@ def _cholesky_lower(positions, sigma_db, d_u, jitter_rel=1e-10):
             return chol
         if info < 0:
             raise ValueError(f"dpotrf: illegal value in argument {-info}")
-        jitter = jitter_rel * sigma_db**2 if attempt == 0 else jitter * 100.0
+        jitter = 1e-10 * sigma_db**2 if attempt == 0 else jitter * 100.0
     raise CovarianceFactorizationError(
         f"shadow covariance not factorizable for {len(positions)} APs even with jitter"
     )
@@ -197,18 +163,17 @@ def shadow_fields(layout, terminals, params, rng):
     return np.sqrt(params.delta) * a[:, None] + np.sqrt(1.0 - params.delta) * b[None, :]
 
 
-def large_scale_from_shadow(layout, terminal, pl_params, shadow_db, grouping):
-    """Per-antenna beta and per-group beta_bar for one terminal.
+def large_scale_from_shadow(layout, terminal, shadow_db, grouping):
+    """Per-group beta_bar for one terminal.
 
-    beta_m = 10^(-(PL(d_m) + v_m)/10) in linear scale, with v the shadow
-    losses of :func:`shadow_fields`; all antennas of an AP share the AP's
-    beta. beta_bar_k sums beta over the antennas of group k.
+    beta_bar_k sums beta over the antennas of group k, with beta the
+    per-antenna coefficients of :func:`antenna_beta` under the shadow losses
+    of :func:`shadow_fields`.
     """
-    beta = antenna_beta(layout, terminal, pl_params, shadow_db)
-    return LargeScale(beta=beta, beta_bar=group_large_scale(beta, grouping))
+    return group_large_scale(antenna_beta(layout, terminal, shadow_db), grouping)
 
 
-def antenna_beta(layout, terminals, pl_params, shadow_db=0.0):
+def antenna_beta(layout, terminals, shadow_db=0.0):
     """Linear beta = 10^(-(PL(d) + v)/10) per antenna.
 
     Shape (n_antennas,) for one terminal position, (K, n_antennas) for K.
@@ -218,5 +183,5 @@ def antenna_beta(layout, terminals, pl_params, shadow_db=0.0):
     dx = layout.positions[:, 0] - terminals[..., None, 0]
     dy = layout.positions[:, 1] - terminals[..., None, 1]
     d = np.sqrt(dx * dx + dy * dy)
-    beta_ap = 10.0 ** (-(path_loss_db(d, pl_params) + shadow_db) / 10.0)
+    beta_ap = 10.0 ** (-(path_loss_db(d) + shadow_db) / 10.0)
     return np.repeat(beta_ap, layout.antennas_per_ap, axis=-1)

@@ -25,12 +25,7 @@ from cellfree.harness import (
 from cellfree.linklevel import check_corollary1, check_hyperexp, check_theorem1
 from cellfree.ostbc import alamouti, draw_symbols, orthogonality_defect, rate_three_quarter
 from cellfree.power import DEFAULT_RHO, optimize_pilot_power
-from cellfree.propagation import (
-    PathLossParams,
-    ShadowParams,
-    path_loss_db,
-    shadow_fields,
-)
+from cellfree.propagation import D_I_KM, D_O_KM, ShadowParams, path_loss_db, shadow_fields
 from cellfree.snr import lambda_ls, lambda_perfect
 
 
@@ -80,11 +75,10 @@ def test_criterion_05_three_db_asymptote():
 
 
 def test_criterion_06_path_loss_anchor():
-    pl = PathLossParams()
-    anchor = path_loss_db(1.0, pl)
+    anchor = path_loss_db(1.0)
     jumps = [
-        abs(path_loss_db(d * (1 - 1e-12), pl) - path_loss_db(d * (1 + 1e-12), pl))
-        for d in (pl.d_i_km, pl.d_o_km)
+        abs(path_loss_db(d * (1 - 1e-12)) - path_loss_db(d * (1 + 1e-12)))
+        for d in (D_I_KM, D_O_KM)
     ]
     ok = abs(anchor - 141.16) <= 0.1 and max(jumps) < 1e-9
     report(6, "Path-loss anchor", ok,
@@ -119,7 +113,6 @@ def _paired_pilot_tradeoff(n_layouts=800, seed=1):
     optimized single-pilot plan, so every comparison is paired.
     """
     sp = ShadowParams("correlated")
-    plp = PathLossParams()
     rho, tau_c = DEFAULT_RHO, 300
     betas = np.empty(n_layouts)
     lam_opt = np.empty(n_layouts)
@@ -128,8 +121,8 @@ def _paired_pilot_tradeoff(n_layouts=800, seed=1):
         layout = place_ppp(20.0, Region(2.5), rng)
         v = shadow_fields(layout, [(0.0, 0.0)], sp, rng)[0]
         d = np.linalg.norm(layout.positions, axis=1)
-        betas[t] = np.sum(10.0 ** (-(path_loss_db(d, plp) + v) / 10.0))
-        plan = optimize_pilot_power(layout, plp, rho, 1, tau_c, grid_resolution=0.05)
+        betas[t] = np.sum(10.0 ** (-(path_loss_db(d) + v) / 10.0))
+        plan = optimize_pilot_power(layout, rho, 1, tau_c, grid_resolution=0.05)
         lam_opt[t] = lambda_ls(betas[t], plan.rho_p, 1, plan.rho_d, 1.0)
     lam_eq = {tp: lambda_ls(betas, rho, tp, rho, 1.0) for tp in range(1, 11)}
     return lam_eq, lam_opt

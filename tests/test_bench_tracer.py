@@ -27,7 +27,8 @@ def test_every_traced_binding_resolves(spans):
         assert callable(getattr(MODULES[module], attr, None)), binding
 
 
-def test_traced_run_records_one_trial_per_outer_trial(spans, tmp_path, monkeypatch):
+def _traced_run(spans, tmp_path, monkeypatch, **config):
+    """Layer metrics and trial durations of one traced `cellfree run`."""
     # restore every binding the tracer replaces when the test ends
     for binding, _ in spans.SPAN_BINDINGS + spans.MARKER_BINDINGS:
         module, attr = binding.split(".")
@@ -36,15 +37,30 @@ def test_traced_run_records_one_trial_per_outer_trial(spans, tmp_path, monkeypat
     tracer = spans.Tracer()
     tracer.install(MODULES)
 
-    config = tmp_path / "tiny.cfg"
-    config.write_text(config_to_text(ScenarioConfig(
-        density=10.0, half_width_km=1.0, shadow="uncorrelated", csi="ls", code="alamouti",
-        epsilon=0.1, outer=25, inner=20, seed=4)))
-    assert cli.main(["run", "--scenario", str(config), "--out", str(tmp_path / "r.csv")]) == 0
+    path = tmp_path / "tiny.cfg"
+    path.write_text(config_to_text(ScenarioConfig(**config)))
+    assert cli.main(["run", "--scenario", str(path), "--out", str(tmp_path / "r.csv")]) == 0
+    return tracer.layer_metrics()
 
-    metrics, trial_ms = tracer.layer_metrics()
+
+def test_traced_run_records_one_trial_per_outer_trial(spans, tmp_path, monkeypatch):
+    metrics, trial_ms = _traced_run(
+        spans, tmp_path, monkeypatch, density=10.0, half_width_km=1.0, shadow="uncorrelated",
+        csi="ls", code="alamouti", epsilon=0.1, outer=25, inner=20, seed=4)
     assert len(trial_ms) == 25
     assert metrics["harness.run_experiment.calls"] == 1
     assert metrics["harness.run_scenario.calls"] == 1
     assert metrics["harness.trial_stream.calls"] == 25
     assert metrics["deployment.place_ppp.calls"] == 25
+
+
+def test_traced_run_reaches_power_and_shadow_hooks(spans, tmp_path, monkeypatch):
+    # the worst-position and correlated-shadow extras read the arguments of
+    # the calls they wrap, so they must accept the signatures the run uses
+    metrics, trial_ms = _traced_run(
+        spans, tmp_path, monkeypatch, density=10.0, half_width_km=1.0, shadow="correlated",
+        csi="ls", code="single", power="optimized", epsilon=0.1, outer=6, inner=100, seed=4)
+    assert len(trial_ms) == 6
+    assert metrics["deployment.worst_position.calls"] > 0
+    assert metrics["deployment.worst_position.grid_points"] > 0
+    assert metrics["propagation.shadow_fields.chol_mflop"] > 0

@@ -281,6 +281,19 @@ def test_unrunnable_fixed_layout_rejected_before_any_trial(tmp_path, capsys, lin
     assert not out.exists()
 
 
+@pytest.mark.parametrize("rx", [2, 4])
+def test_grouping_run_with_receive_antennas_rejected(tmp_path, capsys, rx):
+    # a grouping run scores one receive antenna; more must not be ignored
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("vary=grouping\nlayout_seed=3\ndensity=20.0\nhalf_width_km=0.5\n"
+                   f"code=alamouti\ncsi=perfect\nshadow=none\nrx_antennas={rx}\n"
+                   "outer=3\ninner=1\n")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert "rx_antennas=1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", ["seed=-1", "layout_seed=-1", "half_width_km=0", "terminals="])
 def test_out_of_range_config_rejected_before_any_trial(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"

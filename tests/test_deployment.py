@@ -29,7 +29,6 @@ def test_region_validation():
 def test_ppp_zero_density_gives_empty_layout():
     layout = place_ppp(0.0, Region(5.0), rng_for(0))
     assert layout.n_aps == 0
-    assert layout.deployment_kind == "ppp"
 
 
 def test_ppp_negative_density_rejected():
@@ -103,23 +102,30 @@ def test_hex_invalid_density_rejected():
 
 
 def test_worst_position_single_ap_returns_corner():
-    layout = NetworkLayout(np.array([[0.0, 0.0]]), 1, "ppp", Region(1.0))
+    layout = NetworkLayout(np.array([[0.0, 0.0]]), 1, Region(1.0))
     p = worst_position(layout, grid_resolution=0.25)
     assert np.allclose(np.abs(p), [1.0, 1.0])
 
 
 def test_worst_position_hex_interior_is_circumcenter():
-    # triangle circumradius s/sqrt(3), checked away from the clipped boundary
-    density = 20.0
-    layout = place_hex(density, Region(5.0))
+    # triangle circumradius s/sqrt(3). APs every s/10 along the edge of the
+    # region bound every point by s/sqrt(3) + s/20: a point whose nearest
+    # point of the unclipped lattice lies outside is closer than that to the
+    # edge. So the clipped boundary holds no point much farther from an AP.
+    density, hw = 20.0, 2.0
     s = hex_spacing(density)
-    p = worst_position(layout, grid_resolution=s / 20.0, region=Region(2.0))
+    edge = np.linspace(-hw, hw, int(np.ceil(20.0 * hw / s)) + 1)
+    guards = np.concatenate([np.column_stack([edge, np.full_like(edge, side)])
+                             for side in (-hw, hw)])
+    lattice = place_hex(density, Region(hw)).positions
+    layout = NetworkLayout(np.concatenate([lattice, guards, guards[:, ::-1]]), 1, Region(hw))
+    p = worst_position(layout, grid_resolution=s / 20.0)
     dmin = np.linalg.norm(layout.positions - p, axis=1).min()
     assert abs(dmin - s / np.sqrt(3.0)) < 0.1 * s
 
 
 def test_worst_position_avoids_ap_coincident_grid_point():
-    layout = NetworkLayout(np.array([[0.0, 0.0]]), 1, "ppp", Region(1.0))
+    layout = NetworkLayout(np.array([[0.0, 0.0]]), 1, Region(1.0))
     p = worst_position(layout, grid_resolution=1.0)  # grid includes the AP itself
     assert np.linalg.norm(p) > 0
 
@@ -137,15 +143,14 @@ def test_worst_position_maximizes_over_grid():
             assert best >= d - 1e-12
 
 
-def _full_grid_worst_position(layout, grid_resolution=None, region=None):
+def _full_grid_worst_position(layout, grid_resolution=None):
     """Reference: nearest-AP distance at every grid point, first argmax."""
-    region = region or layout.region
+    hw = layout.region.half_width_km
     if grid_resolution is None:
         if layout.n_aps < 2:
-            grid_resolution = region.half_width_km / 20.0
+            grid_resolution = hw / 20.0
         else:
             grid_resolution = mean_nn_spacing(layout) / 10.0
-    hw = region.half_width_km
     axis = np.arange(-hw, hw + grid_resolution / 2.0, grid_resolution)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     grid = np.column_stack([gx.ravel(), gy.ravel()])
@@ -171,22 +176,14 @@ def test_worst_position_equals_full_grid_scan_on_ppp(density, half_width, step):
 @pytest.mark.parametrize("step", [None, 0.05, hex_spacing(20.0) / 20.0])
 def test_worst_position_equals_full_grid_scan_on_hex(step):
     layout = place_hex(20.0, Region(2.5))
-    for region in (None, Region(1.3)):
-        expected = _full_grid_worst_position(layout, step, region)
-        assert np.array_equal(worst_position(layout, step, region), expected)
-
-
-def test_worst_position_equals_full_grid_scan_on_smaller_region():
-    layout = place_ppp(20.0, Region(5.0), rng_for(3))
-    for hw, step in ((2.0, 0.05), (0.7, 0.01), (3.3, None)):
-        expected = _full_grid_worst_position(layout, step, Region(hw))
-        assert np.array_equal(worst_position(layout, step, Region(hw)), expected)
+    expected = _full_grid_worst_position(layout, step)
+    assert np.array_equal(worst_position(layout, step), expected)
 
 
 def test_worst_position_single_ap_tie_takes_first_corner():
     # with a dyadic step all four corners tie; (-hw, -hw) has the lowest
     # row-major index. The default step 0.05 rounds the last axis value up.
-    layout = NetworkLayout(np.array([[0.0, 0.0]]), 1, "ppp", Region(1.0))
+    layout = NetworkLayout(np.array([[0.0, 0.0]]), 1, Region(1.0))
     for step in (None, 0.25, 1 / 64):
         p = worst_position(layout, step)
         assert np.array_equal(p, _full_grid_worst_position(layout, step))
@@ -195,16 +192,17 @@ def test_worst_position_single_ap_tie_takes_first_corner():
 
 
 def test_worst_position_exact_tie_takes_lowest_row_major_index():
-    # APs on a square lattice of 22 grid steps: the 36 hole centres inside
-    # the search region tie exactly. The first hole, grid index (2, 2), is
-    # not on the coarse anchor stride; later holes such as (24, 24) are.
+    # APs on a square lattice of 22 grid steps, 9 steps in from the edges of
+    # the region: the 25 hole centres, 11 * sqrt(2) steps from their APs,
+    # tie exactly, and every edge point is nearer an AP. The first hole, grid
+    # index (20, 20), is not on the coarse anchor stride of 8; (64, 64) is.
     step = 1 / 64
-    ap_axis = -1.0 + np.arange(-9, 146, 22) * step
+    ap_axis = -1.0 + np.arange(9, 129, 22) * step
     ax, ay = np.meshgrid(ap_axis, ap_axis, indexing="ij")
-    layout = NetworkLayout(np.column_stack([ax.ravel(), ay.ravel()]), 1, "ppp", Region(2.0))
-    p = worst_position(layout, step, Region(1.0))
-    assert np.array_equal(p, _full_grid_worst_position(layout, step, Region(1.0)))
-    assert np.array_equal(p, [-1.0 + 2 * step, -1.0 + 2 * step])
+    layout = NetworkLayout(np.column_stack([ax.ravel(), ay.ravel()]), 1, Region(1.0))
+    p = worst_position(layout, step)
+    assert np.array_equal(p, _full_grid_worst_position(layout, step))
+    assert np.array_equal(p, [-1.0 + 20 * step, -1.0 + 20 * step])
 
 
 def test_worst_position_keeps_block_whose_bound_equals_best():
@@ -219,7 +217,7 @@ def test_worst_position_keeps_block_whose_bound_equals_best():
     for row in (39, 64):
         open_ &= (ki - 128) ** 2 + (kj - row) ** 2 >= 100
     positions = np.column_stack([ki[open_], kj[open_]]) * step - 1.0
-    layout = NetworkLayout(positions, 1, "ppp", Region(1.0))
+    layout = NetworkLayout(positions, 1, Region(1.0))
     p = worst_position(layout, step)
     assert np.array_equal(p, _full_grid_worst_position(layout, step))
     assert np.array_equal(p, [1.0, -1.0 + 39 * step])
@@ -234,7 +232,7 @@ def test_worst_position_non_positive_step_rejected(step):
 
 def test_worst_position_coincident_aps_rejected():
     # mean spacing 0 gives a zero default step
-    layout = NetworkLayout(np.array([[0.1, 0.2], [0.1, 0.2]]), 1, "ppp", Region(1.0))
+    layout = NetworkLayout(np.array([[0.1, 0.2], [0.1, 0.2]]), 1, Region(1.0))
     with pytest.raises(ValueError, match="grid_resolution"):
         worst_position(layout)
 
@@ -271,7 +269,7 @@ def test_cell_list_queries_in_smaller_region():
 
 
 def test_cell_list_single_ap():
-    layout = NetworkLayout(np.array([[0.3, -0.2]]), 1, "ppp", Region(1.0))
+    layout = NetworkLayout(np.array([[0.3, -0.2]]), 1, Region(1.0))
     queries = _grid(1.0, 41)
     cells = _CellList(layout.positions, layout.region)
     assert np.array_equal(cells.query(queries), cKDTree(layout.positions).query(queries)[0])
@@ -283,7 +281,7 @@ def test_cell_list_far_queries_scan_every_ap(corner):
     # distance from the opposite corner, below or above the grid of cells;
     # 14,641 such queries take two chunks
     positions = corner * rng_for(8).uniform(0.9, 1.0, (100, 2))
-    layout = NetworkLayout(positions, 1, "ppp", Region(1.0))
+    layout = NetworkLayout(positions, 1, Region(1.0))
     cells = _CellList(layout.positions, layout.region)
     queries = corner * (_grid(1.0, 121) * 0.4 - 0.6)
     tree = cKDTree(positions)
@@ -313,14 +311,14 @@ def test_mean_nn_spacing_bit_identical_to_kdtree():
         assert mean_nn_spacing(layout) == d.mean()
     # coincident APs: their nearest-neighbour distance is 0
     positions = place_ppp(20.0, Region(1.0), rng_for(11)).positions
-    layout = NetworkLayout(np.concatenate([positions, positions[:7]]), 1, "ppp", Region(1.0))
+    layout = NetworkLayout(np.concatenate([positions, positions[:7]]), 1, Region(1.0))
     d = cKDTree(layout.positions).query(layout.positions, k=2)[0][:, 1]
     assert np.count_nonzero(d == 0) == 14
     assert mean_nn_spacing(layout) == d.mean()
 
 
 def test_coincident_aps_have_zero_spacing_and_no_default_grid():
-    layout = NetworkLayout(np.array([[0.1, 0.2]] * 3), 1, "ppp", Region(1.0))
+    layout = NetworkLayout(np.array([[0.1, 0.2]] * 3), 1, Region(1.0))
     assert mean_nn_spacing(layout) == 0.0
     with pytest.raises(ValueError, match="grid_resolution"):
         worst_position(layout)
@@ -334,5 +332,5 @@ def test_worst_position_empty_layout_errors():
 
 def test_layout_outside_region_rejected():
     with pytest.raises(ValueError):
-        NetworkLayout(np.array([[3.0, 0.0]]), 1, "ppp", Region(1.0))
+        NetworkLayout(np.array([[3.0, 0.0]]), 1, Region(1.0))
 

@@ -47,7 +47,7 @@ def test_infeasible_counts_rejected():
 
 
 def _layout_from(points, m=1, hw=10.0):
-    return NetworkLayout(np.asarray(points, dtype=float), m, "ppp", Region(hw))
+    return NetworkLayout(np.asarray(points, dtype=float), m, Region(hw))
 
 
 def test_neighbor_two_aps_split():

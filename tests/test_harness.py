@@ -32,7 +32,6 @@ from cellfree.linklevel import empirical_snr_cdf
 from cellfree.metrics import coverage_ls_single, coverage_perfect
 from cellfree.ostbc import by_name
 from cellfree.power import DEFAULT_RHO, normalized_power, optimize_pilot_power
-from cellfree.propagation import PathLossParams
 from cellfree.snr import lambda_ls, lambda_perfect
 
 FAST = dict(half_width_km=1.5, epsilon=0.1, outer=60, inner=50, seed=5)
@@ -169,6 +168,9 @@ def test_validate_config_conflicts():
                                        shadow="none", terminals=()))
     with pytest.raises(ValueError):
         validate_config(ScenarioConfig(deployment="hexagonal", density=0.0))
+    # a lattice spacing of 10.7 km leaves no AP in a 2 km square
+    with pytest.raises(ValueError):
+        validate_config(ScenarioConfig(deployment="hexagonal", density=0.01, half_width_km=1.0))
     with pytest.raises(ValueError):
         validate_config(ScenarioConfig(shadow="sometimes"))
     with pytest.raises(ValueError):
@@ -498,7 +500,7 @@ def test_result_csv_reports_every_per_trial_plan(tmp_path, density):
     # replay each trial's layout draw (the first use of its stream) and plan it
     layouts = [place_ppp(cfg.density, cfg.region(), trial_stream(cfg.seed, t))
                for t in range(cfg.outer)]
-    plans = [optimize_pilot_power(layout, PathLossParams(), cfg.rho, 1, cfg.tau_c, cfg.es,
+    plans = [optimize_pilot_power(layout, cfg.rho, 1, cfg.tau_c, cfg.es,
                                   grid_resolution=cfg.opt_grid_km)
              for layout in layouts if layout.n_aps > 0]
     assert (len(plans) < cfg.outer) == (density < 1.0) and len(plans) > 1

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cellfree.channel import ChannelEstimate, conditional_error_stats, draw_effective_channel
-from cellfree.grouping import random_grouping
+from cellfree.grouping import group_large_scale, random_grouping
 from cellfree.linklevel import (
     check_corollary1,
     check_hyperexp,
@@ -15,7 +15,6 @@ from cellfree.linklevel import (
     simulate_h_hat,
 )
 from cellfree.ostbc import alamouti, code_matrix, draw_symbols, rate_three_quarter
-from cellfree.propagation import LargeScale
 from cellfree.snr import snr_ls
 
 
@@ -65,16 +64,15 @@ def test_detection_of_a_batch_equals_single_calls(code):
 def _small_system(code, rng, n_aps=6):
     beta = rng.uniform(0.2, 1.5, n_aps)
     g = random_grouping(n_aps, code.n_groups, rng)
-    beta_bar = np.bincount(g.assignment, weights=beta, minlength=code.n_groups)
-    return LargeScale(beta=beta, beta_bar=beta_bar), g
+    return beta, g
 
 
 @pytest.mark.parametrize("code", [alamouti(), rate_three_quarter()])
 def test_trial_record_reconstruction(code):
     rng = np.random.default_rng(2)
-    ls, g = _small_system(code, rng)
+    beta, g = _small_system(code, rng)
     for _ in range(50):
-        rec = run_trial(code, g, ls, rho_p=1.5, rho_d=2.0, tau_p=code.n_groups, rng=rng)
+        rec = run_trial(code, g, beta, rho_p=1.5, rho_d=2.0, tau_p=code.n_groups, rng=rng)
         hh2 = np.sum(np.abs(rec.h_hat) ** 2)
         recon = np.sqrt(2.0) * hh2 * rec.symbols + rec.eta + rec.z
         assert np.abs(rec.processed - recon).max() < 1e-10 * max(1.0, hh2)
@@ -84,15 +82,15 @@ def test_trial_estimate_error_statistics():
     # across trials the realized error regresses on hhat with slope U_cond
     code = alamouti()
     rng = np.random.default_rng(3)
-    ls, g = _small_system(code, rng)
+    beta, g = _small_system(code, rng)
     n = 4000
     e = np.empty((n, 2), dtype=complex)
     hh = np.empty((n, 2), dtype=complex)
     for i in range(n):
-        rec = run_trial(code, g, ls, rho_p=0.8, rho_d=1.0, tau_p=2, rng=rng)
+        rec = run_trial(code, g, beta, rho_p=0.8, rho_d=1.0, tau_p=2, rng=rng)
         e[i] = rec.h_hat - rec.h
         hh[i] = rec.h_hat
-    _, u, cc = conditional_error_stats(ls.beta_bar, 0.8, 2)
+    _, u, cc = conditional_error_stats(group_large_scale(beta, g), 0.8, 2)
     for k in range(2):
         slope = np.vdot(hh[:, k], e[:, k]) / np.vdot(hh[:, k], hh[:, k])
         se = np.sqrt(cc[k] / (n * np.mean(np.abs(hh[:, k]) ** 2)))

@@ -14,7 +14,6 @@ from cellfree.power import (
     path_loss_only_beta,
     uniform_plan,
 )
-from cellfree.propagation import PathLossParams
 from cellfree.snr import lambda_ls
 
 
@@ -161,8 +160,7 @@ def test_lambda_unimodal_on_feasible_interval():
 def test_optimized_plan_on_default_scenario():
     rng = np.random.default_rng(0)
     layout = place_ppp(20.0, Region(2.5), rng)
-    plan = optimize_pilot_power(layout, PathLossParams(), DEFAULT_RHO, 1, 300,
-                                grid_resolution=0.05)
+    plan = optimize_pilot_power(layout, DEFAULT_RHO, 1, 300, grid_resolution=0.05)
     # pilot power ends up considerably higher than data power
     assert plan.rho_p > plan.rho_d
     assert plan.rho_p * plan.tau_p + plan.rho_d * (300 - plan.tau_p) == pytest.approx(
@@ -176,12 +174,11 @@ def test_optimized_never_worse_than_uniform():
 
     rng = np.random.default_rng(1)
     layout = place_ppp(20.0, Region(2.0), rng)
-    pl = PathLossParams()
     rho, tau_c = DEFAULT_RHO, 300
     for tau_p in (1, 2, 4):
-        plan = optimize_pilot_power(layout, pl, rho, tau_p, tau_c, grid_resolution=0.1)
+        plan = optimize_pilot_power(layout, rho, tau_p, tau_c, grid_resolution=0.1)
         t_w = worst_position(layout, grid_resolution=0.1)
-        beta_w = path_loss_only_beta(layout, t_w, pl)
+        beta_w = path_loss_only_beta(layout, t_w)
         assert lambda_of(plan.rho_p, beta_w, rho * tau_c, tau_p, tau_c) <= lambda_of(
             rho, beta_w, rho * tau_c, tau_p, tau_c
         ) * (1 + 1e-9)
@@ -192,10 +189,9 @@ def test_path_loss_only_beta_counts_antennas():
     layout1 = place_ppp(10.0, Region(1.0), rng)
     from cellfree.deployment import NetworkLayout
 
-    layout2 = NetworkLayout(layout1.positions, 3, "ppp", Region(1.0))
-    pl = PathLossParams()
-    assert path_loss_only_beta(layout2, (0, 0), pl) == pytest.approx(
-        3 * path_loss_only_beta(layout1, (0, 0), pl)
+    layout2 = NetworkLayout(layout1.positions, 3, Region(1.0))
+    assert path_loss_only_beta(layout2, (0, 0)) == pytest.approx(
+        3 * path_loss_only_beta(layout1, (0, 0))
     )
 
 

@@ -6,8 +6,10 @@ from cellfree import propagation
 from cellfree.deployment import NetworkLayout, Region, place_ppp
 from cellfree.grouping import Grouping, random_grouping
 from cellfree.propagation import (
+    D_I_KM,
+    D_O_KM,
+    REFERENCE_LOSS_DB,
     CovarianceFactorizationError,
-    PathLossParams,
     ShadowParams,
     antenna_beta,
     large_scale_from_shadow,
@@ -15,86 +17,82 @@ from cellfree.propagation import (
     shadow_fields,
 )
 
-PL = PathLossParams()
-
 
 def test_reference_anchor_141_db():
-    # L is the loss at d_r = 1 km, about 141 dB for the suburban defaults
-    assert abs(path_loss_db(1.0, PL) - 141.16) < 0.1
-    assert path_loss_db(1.0, PL) == pytest.approx(PL.reference_loss_db)
+    # L is the loss at 1 km, about 141 dB for the suburban defaults
+    assert abs(path_loss_db(1.0) - 141.16) < 0.1
+    assert path_loss_db(1.0) == pytest.approx(REFERENCE_LOSS_DB)
 
 
 def test_continuity_at_break_distances():
-    for d in (PL.d_i_km, PL.d_o_km):
-        left = path_loss_db(d * (1 - 1e-12), PL)
-        right = path_loss_db(d * (1 + 1e-12), PL)
+    for d in (D_I_KM, D_O_KM):
+        left = path_loss_db(d * (1 - 1e-12))
+        right = path_loss_db(d * (1 + 1e-12))
         assert abs(left - right) < 1e-9
 
 
 def test_inner_branch_constant():
-    expected = PL.reference_loss_db + 15 * np.log10(0.05) + 20 * np.log10(0.01)
-    assert path_loss_db(0.0, PL) == pytest.approx(expected, abs=1e-12)
-    assert path_loss_db(0.005, PL) == pytest.approx(expected, abs=1e-12)
+    expected = REFERENCE_LOSS_DB + 15 * np.log10(0.05) + 20 * np.log10(0.01)
+    assert path_loss_db(0.0) == pytest.approx(expected, abs=1e-12)
+    assert path_loss_db(0.005) == pytest.approx(expected, abs=1e-12)
     assert abs(expected - 81.6) < 0.1
 
 
 def test_monotone_nondecreasing():
     d = np.linspace(0.0, 3.0, 20_000)
-    pl = path_loss_db(d, PL)
+    pl = path_loss_db(d)
     assert np.all(np.diff(pl) >= -1e-12)
 
 
 def test_negative_distance_rejected():
     with pytest.raises(ValueError):
-        path_loss_db(-0.1, PL)
+        path_loss_db(-0.1)
 
 
-def _three_branch_path_loss(d, params):
+def _three_branch_path_loss(d):
     """The path loss as three separate branches, each with its own log10."""
     d = np.asarray(d, dtype=float)
-    L = params.reference_loss_db
-    t1 = 15.0 * np.log10(params.d_o_km / params.d_r_km)
-    inner = L + t1 + 20.0 * np.log10(params.d_i_km / params.d_r_km)
+    L = REFERENCE_LOSS_DB
+    t1 = 15.0 * np.log10(D_O_KM)
+    inner = L + t1 + 20.0 * np.log10(D_I_KM)
     with np.errstate(divide="ignore"):
-        mid = L + t1 + 20.0 * np.log10(d / params.d_r_km)
-        outer = L + 35.0 * np.log10(d / params.d_r_km)
-    out = np.where(d <= params.d_i_km, inner, np.where(d <= params.d_o_km, mid, outer))
+        mid = L + t1 + 20.0 * np.log10(d)
+        outer = L + 35.0 * np.log10(d)
+    out = np.where(d <= D_I_KM, inner, np.where(d <= D_O_KM, mid, outer))
     return out if out.ndim else float(out)
 
 
 def test_path_loss_bit_identical_to_three_branch_form():
     edges = [0.0, np.nextafter(0.0, 1.0)]
-    for b in (PL.d_i_km, PL.d_o_km):
+    for b in (D_I_KM, D_O_KM):
         edges += [np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)]
     d = np.concatenate([edges, np.random.default_rng(14).uniform(0.0, 10.0, 10_000)])
-    want = _three_branch_path_loss(d, PL)
-    assert np.array_equal(path_loss_db(d, PL), want)
-    assert np.array_equal(path_loss_db(d.reshape(2, -1), PL), want.reshape(2, -1))
+    want = _three_branch_path_loss(d)
+    assert np.array_equal(path_loss_db(d), want)
+    assert np.array_equal(path_loss_db(d.reshape(2, -1)), want.reshape(2, -1))
     for x, w in zip(d.tolist(), want.tolist()):
-        got = path_loss_db(x, PL)
-        assert type(got) is float and got == w == _three_branch_path_loss(x, PL)
+        got = path_loss_db(x)
+        assert type(got) is float and got == w == _three_branch_path_loss(x)
 
 
 def test_antenna_beta_distances_equal_norm(monkeypatch):
     layout = _layout(seed=15, density=30.0)
     seen = []
 
-    def recording(d, params):
+    def recording(d):
         seen.append(d)
-        return path_loss_db(d, params)
+        return path_loss_db(d)
 
     monkeypatch.setattr(propagation, "path_loss_db", recording)
     rng = np.random.default_rng(15)
     for terminals in (rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (4, 2))):
-        antenna_beta(layout, terminals, PL)
+        antenna_beta(layout, terminals)
         want = np.linalg.norm(layout.positions - terminals[..., None, :], axis=-1)
         assert seen[-1].shape == want.shape
         assert np.array_equal(seen[-1], want)
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        PathLossParams(d_i_km=0.1, d_o_km=0.05)
     with pytest.raises(ValueError):
         ShadowParams(mode="weird")
     with pytest.raises(ValueError):
@@ -112,7 +110,7 @@ def test_shadow_none_is_zero():
 
 
 def test_shadow_uncorrelated_variance():
-    layout = NetworkLayout(np.zeros((1, 2)), 1, "ppp", Region(1.0))
+    layout = NetworkLayout(np.zeros((1, 2)), 1, Region(1.0))
     rng = np.random.default_rng(8)
     params = ShadowParams(mode="uncorrelated", sigma_db=8.0)
     draws = np.array([shadow_fields(layout, [(0, 0)], params, rng)[0][0] for _ in range(100_000)])
@@ -122,7 +120,7 @@ def test_shadow_uncorrelated_variance():
 def test_shadow_correlated_pair_correlation():
     # with delta = 0 the field is the pure AP component b; at separation equal
     # to the decorrelation distance the correlation is 2^-1 = 0.5
-    layout = NetworkLayout(np.array([[0.0, 0.0], [0.2, 0.0]]), 1, "ppp", Region(1.0))
+    layout = NetworkLayout(np.array([[0.0, 0.0], [0.2, 0.0]]), 1, Region(1.0))
     params = ShadowParams(mode="correlated", sigma_db=8.0, delta=0.0, decorrelation_km=0.2)
     rng = np.random.default_rng(9)
     draws = np.array([shadow_fields(layout, [(0, 0)], params, rng)[0] for _ in range(10_000)])
@@ -131,7 +129,7 @@ def test_shadow_correlated_pair_correlation():
 
 
 def test_shadow_correlated_variance_includes_both_parts():
-    layout = NetworkLayout(np.zeros((1, 2)), 1, "ppp", Region(1.0))
+    layout = NetworkLayout(np.zeros((1, 2)), 1, Region(1.0))
     params = ShadowParams(mode="correlated", sigma_db=8.0, delta=0.5)
     rng = np.random.default_rng(10)
     draws = np.array([shadow_fields(layout, [(0, 0)], params, rng)[0][0] for _ in range(50_000)])
@@ -167,7 +165,7 @@ def test_covariance_bit_identical_to_cdist_build():
 
 
 def test_duplicate_positions_fall_back_to_jitter():
-    layout = NetworkLayout(np.zeros((3, 2)), 1, "ppp", Region(1.0))
+    layout = NetworkLayout(np.zeros((3, 2)), 1, Region(1.0))
     params = ShadowParams(mode="correlated", sigma_db=8.0)
     v = shadow_fields(layout, [(0, 0)], params, np.random.default_rng(11))[0]
     assert np.all(np.isfinite(v))
@@ -207,7 +205,7 @@ def test_single_position_draw_is_sigma_times_z():
 
 
 def test_empty_layout_correlated_field():
-    layout = NetworkLayout(np.zeros((0, 2)), 1, "ppp", Region(1.0))
+    layout = NetworkLayout(np.zeros((0, 2)), 1, Region(1.0))
     v = shadow_fields(layout, [(0, 0)], ShadowParams(mode="correlated"), np.random.default_rng(17))
     assert v.shape == (1, 0)
 
@@ -263,32 +261,33 @@ def test_cross_terminal_field_shape():
 
 
 def _large_scale(layout, sh_params, grouping, rng):
-    """LargeScale at the origin, shadowed by one draw of shadow_fields."""
+    """beta and beta_bar at the origin, shadowed by one draw of shadow_fields."""
     shadow = shadow_fields(layout, [(0, 0)], sh_params, rng)[0]
-    return large_scale_from_shadow(layout, (0, 0), PL, shadow, grouping)
+    beta = antenna_beta(layout, (0, 0), shadow)
+    return beta, large_scale_from_shadow(layout, (0, 0), shadow, grouping)
 
 
 def test_large_scale_beta_at_one_km():
-    layout = NetworkLayout(np.array([[1.0, 0.0]]), 1, "ppp", Region(2.0))
+    layout = NetworkLayout(np.array([[1.0, 0.0]]), 1, Region(2.0))
     g = Grouping(np.zeros(1, dtype=int), 1)
-    ls = _large_scale(layout, ShadowParams(mode="none"), g, np.random.default_rng(0))
+    beta, _ = _large_scale(layout, ShadowParams(mode="none"), g, np.random.default_rng(0))
     # 141.2 dB of loss is about 7.6e-15 in linear scale
-    assert ls.beta[0] == pytest.approx(10 ** (-path_loss_db(1.0, PL) / 10.0))
-    assert abs(ls.beta[0] - 7.6e-15) < 0.05 * 7.6e-15
+    assert beta[0] == pytest.approx(10 ** (-path_loss_db(1.0) / 10.0))
+    assert abs(beta[0] - 7.6e-15) < 0.05 * 7.6e-15
 
 
 def test_beta_bar_single_group_sums_both_aps():
-    layout = NetworkLayout(np.array([[0.5, 0.0], [0.0, 0.5]]), 1, "ppp", Region(1.0))
+    layout = NetworkLayout(np.array([[0.5, 0.0], [0.0, 0.5]]), 1, Region(1.0))
     g = Grouping(np.zeros(2, dtype=int), 1)
-    ls = _large_scale(layout, ShadowParams(mode="none"), g, np.random.default_rng(0))
-    assert ls.beta_bar[0] == pytest.approx(ls.beta.sum(), rel=1e-15)
+    beta, beta_bar = _large_scale(layout, ShadowParams(mode="none"), g, np.random.default_rng(0))
+    assert beta_bar[0] == pytest.approx(beta.sum(), rel=1e-15)
 
 
 def test_multi_antenna_aps_share_beta():
-    layout = NetworkLayout(np.array([[0.3, 0.2]]), 2, "ppp", Region(1.0))
+    layout = NetworkLayout(np.array([[0.3, 0.2]]), 2, Region(1.0))
     g = Grouping(np.array([0, 1]), 2)
-    ls = _large_scale(layout, ShadowParams(mode="none"), g, np.random.default_rng(0))
-    assert ls.beta[0] == ls.beta[1]
+    beta, _ = _large_scale(layout, ShadowParams(mode="none"), g, np.random.default_rng(0))
+    assert beta[0] == beta[1]
 
 
 def test_partition_property_any_grouping():
@@ -296,9 +295,9 @@ def test_partition_property_any_grouping():
     rng = np.random.default_rng(13)
     for n_groups in (1, 2, 4, 7):
         g = random_grouping(layout.n_antennas, n_groups, rng)
-        ls = _large_scale(layout, ShadowParams(mode="correlated"), g, rng)
-        assert ls.beta_bar.sum() == pytest.approx(ls.beta.sum(), rel=1e-12)
-        assert ls.beta_bar.shape == (n_groups,)
+        beta, beta_bar = _large_scale(layout, ShadowParams(mode="correlated"), g, rng)
+        assert beta_bar.sum() == pytest.approx(beta.sum(), rel=1e-12)
+        assert beta_bar.shape == (n_groups,)
 
 
 def test_grouping_must_cover_layout():
