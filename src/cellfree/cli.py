@@ -41,12 +41,15 @@ def _load_experiment(name_or_path):
     if name_or_path in PRESETS:
         return PRESETS[name_or_path]()
     if os.path.exists(name_or_path):
+        label = os.path.splitext(os.path.basename(name_or_path))[0]
+        if any(c in label for c in ',"\r\n'):
+            raise UsageError(f"config file name {name_or_path!r} would label CSV rows with "
+                             "a comma, quote or line break; rename the file")
         try:
             with open(name_or_path) as f:
                 cfg = config_from_text(f.read())
         except (ValueError, OSError) as e:
             raise UsageError(f"malformed config file {name_or_path}: {e}")
-        label = os.path.splitext(os.path.basename(name_or_path))[0]
         return Experiment(label, ((label, cfg),))
     raise UsageError(
         f"unknown scenario {name_or_path!r}: not a preset "

@@ -23,7 +23,7 @@ from .deployment import Region, closest_pair, place_hex, place_ppp, worst_positi
 from .grouping import Grouping, group_large_scale, neighbor_grouping, random_grouping
 from .metrics import SampleSizeError, as_rates, coverage_and_density, outage_rate, outage_result
 from .metrics import coverage_perfect  # noqa: F401  (bench/spans.py traces it here)
-from .power import DEFAULT_RHO, optimize_pilot_power, uniform_plan
+from .power import DEFAULT_RHO, TAU_C, optimize_pilot_power, uniform_plan
 from .propagation import ShadowParams, antenna_beta, large_scale_from_shadow, shadow_fields
 from .snr import lambda_ls, lambda_perfect, snr_ls_values
 
@@ -47,26 +47,21 @@ class ScenarioConfig:
 
     The annotations are the schema: validation, parsing and serialization
     read each field's type from them. tau_p = None picks the minimum (one
-    pilot per group) for LS and 0 for perfect CSI. rho defaults to the
-    reference power normalization. vary='network' runs exactly one
-    terminal, at any position; only vary='grouping' runs several.
+    pilot per group) for LS and 0 for perfect CSI. vary='network' runs
+    exactly one terminal, at any position; only vary='grouping' runs
+    several. The system model is fixed: power.TAU_C and power.DEFAULT_RHO
+    set the energy budget, and the defaults of ShadowParams the shadowing.
     """
 
     deployment: Literal["ppp", "hexagonal"] = "ppp"
     density: float = 20.0              # APs per km^2
     half_width_km: float = 5.0
     shadow: str = "correlated"         # a ShadowParams mode
-    sigma_db: float = 8.0
-    delta: float = 0.5
-    decorrelation_km: float = 0.2
     code: str = "single"               # an ostbc.by_name code
     grouping: Literal["random", "neighbor"] = "random"
     csi: Literal["perfect", "ls"] = "ls"
-    tau_c: int = 300
     tau_p: int | None = None
     power: Literal["uniform", "optimized"] = "uniform"
-    rho: float = DEFAULT_RHO
-    es: float = 1.0
     rx_antennas: int = 1
     antennas_per_ap: int = 1
     epsilon: float = 1e-3
@@ -90,7 +85,7 @@ class ScenarioConfig:
         return Region(self.half_width_km)
 
     def shadow_params(self):
-        return ShadowParams(self.shadow, self.sigma_db, self.delta, self.decorrelation_km)
+        return ShadowParams(self.shadow)
 
 
 def validate_config(cfg):
@@ -113,23 +108,21 @@ def validate_config(cfg):
     cfg.region()
     cfg.shadow_params()
     code = ostbc.by_name(cfg.code)
-    if cfg.tau_c <= 0 or not 0 < cfg.epsilon < 1:
-        raise ValueError("tau_c must be positive and epsilon in (0, 1)")
+    if not 0 < cfg.epsilon < 1:
+        raise ValueError("epsilon must lie in (0, 1)")
     if cfg.outer < 1 or cfg.inner < 1:
         raise ValueError("trial counts must be >= 1")
     if cfg.seed < 0 or (cfg.layout_seed is not None and cfg.layout_seed < 0):
         raise ValueError("seeds must be >= 0")
     if cfg.rx_antennas < 1 or cfg.antennas_per_ap < 1:
         raise ValueError("antenna counts must be >= 1")
-    if min(cfg.rho, cfg.es) <= 0:
-        raise ValueError("rho and es must be positive")
     if cfg.opt_grid_km is not None and cfg.opt_grid_km <= 0:
         raise ValueError(f"opt_grid_km must be > 0, got {cfg.opt_grid_km}")
     if cfg.csi == "ls":
         tp = cfg.effective_tau_p()
         if tp < code.n_groups:
             raise ValueError(f"tau_p = {tp} cannot carry {code.n_groups} orthogonal pilots")
-        if tp >= cfg.tau_c:
+        if tp >= TAU_C:
             raise ValueError("tau_p must be smaller than tau_c")
     else:
         if cfg.tau_p not in (None, 0):
@@ -268,25 +261,25 @@ def _trial_grouping(cfg, code, layout, cached, rng):
 
 
 def _trial_plan(cfg, layout):
-    tau_p = cfg.effective_tau_p()
+    """Pilot/data power plan; None for perfect CSI, which has no pilots."""
     if cfg.csi == "perfect":
-        return uniform_plan(cfg.rho, 1, cfg.tau_c)  # tau_p unused; rate uses 0
+        return None
+    tau_p = cfg.effective_tau_p()
     if cfg.power == "uniform":
-        return uniform_plan(cfg.rho, tau_p, cfg.tau_c)
-    return optimize_pilot_power(
-        layout, cfg.rho, tau_p, cfg.tau_c, cfg.es, grid_resolution=cfg.opt_grid_km
-    )
+        return uniform_plan(DEFAULT_RHO, tau_p, TAU_C)
+    return optimize_pilot_power(layout, DEFAULT_RHO, tau_p, TAU_C,
+                                grid_resolution=cfg.opt_grid_km)
 
 
-def _symbol_energy(cfg, code):
+def _symbol_energy(code):
     """Per-symbol energy that spends the data budget exactly.
 
     The energy budget assumes rho_d is radiated every data channel use, but a
     code matrix carries N_s symbols over tau_d uses per antenna, so the mean
-    per-use energy is Es * rate. Scaling Es by 1/rate makes every code (the
-    rate-3/4 matrix has a silent slot per antenna) spend rho_d on average.
+    per-use energy is Es * rate. Es = 1/rate makes every code (the rate-3/4
+    matrix has a silent slot per antenna) spend rho_d on average.
     """
-    return cfg.es / code.rate
+    return 1.0 / code.rate
 
 
 def _sample_snr(code, beta_bar, plan, cfg, rng):
@@ -301,12 +294,12 @@ def _sample_snr(code, beta_bar, plan, cfg, rng):
     inner = cfg.inner
     total = np.zeros(inner)
     tau_p = cfg.effective_tau_p()
-    es = _symbol_energy(cfg, code)
+    es = _symbol_energy(code)
     for _ in range(cfg.rx_antennas):
         if cfg.csi == "perfect":
             branch = np.zeros(inner)
             for bb in beta_bar:
-                branch += rng.exponential(cfg.rho * es * bb, inner)
+                branch += rng.exponential(DEFAULT_RHO * es * bb, inner)
         elif code.n_groups == 1:
             lam = lambda_ls(float(beta_bar[0]), plan.rho_p, tau_p, plan.rho_d, es)
             branch = rng.exponential(1.0 / lam, inner)
@@ -410,8 +403,8 @@ def _grouping_trial(cfg, code, layout, beta_ant, t):
     after the loop. beta_ant holds the path-loss beta per (terminal, antenna)."""
     rng = trial_stream(cfg.seed, t)
     g = _trial_grouping(cfg, code, layout, None, rng)
-    es = _symbol_energy(cfg, code)
-    return np.stack([lambda_perfect(group_large_scale(b, g), cfg.rho, es) for b in beta_ant])
+    es = _symbol_energy(code)
+    return np.stack([lambda_perfect(group_large_scale(b, g), DEFAULT_RHO, es) for b in beta_ant])
 
 
 def _network_trial(cfg, code, fixed, grouping, plan, t):
@@ -439,7 +432,7 @@ def run_scenario(cfg, label=None):
     if fixed is not None and cfg.grouping == "neighbor" and code.n_groups > 1:
         cached_grouping = neighbor_grouping(fixed, code.n_groups)
     cached_plan = None
-    if fixed is not None or cfg.csi == "perfect" or cfg.power == "uniform":
+    if fixed is not None or cfg.power == "uniform":
         cached_plan = _trial_plan(cfg, fixed)
 
     if cfg.vary == "grouping":
@@ -453,7 +446,7 @@ def run_scenario(cfg, label=None):
 
     if cfg.vary == "grouping":
         gamma = _hyperexp_gamma_eps(np.concatenate(outputs), cfg.epsilon)
-        values = outage_rate(gamma, 0, cfg.tau_c, code).reshape(cfg.outer, -1, 1)
+        values = outage_rate(gamma, 0, TAU_C, code).reshape(cfg.outer, -1, 1)
         kind = "rate_bpcu"
     else:
         snrs, plans = zip(*outputs)
@@ -461,7 +454,7 @@ def run_scenario(cfg, label=None):
         kind = "snr_linear"
 
     if cfg.csi == "perfect":
-        power_note = f"rho_p=rho_d=rho={cfg.rho:.6g} (perfect CSI, no pilots)"
+        power_note = f"rho_p=rho_d=rho={DEFAULT_RHO:.6g} (perfect CSI, no pilots)"
     elif cached_plan is not None:
         power_note = (
             f"rho_p={cached_plan.rho_p:.6g} rho_d={cached_plan.rho_d:.6g} "
@@ -490,7 +483,7 @@ def summarize(result):
                    ci_halfwidth=np.nan, n_trials=vals.size)
         if result.kind == "snr_linear":
             try:
-                res = outage_result(vals, cfg.epsilon, cfg.effective_tau_p(), cfg.tau_c, code)
+                res = outage_result(vals, cfg.epsilon, cfg.effective_tau_p(), TAU_C, code)
                 row.update(gamma_eps=res.gamma_eps, rate_bpcu=res.rate_bpcu,
                            ci_halfwidth=res.ci_halfwidth)
             except SampleSizeError:

@@ -143,9 +143,8 @@ def simulate_h_hat(beta_bar, rho_p, tau_p, n_trials, rng):
     return h, chan.ls_estimate(h, pilot, beta_bar, rng).h_hat
 
 
-def empirical_snr_cdf(code, beta_bar, rho_p, rho_d, tau_p, n_trials, rng,
-                      es=1.0, csi="ls", symbol_index=0):
-    """Sorted per-symbol SNR samples over small-scale randomness.
+def empirical_snr_cdf(code, beta_bar, rho_p, rho_d, tau_p, n_trials, rng, es=1.0, csi="ls"):
+    """Sorted SNR samples of symbol 0 over small-scale randomness.
 
     csi="perfect" draws h and evaluates rho_d Es ||h||^2. csi="ls" simulates
     the pilot phase per trial and evaluates the conditional LS SNR at the
@@ -159,17 +158,19 @@ def empirical_snr_cdf(code, beta_bar, rho_p, rho_d, tau_p, n_trials, rng,
         return np.sort(rho_d * es * np.sum(np.abs(h) ** 2, axis=-1))
     _, h_hat = simulate_h_hat(beta_bar, rho_p, tau_p, n_trials, rng)
     _, u, cc = chan.conditional_error_stats(beta_bar, rho_p, tau_p)
-    return np.sort(snr_ls_values(code, symbol_index, h_hat, u, cc, rho_d, es))
+    return np.sort(snr_ls_values(code, 0, h_hat, u, cc, rho_d, es))
 
 
-def check_corollary1(seed, n_trials=100_000, beta_bar=2e-10, rho=DEFAULT_RHO, tau_p=1):
+def check_corollary1(seed, n_trials=100_000):
     """KS test of simulated single-group LS SNR against Exp(lambda_ls).
 
-    The estimates come from the simulated pilot path; the closed-form rate
-    is the single-group value at the same parameters.
+    At beta_bar = 2e-10, rho_p = rho_d = DEFAULT_RHO and one pilot, the
+    estimates come from the simulated pilot path; the closed-form rate is
+    the single-group value at the same parameters.
     """
     from scipy import stats
 
+    beta_bar, rho, tau_p = 2e-10, DEFAULT_RHO, 1
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     code = ost.single_group()
     samples = empirical_snr_cdf(code, [beta_bar], rho, rho, tau_p, n_trials, rng)
@@ -184,16 +185,17 @@ def check_corollary1(seed, n_trials=100_000, beta_bar=2e-10, rho=DEFAULT_RHO, ta
     }
 
 
-def check_hyperexp(seed, n_trials=100_000, beta_bar=(1e-10, 2.3e-10, 0.7e-10), rho=DEFAULT_RHO,
-                   n_gammas=20):
+def check_hyperexp(seed, n_trials=100_000, n_gammas=20):
     """Perfect-CSI SNR draws vs the hyperexponential coverage formula.
 
-    Compares empirical coverage with :func:`cellfree.metrics.coverage_perfect`
-    (the phase-type form) at a gamma grid spanning the distribution; every
-    point must fall within three binomial standard errors.
+    Three groups at beta_bar = (1e-10, 2.3e-10, 0.7e-10) and rho =
+    DEFAULT_RHO. Compares empirical coverage with
+    :func:`cellfree.metrics.coverage_perfect` (the phase-type form) at a
+    gamma grid spanning the distribution; every point must fall within three
+    binomial standard errors.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    beta_bar = np.asarray(beta_bar, dtype=float)
+    beta_bar, rho = np.array([1e-10, 2.3e-10, 0.7e-10]), DEFAULT_RHO
     samples = empirical_snr_cdf(None, beta_bar, rho, rho, 0, n_trials, rng, csi="perfect")
     lam = lambda_perfect(beta_bar, rho)
     gammas = np.quantile(samples, np.linspace(0.02, 0.98, n_gammas))
@@ -205,16 +207,16 @@ def check_hyperexp(seed, n_trials=100_000, beta_bar=(1e-10, 2.3e-10, 0.7e-10), r
             "ok": bool(worst < 3.0)}
 
 
-def check_theorem1(seed, n_configs=20, n_draws=100_000, codes=("alamouti", "rate34")):
+def check_theorem1(seed, n_configs=20, n_draws=100_000):
     """Conditional-MC moments vs the general-OSTBC closed forms.
 
-    Per code, draws n_configs random (beta_bar, hhat, power) configurations
-    and requires that both c_n and the eta power match within three standard
-    errors in at least 19 of 20 configurations.
+    For Alamouti and then rate 3/4, draws n_configs random (beta_bar, hhat,
+    power) configurations and requires that both c_n and the eta power match
+    within three standard errors in at least 19 of 20 configurations.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     out = {"ok": True, "codes": {}}
-    for name in codes:
+    for name in ("alamouti", "rate34"):
         code = ost.by_name(name)
         ng = code.n_groups
         n_pass = 0

@@ -137,20 +137,6 @@ def _set_exact_bands(e, x):
     e[:, upper, upper + 1] = here * np.exp(-np.minimum(here, after)) * ratio
 
 
-def coverage_ls_single(gamma, lambda_ls_samples):
-    """P(snr >= gamma) for single-group LS: mean of exp(-gamma lambda_ls).
-
-    The expectation over large-scale randomness is replaced by the sample
-    mean over the supplied lambda_ls draws; no small-scale simulation needed.
-    """
-    lam = np.asarray(lambda_ls_samples, dtype=float)
-    if lam.size == 0:
-        raise ValueError("need at least one lambda sample")
-    gamma = np.asarray(gamma, dtype=float)
-    out = np.mean(np.exp(-np.multiply.outer(gamma, lam)), axis=-1)
-    return float(out) if out.ndim == 0 else out
-
-
 def quantile_threshold(snr_samples, epsilon):
     """Empirical epsilon-quantile gamma_eps with a binomial confidence interval.
 

@@ -12,16 +12,12 @@ from .snr import lambda_ls  # noqa: F401  (bench/spans.py traces power.lambda_ls
 BOLTZMANN_J_PER_K = 1.380649e-23
 
 
-def normalized_power(p_watt=1e-3, bandwidth_hz=200e3, temperature_k=300.0, noise_figure_db=9.0):
-    """Transmit power normalized to unit noise variance: p / (B T k_B F)."""
-    if min(p_watt, bandwidth_hz, temperature_k) <= 0:
-        raise ValueError("power, bandwidth and temperature must be positive")
-    f_lin = 10.0 ** (noise_figure_db / 10.0)
-    return p_watt / (bandwidth_hz * temperature_k * BOLTZMANN_J_PER_K * f_lin)
+#: Samples per coherence block, tau_c; the energy budget is E = rho * tau_c.
+TAU_C = 300
 
-
-#: Paper-default normalized per-AP power (1 mW over 200 kHz, 300 K, 9 dB NF).
-DEFAULT_RHO = normalized_power()
+#: Normalized per-AP power p / (B T k_B F): 1 mW over 200 kHz at 300 K and a
+#: 9 dB noise figure, so that the noise variance is one.
+DEFAULT_RHO = 1e-3 / (200e3 * 300.0 * BOLTZMANN_J_PER_K * 10.0 ** (9.0 / 10.0))
 
 
 class BudgetExhaustedError(ValueError):
@@ -87,18 +83,18 @@ def optimal_pilot_power(beta_w, energy, tau_p, tau_c, es=1.0):
     return c0 * energy / (c0 * tau_p + math.sqrt(disc))
 
 
-def optimize_pilot_power(layout, rho, tau_p, tau_c, es=1.0, grid_resolution=None):
+def optimize_pilot_power(layout, rho, tau_p, tau_c, grid_resolution=None):
     """Heuristic pilot/data split performed without CSI at the APs.
 
     Finds the grid position furthest from the closest AP, computes its
     path-loss-only coefficient beta_w with all antennas as one group, and
-    picks the pilot power minimizing lambda_ls for that coefficient. Neither
-    assumption (single group, no shadowing) needs to hold for the plan to be
-    useful; only AP locations enter.
+    picks the pilot power minimizing lambda_ls at Es = 1 for that
+    coefficient. Neither assumption (single group, no shadowing) needs to
+    hold for the plan to be useful; only AP locations enter.
     """
     t_w = worst_position(layout, grid_resolution=grid_resolution)
     beta_w = path_loss_only_beta(layout, t_w)
     energy = rho * tau_c
-    rho_p = optimal_pilot_power(beta_w, energy, tau_p, tau_c, es)
+    rho_p = optimal_pilot_power(beta_w, energy, tau_p, tau_c)
     rho_d = data_power(energy, rho_p, tau_p, tau_c)
     return PowerPlan(rho=rho, energy=energy, tau_p=tau_p, rho_p=rho_p, rho_d=rho_d)

@@ -142,6 +142,30 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     assert "malformed" in capsys.readouterr().err
 
 
+def test_removed_system_setting_is_an_unknown_key(tmp_path, capsys):
+    # the coherence block, the power normalization and the shadowing
+    # parameters are fixed constants, not config keys
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY + "tau_c=300\n")
+    out = tmp_path / "x.csv"
+    assert main(["validate", "--config", str(bad)]) == 2
+    assert "unknown key 'tau_c'" in capsys.readouterr().err
+    assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 2
+    assert "unknown key 'tau_c'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["a,b.cfg", 'a"b.cfg', "a\nb.cfg", "a\rb.cfg"])
+def test_config_name_that_would_break_csv_rows_exits_2(tmp_path, capsys, name):
+    # the file name labels every CSV row, so a comma would shift its fields
+    path = tmp_path / name
+    path.write_text(TINY)
+    out = tmp_path / "x.csv"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    assert repr(str(path)) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unwritable_output_exits_2(tmp_path, tiny_config, capsys):
     target = tmp_path / "no" / "such" / "dir" / "out.csv"
     assert main(["run", "--scenario", tiny_config, "--out", str(target)]) == 2
@@ -156,7 +180,7 @@ def test_invalid_scenario_semantics_exit_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["terminals=nan,0.0", "density=nan", "density=inf",
-                                  "half_width_km=-inf", "rho=nan", "opt_grid_km=nan"])
+                                  "half_width_km=-inf", "epsilon=nan", "opt_grid_km=nan"])
 def test_non_finite_config_rejected_before_any_trial(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
     key = line.split("=", 1)[0]

@@ -29,25 +29,20 @@ from cellfree.harness import (
     write_summary_csv,
 )
 from cellfree.linklevel import empirical_snr_cdf
-from cellfree.metrics import coverage_ls_single, coverage_perfect
+from cellfree.metrics import coverage_perfect
 from cellfree.ostbc import by_name
-from cellfree.power import DEFAULT_RHO, normalized_power, optimize_pilot_power
+from cellfree.power import BOLTZMANN_J_PER_K, DEFAULT_RHO, TAU_C, optimize_pilot_power
+from cellfree.propagation import ShadowParams
 from cellfree.snr import lambda_ls, lambda_perfect
 
 FAST = dict(half_width_km=1.5, epsilon=0.1, outer=60, inner=50, seed=5)
 
 
 def test_normalized_power_paper_operating_point():
-    rho = normalized_power(1e-3, 200e3, 300.0, 9.0)
-    assert rho == pytest.approx(1.52e11, rel=5e-3)
-    assert 10 * np.log10(rho) == pytest.approx(111.8, abs=0.05)
-    assert DEFAULT_RHO == rho
-
-
-def test_normalized_power_scalings():
-    base = normalized_power(1e-3, 200e3, 300.0, 9.0)
-    assert normalized_power(1e-3, 200e3, 300.0, 6.0) == pytest.approx(base * 10**0.3)
-    assert normalized_power(1e-3, 400e3, 300.0, 9.0) == pytest.approx(base / 2.0)
+    # link budget in dB: 0 dBm transmit power over the noise floor
+    # k_B T B at 300 K and 200 kHz, raised by the 9 dB noise figure
+    noise_dbm = 10 * np.log10(BOLTZMANN_J_PER_K * 300.0 * 200e3) + 30.0 + 9.0
+    assert 10 * np.log10(DEFAULT_RHO) == pytest.approx(0.0 - noise_dbm, rel=1e-12)
 
 
 def test_trial_stream_is_pure_function_of_key():
@@ -87,7 +82,7 @@ def test_perfect_fixed_layout_matches_single_exponential():
 
     layout = place_hex(20.0, cfg.region())
     beta_bar = np.sum(10 ** (-path_loss_db(np.linalg.norm(layout.positions, axis=1)) / 10))
-    lam = lambda_perfect(np.array([beta_bar]), cfg.rho, cfg.es)[0]
+    lam = lambda_perfect(np.array([beta_bar]), DEFAULT_RHO)[0]
     for gamma in np.quantile(res.values, [0.1, 0.5, 0.9]):
         p_emp = np.mean(res.values >= gamma)
         p = np.exp(-gamma * lam)
@@ -106,8 +101,8 @@ def test_fast_path_matches_link_level_ls_single_group():
     layout = _fixed_layout(cfg)
     beta_bar = np.sum(10 ** (-path_loss_db(np.linalg.norm(layout.positions, axis=1)) / 10))
     rng = np.random.default_rng(0)
-    samples = empirical_snr_cdf(by_name("single"), np.array([beta_bar]), cfg.rho, cfg.rho,
-                                1, 20_000, rng)
+    samples = empirical_snr_cdf(by_name("single"), np.array([beta_bar]), DEFAULT_RHO,
+                                DEFAULT_RHO, 1, 20_000, rng)
     for q in (0.05, 0.25, 0.5):
         gamma = np.quantile(samples, q, method="lower")
         p1 = np.mean(res.values >= gamma)
@@ -126,9 +121,9 @@ def test_ls_single_group_coverage_formula_cross_check():
 
     layout = _fixed_layout(cfg)
     beta_bar = np.sum(10 ** (-path_loss_db(np.linalg.norm(layout.positions, axis=1)) / 10))
-    lam = lambda_ls(beta_bar, cfg.rho, 1, cfg.rho, 1.0)
+    lam = lambda_ls(beta_bar, DEFAULT_RHO, 1, DEFAULT_RHO, 1.0)
     gamma = np.median(res.values)
-    p = coverage_ls_single(gamma, [lam])
+    p = coverage_perfect(gamma, [lam])
     p_emp = np.mean(res.values >= gamma)
     assert abs(p_emp - p) < 4 * np.sqrt(p * (1 - p) / res.values.size)
 
@@ -158,7 +153,7 @@ def test_validate_config_conflicts():
     with pytest.raises(ValueError):
         validate_config(ScenarioConfig(csi="ls", code="rate34", tau_p=2))
     with pytest.raises(ValueError):
-        validate_config(ScenarioConfig(csi="ls", tau_p=300, tau_c=300))
+        validate_config(ScenarioConfig(csi="ls", tau_p=TAU_C))
     with pytest.raises(ValueError):
         validate_config(ScenarioConfig(vary="grouping"))
     with pytest.raises(ValueError):
@@ -414,12 +409,15 @@ def test_hyperexp_quantile_rejects_bad_inputs(lam, eps):
 def test_paper_default_parameters():
     cfg = ScenarioConfig()
     assert cfg.density == 20.0          # APs per km^2
-    assert cfg.tau_c == 300             # coherence interval in samples
     assert cfg.epsilon == 1e-3          # outage operating point
-    assert cfg.rho == DEFAULT_RHO       # 1 mW over 200 kHz at 9 dB noise figure
+    assert TAU_C == 300                 # coherence interval in samples
+    # 1 mW over 200 kHz at 9 dB noise figure
+    assert DEFAULT_RHO == pytest.approx(1.52e11, rel=5e-3)
+    assert 10 * np.log10(DEFAULT_RHO) == pytest.approx(111.8, abs=0.05)
     assert cfg.shadow == "correlated"
-    sp = cfg.shadow_params()
+    sp = ShadowParams()
     assert (sp.sigma_db, sp.delta, sp.decorrelation_km) == (8.0, 0.5, 0.2)
+    assert cfg.shadow_params() == sp
 
 
 def test_catalog_contents():
@@ -500,7 +498,7 @@ def test_result_csv_reports_every_per_trial_plan(tmp_path, density):
     # replay each trial's layout draw (the first use of its stream) and plan it
     layouts = [place_ppp(cfg.density, cfg.region(), trial_stream(cfg.seed, t))
                for t in range(cfg.outer)]
-    plans = [optimize_pilot_power(layout, cfg.rho, 1, cfg.tau_c, cfg.es,
+    plans = [optimize_pilot_power(layout, DEFAULT_RHO, 1, TAU_C,
                                   grid_resolution=cfg.opt_grid_km)
              for layout in layouts if layout.n_aps > 0]
     assert (len(plans) < cfg.outer) == (density < 1.0) and len(plans) > 1

@@ -8,7 +8,6 @@ from scipy.linalg import expm
 from cellfree.metrics import (
     SampleSizeError,
     coverage_and_density,
-    coverage_ls_single,
     coverage_perfect,
     outage_rate,
     outage_result,
@@ -184,20 +183,6 @@ def test_coverage_and_density_match_closed_forms():
     cov, dens = coverage_and_density(g, lam)
     assert np.array_equal(cov, coverage_perfect(g, lam))
     assert np.allclose(dens, a * b / (b - a) * (np.exp(-a * g) - np.exp(-b * g)), rtol=1e-13, atol=0)
-
-
-def test_coverage_ls_single_point_mass():
-    lam = 0.7
-    assert coverage_ls_single(2.0, [lam]) == pytest.approx(np.exp(-1.4))
-    assert coverage_ls_single(0.0, [0.3, 0.9]) == pytest.approx(1.0)
-
-
-def test_coverage_ls_single_is_mean():
-    lams = np.array([0.5, 1.5, 2.5])
-    got = coverage_ls_single(1.2, lams)
-    assert got == pytest.approx(np.mean(np.exp(-1.2 * lams)))
-    with pytest.raises(ValueError):
-        coverage_ls_single(1.0, [])
 
 
 def test_quantile_exponential_anchor():

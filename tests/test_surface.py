@@ -1,0 +1,94 @@
+"""The public surface is what the package, the acceptance suite and the benchmark use.
+
+Every public module-level function or class of the package must be named
+somewhere other than its own definition: by code of the package, by the
+acceptance suite or by the benchmark (a dotted string such as
+``"harness.place_ppp"`` names ``place_ppp``). A name that only its unit
+tests reach is dead code, with the exceptions listed in TEST_REFERENCES.
+"""
+
+import ast
+import functools
+import pathlib
+import re
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cellfree"
+USERS = [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "bench").glob("*.py"))]
+
+#: Public names that only unit tests call, each kept as a reference for them.
+TEST_REFERENCES = {
+    "snr_ls": "per-estimate general-OSTBC SNR that the batched snr_ls_values is tested against",
+    "run_trial": "full pilot and data simulation of one coherence interval, checking that "
+                 "the processed symbol decomposes into signal, eta and noise",
+    "mrc_empirical_sinr": "measured post-combining SINR that the MRC branch sum is tested "
+                          "against",
+    "expected_projection_identity_check": "Monte-Carlo check of the OSTBC projection identity "
+                                          "behind theorem 1",
+}
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+
+
+def public_definitions(source):
+    """Names of the module-level functions and classes not starting with '_'."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def named(source):
+    """Every identifier the source reads, imports or spells as a dotted string."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and _DOTTED.fullmatch(node.value)):
+            names.update(node.value.split("."))
+    return names
+
+
+def test_checker_reads_names_imports_attributes_and_dotted_strings():
+    source = (
+        "from .a import b\n"
+        "import c.d\n"
+        "x = e.f(g)\n"
+        "BINDINGS = ('mod.h', 'not dotted i.j')\n"
+        "def k(): pass\n"
+        "class L: pass\n"
+        "def _m(): pass\n"
+    )
+    assert named(source) >= {"b", "d", "f", "g", "e", "h", "mod"}
+    assert "j" not in named(source)
+    assert public_definitions(source) == ["k", "L"]
+
+
+@functools.cache
+def _used():
+    used = set()
+    for path in [*PACKAGE.glob("*.py"), *USERS]:
+        used |= named(path.read_text())
+    return used
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_public_names_have_a_user(path):
+    used = _used()
+    unused = [name for name in public_definitions(path.read_text())
+              if name not in used and name not in TEST_REFERENCES]
+    assert unused == []
+
+
+def test_test_references_are_defined_and_otherwise_unused():
+    defined = set()
+    for path in PACKAGE.glob("*.py"):
+        defined.update(public_definitions(path.read_text()))
+    assert set(TEST_REFERENCES) <= defined
+    assert set(TEST_REFERENCES).isdisjoint(_used())  # a used name needs no exception
