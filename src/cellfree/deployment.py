@@ -16,7 +16,7 @@ class Region:
 
     @property
     def area_km2(self):
-        return (2.0 * self.half_width_km) ** 2
+        return 4.0 * self.half_width_km * self.half_width_km  # inf, not OverflowError
 
     def contains(self, points):
         points = np.atleast_2d(points)

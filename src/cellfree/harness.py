@@ -40,6 +40,9 @@ def trial_stream(seed, index, domain=0):
 
 _SETUP_DOMAIN = 1  # reserved for fixed-layout draws; trials use domain 0
 
+#: Largest mean numpy's Generator.poisson accepts; a PPP draws its AP count with it.
+_POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -105,7 +108,10 @@ def validate_config(cfg):
         raise ValueError(f"invalid density {cfg.density}")
     if not cfg.terminals:
         raise ValueError("terminals must contain at least one x,y pair")
-    cfg.region()
+    mean_aps = cfg.density * cfg.region().area_km2
+    if cfg.deployment == "ppp" and not mean_aps <= _POISSON_LAM_MAX:
+        raise ValueError(f"expected AP count density * area = {mean_aps:.6g} must be "
+                         f"finite and at most {_POISSON_LAM_MAX:.6g}")
     cfg.shadow_params()
     code = ostbc.by_name(cfg.code)
     if not 0 < cfg.epsilon < 1:
@@ -252,9 +258,7 @@ def _trial_grouping(cfg, code, layout, cached, rng):
     """Draw-order contract: the random grouping draw is the first use of the
     trial stream, and only happens when the code has more than one group."""
     if code.n_groups == 1:
-        return cached if cached is not None else Grouping(
-            np.zeros(layout.n_antennas, dtype=np.int64), 1
-        )
+        return Grouping(np.zeros(layout.n_antennas, dtype=np.int64), 1)
     if cfg.grouping == "neighbor":
         return cached if cached is not None else neighbor_grouping(layout, code.n_groups)
     return random_grouping(layout.n_antennas, code.n_groups, rng)
@@ -266,9 +270,8 @@ def _trial_plan(cfg, layout):
         return None
     tau_p = cfg.effective_tau_p()
     if cfg.power == "uniform":
-        return uniform_plan(DEFAULT_RHO, tau_p, TAU_C)
-    return optimize_pilot_power(layout, DEFAULT_RHO, tau_p, TAU_C,
-                                grid_resolution=cfg.opt_grid_km)
+        return uniform_plan(tau_p)
+    return optimize_pilot_power(layout, tau_p, grid_resolution=cfg.opt_grid_km)
 
 
 def _symbol_energy(code):
@@ -446,7 +449,7 @@ def run_scenario(cfg, label=None):
 
     if cfg.vary == "grouping":
         gamma = _hyperexp_gamma_eps(np.concatenate(outputs), cfg.epsilon)
-        values = outage_rate(gamma, 0, TAU_C, code).reshape(cfg.outer, -1, 1)
+        values = outage_rate(gamma, 0, code).reshape(cfg.outer, -1, 1)
         kind = "rate_bpcu"
     else:
         snrs, plans = zip(*outputs)
@@ -483,7 +486,7 @@ def summarize(result):
                    ci_halfwidth=np.nan, n_trials=vals.size)
         if result.kind == "snr_linear":
             try:
-                res = outage_result(vals, cfg.epsilon, cfg.effective_tau_p(), TAU_C, code)
+                res = outage_result(vals, cfg.epsilon, cfg.effective_tau_p(), code)
                 row.update(gamma_eps=res.gamma_eps, rate_bpcu=res.rate_bpcu,
                            ci_halfwidth=res.ci_halfwidth)
             except SampleSizeError:

@@ -29,7 +29,6 @@ class TrialRecord:
     processed: np.ndarray  # shat_n
     eta: np.ndarray        # estimation-error noise, eta_bar + i eta_tilde
     z: np.ndarray          # additive noise, z_bar + i z_tilde
-    estimate: chan.ChannelEstimate
 
 
 def detect_symbols(code, h_hat, y):
@@ -58,8 +57,7 @@ def run_trial(code, grouping, beta, rho_p, rho_d, tau_p, rng, es=1.0):
     h = h + 1j * group_large_scale(per_antenna.imag, grouping)
 
     pilot = chan.make_pilot_block(tau_p, code.n_groups, pilot_power=rho_p)
-    estimate = chan.ls_estimate(h, pilot, group_large_scale(beta, grouping), rng)
-    h_hat = estimate.h_hat
+    h_hat = chan.ls_estimate(h, pilot, group_large_scale(beta, grouping), rng).h_hat
     e = h_hat - h
 
     s = ost.draw_symbols(rng, code.n_symbols, es)
@@ -70,9 +68,7 @@ def run_trial(code, grouping, beta, rho_p, rho_d, tau_p, rng, es=1.0):
     processed = detect_symbols(code, h_hat, y)
     eta = -np.sqrt(rho_d) * detect_symbols(code, h_hat, x_d @ e)
     z = detect_symbols(code, h_hat, w)
-    return TrialRecord(
-        h=h, h_hat=h_hat, symbols=s, processed=processed, eta=eta, z=z, estimate=estimate
-    )
+    return TrialRecord(h=h, h_hat=h_hat, symbols=s, processed=processed, eta=eta, z=z)
 
 
 @dataclass(frozen=True)
@@ -83,7 +79,6 @@ class ConditionalMoments:
     c_n_se: float
     eta_power: float
     eta_power_se: float
-    n_draws: int
 
 
 def _conditional_error(estimate, n_draws, rng):
@@ -126,7 +121,6 @@ def conditional_moments(code, n, estimate, rho_d, n_draws, rng, es=1.0):
         c_n_se=c_n_se,
         eta_power=float(p.mean()),
         eta_power_se=float(p.std(ddof=1) / np.sqrt(n_draws)),
-        n_draws=n_draws,
     )
 
 
@@ -143,19 +137,15 @@ def simulate_h_hat(beta_bar, rho_p, tau_p, n_trials, rng):
     return h, chan.ls_estimate(h, pilot, beta_bar, rng).h_hat
 
 
-def empirical_snr_cdf(code, beta_bar, rho_p, rho_d, tau_p, n_trials, rng, es=1.0, csi="ls"):
-    """Sorted SNR samples of symbol 0 over small-scale randomness.
+def empirical_snr_cdf(code, beta_bar, rho_p, rho_d, tau_p, n_trials, rng, es=1.0):
+    """Sorted LS SNR samples of symbol 0 over small-scale randomness.
 
-    csi="perfect" draws h and evaluates rho_d Es ||h||^2. csi="ls" simulates
-    the pilot phase per trial and evaluates the conditional LS SNR at the
-    resulting estimate.
+    Simulates the pilot phase per trial and evaluates the conditional LS SNR
+    at the resulting estimate.
     """
     if n_trials < 1000:
         raise ValueError("need at least 1e3 trials")
     beta_bar = np.asarray(beta_bar, dtype=float)
-    if csi == "perfect":
-        h = chan.draw_effective_channel(beta_bar, rng, size=n_trials)
-        return np.sort(rho_d * es * np.sum(np.abs(h) ** 2, axis=-1))
     _, h_hat = simulate_h_hat(beta_bar, rho_p, tau_p, n_trials, rng)
     _, u, cc = chan.conditional_error_stats(beta_bar, rho_p, tau_p)
     return np.sort(snr_ls_values(code, 0, h_hat, u, cc, rho_d, es))
@@ -196,7 +186,8 @@ def check_hyperexp(seed, n_trials=100_000, n_gammas=20):
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     beta_bar, rho = np.array([1e-10, 2.3e-10, 0.7e-10]), DEFAULT_RHO
-    samples = empirical_snr_cdf(None, beta_bar, rho, rho, 0, n_trials, rng, csi="perfect")
+    h = chan.draw_effective_channel(beta_bar, rng, size=n_trials)
+    samples = np.sort(rho * np.sum(np.abs(h) ** 2, axis=-1))  # perfect CSI: rho ||h||^2
     lam = lambda_perfect(beta_bar, rho)
     gammas = np.quantile(samples, np.linspace(0.02, 0.98, n_gammas))
     p = coverage_perfect(gammas, lam)

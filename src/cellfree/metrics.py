@@ -3,6 +3,8 @@
 import numpy as np
 from dataclasses import dataclass
 
+from .power import TAU_C
+
 
 class SampleSizeError(ValueError):
     """Too few samples for a reliable epsilon-quantile."""
@@ -13,25 +15,23 @@ class OutageResult:
     """Outage summary at a target outage probability epsilon.
 
     gamma_eps is the empirical epsilon-quantile of the SNR samples and
-    rate_bpcu = (1 - tau_p/tau_c) (N_s/tau_d) log2(1 + gamma_eps). The
+    rate_bpcu = (1 - tau_p/TAU_C) (N_s/tau_d) log2(1 + gamma_eps). The
     confidence half-width is reported in rate units (95% order-statistic CI
     on the quantile, mapped through the rate formula).
     """
 
-    epsilon: float
     gamma_eps: float
     rate_bpcu: float
-    n_trials: int
     ci_halfwidth: float
 
 
-def outage_rate(gamma_eps, tau_p, tau_c, code):
+def outage_rate(gamma_eps, tau_p, code):
     """Outage rate in bpcu; perfect-CSI runs use tau_p = 0. gamma_eps may be an array."""
-    if not 0 <= tau_p < tau_c:
+    if not 0 <= tau_p < TAU_C:
         raise ValueError("require 0 <= tau_p < tau_c")
     if np.any(np.asarray(gamma_eps) < 0):
         raise ValueError("gamma_eps must be >= 0")
-    return (1.0 - tau_p / tau_c) * code.rate * np.log2(1.0 + gamma_eps)
+    return (1.0 - tau_p / TAU_C) * code.rate * np.log2(1.0 + gamma_eps)
 
 
 def as_rates(lambdas):
@@ -161,15 +161,9 @@ def quantile_threshold(snr_samples, epsilon):
     return gamma, (float(x[lo]), float(x[hi]))
 
 
-def outage_result(snr_samples, epsilon, tau_p, tau_c, code):
+def outage_result(snr_samples, epsilon, tau_p, code):
     """Bundle quantile and rate into an :class:`OutageResult`."""
     gamma, (lo, hi) = quantile_threshold(snr_samples, epsilon)
-    rate = outage_rate(gamma, tau_p, tau_c, code)
-    half = 0.5 * (outage_rate(hi, tau_p, tau_c, code) - outage_rate(lo, tau_p, tau_c, code))
-    return OutageResult(
-        epsilon=epsilon,
-        gamma_eps=gamma,
-        rate_bpcu=float(rate),
-        n_trials=len(np.asarray(snr_samples)),
-        ci_halfwidth=float(half),
-    )
+    rate = outage_rate(gamma, tau_p, code)
+    half = 0.5 * (outage_rate(hi, tau_p, code) - outage_rate(lo, tau_p, code))
+    return OutageResult(gamma_eps=gamma, rate_bpcu=float(rate), ci_halfwidth=float(half))

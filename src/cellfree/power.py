@@ -12,7 +12,7 @@ from .snr import lambda_ls  # noqa: F401  (bench/spans.py traces power.lambda_ls
 BOLTZMANN_J_PER_K = 1.380649e-23
 
 
-#: Samples per coherence block, tau_c; the energy budget is E = rho * tau_c.
+#: Samples per coherence block, tau_c; the energy budget is E = DEFAULT_RHO * TAU_C.
 TAU_C = 300
 
 #: Normalized per-AP power p / (B T k_B F): 1 mW over 200 kHz at 300 K and a
@@ -26,26 +26,24 @@ class BudgetExhaustedError(ValueError):
 
 @dataclass(frozen=True)
 class PowerPlan:
-    """Per-coherence-interval power split: rho_p tau_p + rho_d (tau_c - tau_p) = E."""
+    """Power split of one coherence block: rho_p tau_p + rho_d (TAU_C - tau_p) = E."""
 
-    rho: float     # nominal normalized power
-    energy: float  # E = rho * tau_c
     tau_p: int
     rho_p: float
     rho_d: float
 
     def __post_init__(self):
-        if min(self.rho, self.energy, self.rho_p, self.rho_d) <= 0 or self.tau_p <= 0:
+        if min(self.rho_p, self.rho_d) <= 0 or self.tau_p <= 0:
             raise ValueError("all powers and tau_p must be positive")
-        tau_c = self.energy / self.rho
-        spent = self.rho_p * self.tau_p + self.rho_d * (tau_c - self.tau_p)
-        if not math.isclose(spent, self.energy, rel_tol=1e-9):
-            raise ValueError(f"budget identity violated: {spent} != {self.energy}")
+        energy = DEFAULT_RHO * TAU_C
+        spent = self.rho_p * self.tau_p + self.rho_d * (TAU_C - self.tau_p)
+        if not math.isclose(spent, energy, rel_tol=1e-9):
+            raise ValueError(f"budget identity violated: {spent} != {energy}")
 
 
-def uniform_plan(rho, tau_p, tau_c):
-    """Equal pilot and data power: rho_p = rho_d = rho."""
-    return PowerPlan(rho=rho, energy=rho * tau_c, tau_p=tau_p, rho_p=rho, rho_d=rho)
+def uniform_plan(tau_p):
+    """Equal pilot and data power: rho_p = rho_d = DEFAULT_RHO."""
+    return PowerPlan(tau_p=tau_p, rho_p=DEFAULT_RHO, rho_d=DEFAULT_RHO)
 
 
 def data_power(energy, rho_p, tau_p, tau_c):
@@ -83,7 +81,7 @@ def optimal_pilot_power(beta_w, energy, tau_p, tau_c, es=1.0):
     return c0 * energy / (c0 * tau_p + math.sqrt(disc))
 
 
-def optimize_pilot_power(layout, rho, tau_p, tau_c, grid_resolution=None):
+def optimize_pilot_power(layout, tau_p, grid_resolution=None):
     """Heuristic pilot/data split performed without CSI at the APs.
 
     Finds the grid position furthest from the closest AP, computes its
@@ -94,7 +92,7 @@ def optimize_pilot_power(layout, rho, tau_p, tau_c, grid_resolution=None):
     """
     t_w = worst_position(layout, grid_resolution=grid_resolution)
     beta_w = path_loss_only_beta(layout, t_w)
-    energy = rho * tau_c
-    rho_p = optimal_pilot_power(beta_w, energy, tau_p, tau_c)
-    rho_d = data_power(energy, rho_p, tau_p, tau_c)
-    return PowerPlan(rho=rho, energy=energy, tau_p=tau_p, rho_p=rho_p, rho_d=rho_d)
+    energy = DEFAULT_RHO * TAU_C
+    rho_p = optimal_pilot_power(beta_w, energy, tau_p, TAU_C)
+    rho_d = data_power(energy, rho_p, tau_p, TAU_C)
+    return PowerPlan(tau_p=tau_p, rho_p=rho_p, rho_d=rho_d)

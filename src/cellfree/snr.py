@@ -28,7 +28,6 @@ class ConditionalSnrTerms:
     z_power: float
     eta_power: float
     q1: np.ndarray
-    q2: np.ndarray
 
 
 def lambda_perfect(beta_bar, rho, es=1.0):
@@ -80,7 +79,7 @@ def conditional_snr_terms(code, n, estimate, rho_d, es=1.0):
     eta_power = (rho_d * es / 4.0) * (
         psi(a_n, q1) + psi_bar(a_n, q2) + psi(b_n, q1) - psi_bar(b_n, q2)
     )
-    return ConditionalSnrTerms(c_n=complex(c_n), z_power=z_power, eta_power=float(eta_power), q1=q1, q2=q2)
+    return ConditionalSnrTerms(c_n=complex(c_n), z_power=z_power, eta_power=float(eta_power), q1=q1)
 
 
 def snr_ls(code, n, estimate, rho_d, es=1.0):

@@ -113,7 +113,7 @@ def _paired_pilot_tradeoff(n_layouts=800, seed=1):
     optimized single-pilot plan, so every comparison is paired.
     """
     sp = ShadowParams("correlated")
-    rho, tau_c = DEFAULT_RHO, 300
+    rho = DEFAULT_RHO
     betas = np.empty(n_layouts)
     lam_opt = np.empty(n_layouts)
     for t in range(n_layouts):
@@ -122,7 +122,7 @@ def _paired_pilot_tradeoff(n_layouts=800, seed=1):
         v = shadow_fields(layout, [(0.0, 0.0)], sp, rng)[0]
         d = np.linalg.norm(layout.positions, axis=1)
         betas[t] = np.sum(10.0 ** (-(path_loss_db(d) + v) / 10.0))
-        plan = optimize_pilot_power(layout, rho, 1, tau_c, grid_resolution=0.05)
+        plan = optimize_pilot_power(layout, 1, grid_resolution=0.05)
         lam_opt[t] = lambda_ls(betas[t], plan.rho_p, 1, plan.rho_d, 1.0)
     lam_eq = {tp: lambda_ls(betas, rho, tp, rho, 1.0) for tp in range(1, 11)}
     return lam_eq, lam_opt

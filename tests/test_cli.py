@@ -318,7 +318,9 @@ def test_grouping_run_with_receive_antennas_rejected(tmp_path, capsys, rx):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("line", ["seed=-1", "layout_seed=-1", "half_width_km=0", "terminals="])
+# half_width_km=1e9 puts density * area above numpy's Poisson limit; at 1e200 it is inf
+@pytest.mark.parametrize("line", ["seed=-1", "layout_seed=-1", "half_width_km=0", "terminals=",
+                                  "half_width_km=1e9", "half_width_km=1e200"])
 def test_out_of_range_config_rejected_before_any_trial(tmp_path, capsys, line):
     bad = tmp_path / "bad.cfg"
     key = line.split("=", 1)[0]

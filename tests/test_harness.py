@@ -498,8 +498,7 @@ def test_result_csv_reports_every_per_trial_plan(tmp_path, density):
     # replay each trial's layout draw (the first use of its stream) and plan it
     layouts = [place_ppp(cfg.density, cfg.region(), trial_stream(cfg.seed, t))
                for t in range(cfg.outer)]
-    plans = [optimize_pilot_power(layout, DEFAULT_RHO, 1, TAU_C,
-                                  grid_resolution=cfg.opt_grid_km)
+    plans = [optimize_pilot_power(layout, 1, grid_resolution=cfg.opt_grid_km)
              for layout in layouts if layout.n_aps > 0]
     assert (len(plans) < cfg.outer) == (density < 1.0) and len(plans) > 1
     rho_p = np.array([p.rho_p for p in plans])

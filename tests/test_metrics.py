@@ -14,27 +14,28 @@ from cellfree.metrics import (
     quantile_threshold,
 )
 from cellfree.ostbc import alamouti, rate_three_quarter, single_group
+from cellfree.power import TAU_C
 
 
 def test_rate_zero_threshold():
-    assert outage_rate(0.0, 2, 300, alamouti()) == 0.0
+    assert outage_rate(0.0, 2, alamouti()) == 0.0
 
 
 def test_rate_alamouti_example():
     # (1 - 2/300) * (2/2) * log2(2) = 0.99333... bpcu
-    assert outage_rate(1.0, 2, 300, alamouti()) == pytest.approx(0.993333, abs=1e-5)
+    assert outage_rate(1.0, 2, alamouti()) == pytest.approx(0.993333, abs=1e-5)
 
 
 def test_rate_code_rate_prelog():
-    r_full = outage_rate(3.0, 4, 300, alamouti())
-    r_34 = outage_rate(3.0, 4, 300, rate_three_quarter())
+    r_full = outage_rate(3.0, 4, alamouti())
+    r_34 = outage_rate(3.0, 4, rate_three_quarter())
     assert r_34 == pytest.approx(0.75 * r_full)
 
 
 def test_rate_perfect_csi_uses_zero_pilots():
-    assert outage_rate(1.0, 0, 300, single_group()) == pytest.approx(1.0)
+    assert outage_rate(1.0, 0, single_group()) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        outage_rate(1.0, 300, 300, single_group())
+        outage_rate(1.0, TAU_C, single_group())
 
 
 def test_coverage_single_group_exponential():
@@ -222,9 +223,8 @@ def test_quantile_lower_interpolation():
 def test_outage_result_bundle():
     rng = np.random.default_rng(3)
     samples = rng.exponential(1.0, 50_000)
-    res = outage_result(samples, 0.01, tau_p=2, tau_c=300, code=alamouti())
-    expected = outage_rate(-np.log(0.99), 2, 300, alamouti())
+    res = outage_result(samples, 0.01, tau_p=2, code=alamouti())
+    expected = outage_rate(-np.log(0.99), 2, alamouti())
     assert res.rate_bpcu == pytest.approx(expected, rel=0.15)
     assert res.ci_halfwidth > 0
-    assert res.n_trials == 50_000
     assert res.gamma_eps >= 0

@@ -6,6 +6,7 @@ import pytest
 from cellfree.deployment import Region, place_ppp
 from cellfree.power import (
     DEFAULT_RHO,
+    TAU_C,
     BudgetExhaustedError,
     PowerPlan,
     data_power,
@@ -65,18 +66,18 @@ def test_budget_exhausted():
 
 
 def test_plan_budget_identity_exact():
-    for rho_p in (0.5, 1.0, 7.0):
-        energy, tau_p, tau_c = 300.0, 3, 300
-        rho_d = data_power(energy, rho_p, tau_p, tau_c)
-        plan = PowerPlan(rho=1.0, energy=energy, tau_p=tau_p, rho_p=rho_p, rho_d=rho_d)
-        assert plan.rho_p * tau_p + plan.rho_d * (tau_c - tau_p) == pytest.approx(
+    for rho_p in (0.5 * DEFAULT_RHO, DEFAULT_RHO, 7.0 * DEFAULT_RHO):
+        energy, tau_p = DEFAULT_RHO * TAU_C, 3
+        rho_d = data_power(energy, rho_p, tau_p, TAU_C)
+        plan = PowerPlan(tau_p=tau_p, rho_p=rho_p, rho_d=rho_d)
+        assert plan.rho_p * tau_p + plan.rho_d * (TAU_C - tau_p) == pytest.approx(
             energy, rel=1e-12
         )
 
 
 def test_plan_validation_rejects_budget_violation():
     with pytest.raises(ValueError):
-        PowerPlan(rho=1.0, energy=300.0, tau_p=1, rho_p=100.0, rho_d=1.0)
+        PowerPlan(tau_p=1, rho_p=100.0 * DEFAULT_RHO, rho_d=DEFAULT_RHO)
 
 
 @pytest.mark.parametrize("beta,tau_p", [(1e-9, 1), (3e-10, 2), (5e-11, 4), (2e-8, 1)])
@@ -160,11 +161,11 @@ def test_lambda_unimodal_on_feasible_interval():
 def test_optimized_plan_on_default_scenario():
     rng = np.random.default_rng(0)
     layout = place_ppp(20.0, Region(2.5), rng)
-    plan = optimize_pilot_power(layout, DEFAULT_RHO, 1, 300, grid_resolution=0.05)
+    plan = optimize_pilot_power(layout, 1, grid_resolution=0.05)
     # pilot power ends up considerably higher than data power
     assert plan.rho_p > plan.rho_d
-    assert plan.rho_p * plan.tau_p + plan.rho_d * (300 - plan.tau_p) == pytest.approx(
-        plan.energy, rel=1e-12
+    assert plan.rho_p * plan.tau_p + plan.rho_d * (TAU_C - plan.tau_p) == pytest.approx(
+        DEFAULT_RHO * TAU_C, rel=1e-12
     )
 
 
@@ -174,9 +175,9 @@ def test_optimized_never_worse_than_uniform():
 
     rng = np.random.default_rng(1)
     layout = place_ppp(20.0, Region(2.0), rng)
-    rho, tau_c = DEFAULT_RHO, 300
+    rho, tau_c = DEFAULT_RHO, TAU_C
     for tau_p in (1, 2, 4):
-        plan = optimize_pilot_power(layout, rho, tau_p, tau_c, grid_resolution=0.1)
+        plan = optimize_pilot_power(layout, tau_p, grid_resolution=0.1)
         t_w = worst_position(layout, grid_resolution=0.1)
         beta_w = path_loss_only_beta(layout, t_w)
         assert lambda_of(plan.rho_p, beta_w, rho * tau_c, tau_p, tau_c) <= lambda_of(
@@ -196,6 +197,6 @@ def test_path_loss_only_beta_counts_antennas():
 
 
 def test_uniform_plan_helper():
-    plan = uniform_plan(2.0, 4, 300)
-    assert plan.rho_p == plan.rho_d == 2.0
-    assert plan.energy == 600.0
+    plan = uniform_plan(4)
+    assert plan.rho_p == plan.rho_d == DEFAULT_RHO
+    assert plan.tau_p == 4

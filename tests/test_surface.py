@@ -29,6 +29,10 @@ TEST_REFERENCES = {
                                           "behind theorem 1",
 }
 
+#: The general formulas that the unit tests vary; every other public function
+#: reads the one energy budget, power.DEFAULT_RHO * power.TAU_C.
+BUDGET_FORMULAS = {"data_power", "optimal_pilot_power", "lambda_perfect"}
+
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 
@@ -92,3 +96,14 @@ def test_test_references_are_defined_and_otherwise_unused():
         defined.update(public_definitions(path.read_text()))
     assert set(TEST_REFERENCES) <= defined
     assert set(TEST_REFERENCES).isdisjoint(_used())  # a used name needs no exception
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_general_formulas_take_rho_or_tau_c(path):
+    takers = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            params = {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
+            if params & {"rho", "tau_c"} and node.name not in BUDGET_FORMULAS:
+                takers.append(node.name)
+    assert takers == []
