@@ -7,48 +7,6 @@ algebra stays on the diagonals since C_h and C_e are diagonal by construction.
 """
 
 import numpy as np
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class PilotBlock:
-    """tau_p x n_groups pilot matrix with X_p^H X_p = tau_p I, plus pilot power."""
-
-    x_p: np.ndarray
-    pilot_power: float
-
-    def __post_init__(self):
-        if self.pilot_power <= 0:
-            raise ValueError("pilot_power must be > 0")
-        gram = self.x_p.conj().T @ self.x_p
-        if np.abs(gram - self.tau_p * np.eye(self.n_groups)).max() > 1e-10:
-            raise ValueError("pilot columns are not orthogonal with norm^2 = tau_p")
-
-    @property
-    def tau_p(self):
-        return self.x_p.shape[0]
-
-    @property
-    def n_groups(self):
-        return self.x_p.shape[1]
-
-
-@dataclass(frozen=True)
-class ChannelEstimate:
-    """LS estimate with its conditional error statistics (all diagonal).
-
-    h_hat     : estimate, shape (..., n_groups); leading axes index draws
-    cond_gain : diagonal of U_cond = C_e (C_e + C_h)^-1, entries in (0, 1)
-    cond_cov  : diagonal of C_cond = (C_e^-1 + C_h^-1)^-1
-    """
-
-    h_hat: np.ndarray
-    cond_gain: np.ndarray
-    cond_cov: np.ndarray
-
-    @property
-    def n_groups(self):
-        return self.h_hat.shape[-1]
 
 
 def draw_effective_channel(beta_bar, rng, size=None):
@@ -66,8 +24,8 @@ def draw_effective_channel(beta_bar, rng, size=None):
     )
 
 
-def make_pilot_block(tau_p, n_groups, pilot_power=1.0):
-    """Pilot block from the first n_groups columns of the tau_p-point DFT.
+def make_pilot_block(tau_p, n_groups):
+    """Pilot matrix X_p: the first n_groups columns of the tau_p-point DFT.
 
     All entries have unit modulus (constant per-AP pilot power) and the
     columns are exactly orthogonal with squared norm tau_p.
@@ -76,13 +34,17 @@ def make_pilot_block(tau_p, n_groups, pilot_power=1.0):
         raise ValueError(f"tau_p = {tau_p} cannot carry {n_groups} orthogonal pilot sequences")
     t = np.arange(tau_p)[:, None]
     k = np.arange(n_groups)[None, :]
-    x_p = np.exp(-2j * np.pi * t * k / tau_p)
-    return PilotBlock(x_p=x_p, pilot_power=pilot_power)
+    return np.exp(-2j * np.pi * t * k / tau_p)
 
 
 def conditional_error_stats(beta_bar, rho_p, tau_p):
-    """(c_e, cond_gain, cond_cov) for given pilot energy: c_e is the scalar
-    diagonal of C_e = I/(rho_p tau_p), the others are diagonals."""
+    """(c_e, cond_gain, cond_cov) for given pilot energy.
+
+    c_e is the scalar diagonal of C_e = I/(rho_p tau_p); cond_gain is the
+    diagonal of U_cond = C_e (C_e + C_h)^-1, entries in (0, 1), and cond_cov
+    that of C_cond = (C_e^-1 + C_h^-1)^-1. With hhat they are the LS estimate
+    that the SNR laws and the oracle read: (h_hat, cond_gain, cond_cov).
+    """
     if rho_p <= 0 or tau_p <= 0:
         raise ValueError("pilot power and length must be positive")
     beta_bar = np.asarray(beta_bar, dtype=float)
@@ -92,23 +54,22 @@ def conditional_error_stats(beta_bar, rho_p, tau_p):
     return c_e, cond_gain, cond_cov
 
 
-def ls_estimate_from_obs(y_p, pilot, beta_bar):
+def ls_estimate_from_obs(y_p, x_p, rho_p):
     """LS estimate from a pilot observation y_p = sqrt(rho_p) X_p h + w.
 
     hhat = (sqrt(rho_p) X_p^H X_p)^-1 X_p^H y_p = h + X_p^H w / (sqrt(rho_p) tau_p).
     y_p has shape (..., tau_p) and hhat (..., n_groups).
     """
-    rho_p, tau_p = pilot.pilot_power, pilot.tau_p
-    h_hat = (y_p @ pilot.x_p.conj()) / (np.sqrt(rho_p) * tau_p)
-    _, u, c = conditional_error_stats(beta_bar, rho_p, tau_p)
-    return ChannelEstimate(h_hat=h_hat, cond_gain=u, cond_cov=c)
+    if rho_p <= 0:
+        raise ValueError("pilot power must be > 0")
+    return (y_p @ x_p.conj()) / (np.sqrt(rho_p) * x_p.shape[0])
 
 
-def ls_estimate(h, pilot, beta_bar, rng):
+def ls_estimate(h, x_p, rho_p, rng):
     """Simulate the pilot phase for channel h, shape (..., n_groups), and
-    return the LS estimate; each leading index gets its own noise block."""
-    shape = (*h.shape[:-1], pilot.tau_p)
+    return the LS estimate hhat; each leading index gets its own noise block."""
+    if rho_p <= 0:
+        raise ValueError("pilot power must be > 0")
+    shape = (*h.shape[:-1], x_p.shape[0])
     w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-    y_p = np.sqrt(pilot.pilot_power) * h @ pilot.x_p.T + w
-    return ls_estimate_from_obs(y_p, pilot, beta_bar)
-
+    return ls_estimate_from_obs(np.sqrt(rho_p) * h @ x_p.T + w, x_p, rho_p)

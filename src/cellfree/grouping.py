@@ -30,12 +30,6 @@ class Grouping:
     def n_antennas(self):
         return self.assignment.size
 
-    def sizes(self):
-        return np.bincount(self.assignment, minlength=self.n_groups)
-
-    def members(self, k):
-        return np.flatnonzero(self.assignment == k)
-
 
 def random_grouping(n_antennas, n_groups, rng):
     """Uniformly random balanced partition (group sizes differ by at most 1).

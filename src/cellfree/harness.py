@@ -136,8 +136,6 @@ def validate_config(cfg):
         if cfg.power != "uniform":
             raise ValueError("perfect CSI has no pilot/data split to optimize")
     if cfg.vary == "grouping":
-        if cfg.layout_seed is None:
-            raise ValueError("vary='grouping' needs a fixed layout (set layout_seed)")
         if cfg.csi != "perfect" or cfg.shadow != "none":
             raise ValueError("vary='grouping' isolates grouping randomness: "
                              "requires perfect CSI and no shadowing")
@@ -148,6 +146,8 @@ def validate_config(cfg):
     elif len(cfg.terminals) != 1:
         raise ValueError("vary='network' supports a single terminal")
     fixed = _fixed_layout(cfg)
+    if cfg.vary == "grouping" and fixed is None:
+        raise ValueError("vary='grouping' needs a fixed layout (set layout_seed)")
     if fixed is not None and fixed.n_antennas < code.n_groups:
         raise ValueError(f"fixed layout has {fixed.n_antennas} antennas; code {cfg.code!r} "
                          f"needs at least {code.n_groups}")
@@ -593,7 +593,7 @@ def _fig7_terminals(layout):
 # flags. Members of one experiment share the master seed so compared curves
 # are paired.
 _BASE = ScenarioConfig(epsilon=1e-2, outer=1000, inner=100, seed=1)
-_FIG6_BASE = replace(_BASE, csi="ls", half_width_km=2.5, outer=800, opt_grid_km=0.05)
+_LS_BASE = replace(_BASE, csi="ls", half_width_km=2.5, outer=800, opt_grid_km=0.05)
 
 
 def _fig3():
@@ -618,22 +618,20 @@ def _fig4():
 
 
 def _fig5():
-    fig5_base = replace(_BASE, csi="ls", code="single", half_width_km=2.5,
-                        outer=800, opt_grid_km=0.05)
-    members = [("perfect", replace(fig5_base, csi="perfect", power="uniform"))]
-    members += [(f"taup{tp:02d}", replace(fig5_base, tau_p=tp, power="uniform"))
+    members = [("perfect", replace(_LS_BASE, csi="perfect", power="uniform"))]
+    members += [(f"taup{tp:02d}", replace(_LS_BASE, tau_p=tp, power="uniform"))
                 for tp in range(1, 11)]
-    members.append(("opt", replace(fig5_base, tau_p=1, power="optimized")))
+    members.append(("opt", replace(_LS_BASE, tau_p=1, power="optimized")))
     return Experiment("fig5", tuple(members),
                       "pilot-count trade-off and pilot-power optimization")
 
 
 def _fig6():
     members = (
-        ("nominal", replace(_FIG6_BASE, code="single", tau_p=1, power="uniform")),
-        ("opt", replace(_FIG6_BASE, code="single", tau_p=1, power="optimized")),
-        ("alamouti", replace(_FIG6_BASE, code="alamouti", power="optimized")),
-        ("rate34", replace(_FIG6_BASE, code="rate34", power="optimized")),
+        ("nominal", replace(_LS_BASE, code="single", tau_p=1, power="uniform")),
+        ("opt", replace(_LS_BASE, code="single", tau_p=1, power="optimized")),
+        ("alamouti", replace(_LS_BASE, code="alamouti", power="optimized")),
+        ("rate34", replace(_LS_BASE, code="rate34", power="optimized")),
     )
     return Experiment("fig6", members, "transmit diversity with random grouping")
 
@@ -656,7 +654,7 @@ def _fig8():
         for rx in (1, 2):
             members.append((
                 f"ng{ng}-rx{rx}",
-                replace(_FIG6_BASE, code=code_name, power="optimized", rx_antennas=rx),
+                replace(_LS_BASE, code=code_name, power="optimized", rx_antennas=rx),
             ))
     return Experiment("fig8", tuple(members), "receive diversity (MRC) for each code")
 

@@ -56,8 +56,7 @@ def run_trial(code, grouping, beta, rho_p, rho_d, tau_p, rng, es=1.0):
     h = group_large_scale(per_antenna.real, grouping)
     h = h + 1j * group_large_scale(per_antenna.imag, grouping)
 
-    pilot = chan.make_pilot_block(tau_p, code.n_groups, pilot_power=rho_p)
-    h_hat = chan.ls_estimate(h, pilot, group_large_scale(beta, grouping), rng).h_hat
+    h_hat = chan.ls_estimate(h, chan.make_pilot_block(tau_p, code.n_groups), rho_p, rng)
     e = h_hat - h
 
     s = ost.draw_symbols(rng, code.n_symbols, es)
@@ -81,36 +80,32 @@ class ConditionalMoments:
     eta_power_se: float
 
 
-def _conditional_error(estimate, n_draws, rng):
+def _conditional_error(h_hat, cond_gain, cond_cov, n_draws, rng):
     """n_draws errors from e | hhat ~ CN(U hhat, C_cond), shape (n_draws, n_groups).
 
     Drawn inline rather than through draw_effective_channel: C_cond is zero
     for a perfect estimate.
     """
-    shape = (n_draws, estimate.n_groups)
-    return estimate.cond_gain * estimate.h_hat + np.sqrt(estimate.cond_cov / 2.0) * (
+    shape = (n_draws, h_hat.shape[-1])
+    return cond_gain * h_hat + np.sqrt(cond_cov / 2.0) * (
         rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     )
 
 
-def conditional_eta_draws(code, n, estimate, rho_d, n_draws, rng, es=1.0):
-    """Draw eta_n and the matching symbols under e | hhat ~ CN(U hhat, C_cond)."""
-    e = _conditional_error(estimate, n_draws, rng)
-    s = ost.draw_symbols(rng, (n_draws, code.n_symbols), es)
-    xe = np.einsum("dtg,dg->dt", ost.code_matrix(code, s), e)
-    return s[:, n], -np.sqrt(rho_d) * detect_symbols(code, estimate.h_hat, xe)[:, n]
-
-
-def conditional_moments(code, n, estimate, rho_d, n_draws, rng, es=1.0):
+def conditional_moments(code, n, h_hat, cond_gain, cond_cov, rho_d, n_draws, rng, es=1.0):
     """Monte-Carlo conditional moments of eta_n given the estimate.
 
     Realizes the conditional law of the estimation error directly (orders
-    faster than rejection on joint draws and exactly the same distribution).
+    faster than rejection on joint draws and exactly the same distribution):
+    draws e | hhat ~ CN(U hhat, C_cond), then the symbols.
     """
     if n_draws < 1000:
         raise ValueError("need at least 1e3 conditional draws")
-    s_n, eta = conditional_eta_draws(code, n, estimate, rho_d, n_draws, rng, es)
-    corr = np.conj(s_n) * eta / es
+    e = _conditional_error(h_hat, cond_gain, cond_cov, n_draws, rng)
+    s = ost.draw_symbols(rng, (n_draws, code.n_symbols), es)
+    xe = np.einsum("dtg,dg->dt", ost.code_matrix(code, s), e)
+    eta = -np.sqrt(rho_d) * detect_symbols(code, h_hat, xe)[:, n]
+    corr = np.conj(s[:, n]) * eta / es
     c_n = complex(corr.mean())
     c_n_se = float(
         np.sqrt((corr.real.var(ddof=1) + corr.imag.var(ddof=1)) / n_draws)
@@ -132,9 +127,9 @@ def simulate_h_hat(beta_bar, rho_p, tau_p, n_trials, rng):
     equivalent hhat = h + CN(0, I/(rho_p tau_p)) shortcut.
     """
     beta_bar = np.asarray(beta_bar, dtype=float)
-    pilot = chan.make_pilot_block(tau_p, beta_bar.size, pilot_power=rho_p)
+    x_p = chan.make_pilot_block(tau_p, beta_bar.size)
     h = chan.draw_effective_channel(beta_bar, rng, size=n_trials)
-    return h, chan.ls_estimate(h, pilot, beta_bar, rng).h_hat
+    return h, chan.ls_estimate(h, x_p, rho_p, rng)
 
 
 def empirical_snr_cdf(code, beta_bar, rho_p, rho_d, tau_p, n_trials, rng, es=1.0):
@@ -218,10 +213,9 @@ def check_theorem1(seed, n_configs=20, n_draws=100_000):
             tau_p = ng
             c_e, u, cc = chan.conditional_error_stats(beta_bar, rho_p, tau_p)
             h_hat = chan.draw_effective_channel(beta_bar + c_e, rng)
-            est = chan.ChannelEstimate(h_hat=h_hat, cond_gain=u, cond_cov=cc)
             n = int(rng.integers(code.n_symbols))
-            terms = conditional_snr_terms(code, n, est, rho_d)
-            mc = conditional_moments(code, n, est, rho_d, n_draws, rng)
+            terms = conditional_snr_terms(code, n, h_hat, u, cc, rho_d)
+            mc = conditional_moments(code, n, h_hat, u, cc, rho_d, n_draws, rng)
             ok_c = abs(mc.c_n - terms.c_n) <= 3.0 * mc.c_n_se
             ok_p = abs(mc.eta_power - terms.eta_power) <= 3.0 * mc.eta_power_se
             n_pass += ok_c and ok_p
@@ -230,28 +224,29 @@ def check_theorem1(seed, n_configs=20, n_draws=100_000):
     return out
 
 
-def mrc_empirical_sinr(code, n, estimates, rho_d, n_draws, rng, es=1.0):
+def mrc_empirical_sinr(code, n, h_hat, cond_gain, cond_cov, rho_d, n_draws, rng, es=1.0):
     """Empirical post-combining SINR for multiple receive branches.
 
-    Conditioned on the per-branch estimates, draws shared symbols with
-    independent per-branch estimation error and noise, forms each branch's
-    processed symbol, combines with conjugate-gain/noise-variance weights,
-    and measures |E[shat s*]|^2 Es / (Es E[|shat|^2] - |E[shat s*]|^2).
+    h_hat holds one estimate row per branch, shape (n_branches, n_groups),
+    and cond_gain and cond_cov are the diagonals the branches share.
+    Conditioned on the estimates, draws shared symbols with independent
+    per-branch estimation error and noise, forms each branch's processed
+    symbol, combines with conjugate-gain/noise-variance weights, and
+    measures |E[shat s*]|^2 Es / (Es E[|shat|^2] - |E[shat s*]|^2).
     """
     s = ost.draw_symbols(rng, (n_draws, code.n_symbols), es)
     x_d = ost.code_matrix(code, s)
     combined = np.zeros(n_draws, dtype=complex)
-    for est in estimates:
-        h_hat = est.h_hat
-        e = _conditional_error(est, n_draws, rng)
+    for row in h_hat:
+        e = _conditional_error(row, cond_gain, cond_cov, n_draws, rng)
         w = (
             rng.standard_normal((n_draws, code.block_len))
             + 1j * rng.standard_normal((n_draws, code.block_len))
         ) / np.sqrt(2.0)
         xe = np.einsum("dtg,dg->dt", x_d, e)
-        eta = -np.sqrt(rho_d) * detect_symbols(code, h_hat, xe)[:, n]
-        z = detect_symbols(code, h_hat, w)[:, n]
-        hh2 = float(np.sum(np.abs(h_hat) ** 2))
+        eta = -np.sqrt(rho_d) * detect_symbols(code, row, xe)[:, n]
+        z = detect_symbols(code, row, w)[:, n]
+        hh2 = float(np.sum(np.abs(row) ** 2))
         shat = np.sqrt(rho_d) * hh2 * s[:, n] + eta + z
         # branch gain and uncorrelated-noise power from the closed form
         corr = np.conj(s[:, n]) * eta / es

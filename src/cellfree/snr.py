@@ -36,22 +36,24 @@ def lambda_perfect(beta_bar, rho, es=1.0):
     return 1.0 / (rho * es * beta_bar)
 
 
-def conditional_snr_terms(code, n, estimate, rho_d, es=1.0):
+def conditional_snr_terms(code, n, h_hat, cond_gain, cond_cov, rho_d, es=1.0):
     """General-OSTBC conditional moments for symbol n, literal matrix form.
 
     c_n = -sqrt(rho_d) (hhat^H U hhat + i Im(hhat^H A_n^H B_n U hhat)),
     E[|z_n|^2|hhat] = ||hhat||^2, and E[|eta_n|^2|hhat] assembles the psi and
     psi-bar quadratic forms over all dispersion pairs with
-    Q1 = U hhat hhat^H U^H + C_cond and Q2 = U hhat hhat^T U^T.
+    Q1 = U hhat hhat^H U^H + C_cond and Q2 = U hhat hhat^T U^T. h_hat is one
+    estimate, shape (n_groups,); cond_gain and cond_cov are the diagonals of
+    U and C_cond (:func:`cellfree.channel.conditional_error_stats`).
     """
     if not 0 <= n < code.n_symbols:
         raise ValueError(f"symbol index {n} out of range for {code.n_symbols} symbols")
-    h_hat = np.asarray(estimate.h_hat, dtype=complex)
+    h_hat = np.asarray(h_hat, dtype=complex)
     if h_hat.shape != (code.n_groups,):
         raise ValueError(
             f"estimate has {h_hat.shape[-1]} groups but the code needs {code.n_groups}"
         )
-    u = np.asarray(estimate.cond_gain, dtype=float)
+    u = np.asarray(cond_gain, dtype=float)
     uh = u * h_hat
     a_n, b_n = code.a[n], code.b[n]
 
@@ -59,7 +61,7 @@ def conditional_snr_terms(code, n, estimate, rho_d, es=1.0):
         np.vdot(h_hat, uh).real + 1j * np.imag(h_hat.conj() @ (a_n.conj().T @ b_n) @ uh)
     )
     z_power = float(np.vdot(h_hat, h_hat).real)
-    q1 = np.outer(uh, uh.conj()) + np.diag(estimate.cond_cov)
+    q1 = np.outer(uh, uh.conj()) + np.diag(cond_cov)
     q2 = np.outer(uh, uh)
 
     def psi(c, q):
@@ -82,13 +84,13 @@ def conditional_snr_terms(code, n, estimate, rho_d, es=1.0):
     return ConditionalSnrTerms(c_n=complex(c_n), z_power=z_power, eta_power=float(eta_power), q1=q1)
 
 
-def snr_ls(code, n, estimate, rho_d, es=1.0):
+def snr_ls(code, n, h_hat, cond_gain, cond_cov, rho_d, es=1.0):
     """Per-symbol SNR under LS estimation, conditioned on the estimate.
 
     The literal matrix form of :func:`conditional_snr_terms`; the reference
     that :func:`snr_ls_values` is checked against.
     """
-    terms = conditional_snr_terms(code, n, estimate, rho_d, es)
+    terms = conditional_snr_terms(code, n, h_hat, cond_gain, cond_cov, rho_d, es)
     num = es * abs(np.sqrt(rho_d) * terms.z_power + terms.c_n) ** 2
     den = terms.eta_power + terms.z_power - es * abs(terms.c_n) ** 2
     if den <= 0:

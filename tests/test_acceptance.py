@@ -7,7 +7,6 @@ log-compressed regime, see criterion 9).
 """
 
 import numpy as np
-import pytest
 from scipy import optimize
 
 from cellfree.cli import main as cli_main
@@ -26,7 +25,7 @@ from cellfree.linklevel import check_corollary1, check_hyperexp, check_theorem1
 from cellfree.ostbc import alamouti, draw_symbols, orthogonality_defect, rate_three_quarter
 from cellfree.power import DEFAULT_RHO, optimize_pilot_power
 from cellfree.propagation import D_I_KM, D_O_KM, ShadowParams, path_loss_db, shadow_fields
-from cellfree.snr import lambda_ls, lambda_perfect
+from cellfree.snr import lambda_ls
 
 
 def report(num, name, ok, detail):

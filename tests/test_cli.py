@@ -1,8 +1,8 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import cellfree
@@ -316,6 +316,24 @@ def test_grouping_run_with_receive_antennas_rejected(tmp_path, capsys, rx):
     assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 2
     assert "rx_antennas=1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_grouping_run_needs_a_fixed_layout_not_a_layout_seed(tmp_path, capsys):
+    # a hexagonal lattice is fixed already; only a PPP layout needs layout_seed
+    lines = ("vary=grouping\ndensity=20.0\nhalf_width_km=0.5\ncode=alamouti\n"
+             "csi=perfect\nshadow=none\nouter=3\ninner=1\n")
+    hexagonal, ppp = tmp_path / "hex.cfg", tmp_path / "ppp.cfg"
+    hexagonal.write_text(lines + "deployment=hexagonal\n")
+    ppp.write_text(lines + "deployment=ppp\n")
+    assert main(["validate", "--config", str(hexagonal)]) == 0
+    assert main(["run", "--scenario", str(hexagonal), "--out", str(tmp_path / "hex.csv")]) == 0
+    cfg = harness.config_from_text(hexagonal.read_text())
+    assert (harness.run_scenario(cfg).values.tobytes()
+            == harness.run_scenario(replace(cfg, layout_seed=2)).values.tobytes())
+    capsys.readouterr()
+    assert main(["run", "--scenario", str(ppp), "--out", str(tmp_path / "ppp.csv")]) == 2
+    assert "needs a fixed layout" in capsys.readouterr().err
+    assert not (tmp_path / "ppp.csv").exists()
 
 
 # half_width_km=1e9 puts density * area above numpy's Poisson limit; at 1e200 it is inf

@@ -18,13 +18,13 @@ def test_single_group_assigns_all_to_zero():
 
 def test_balanced_sizes_ten_into_four():
     g = random_grouping(10, 4, np.random.default_rng(1))
-    assert sorted(g.sizes()) == [2, 2, 3, 3]
+    assert sorted(np.bincount(g.assignment, minlength=4)) == [2, 2, 3, 3]
 
 
 def test_sizes_differ_by_at_most_one():
     rng = np.random.default_rng(2)
     for n, k in [(5, 2), (13, 4), (100, 7)]:
-        sizes = random_grouping(n, k, rng).sizes()
+        sizes = np.bincount(random_grouping(n, k, rng).assignment, minlength=k)
         assert sizes.max() - sizes.min() <= 1
         assert sizes.sum() == n
 
@@ -117,8 +117,8 @@ def test_neighbor_infeasible():
 def test_grouping_is_disjoint_cover():
     g = random_grouping(23, 5, np.random.default_rng(4))
     assert g.n_antennas == 23
-    assert g.sizes().sum() == 23
-    members = np.concatenate([g.members(k) for k in range(5)])
+    assert np.bincount(g.assignment, minlength=5).sum() == 23
+    members = np.concatenate([np.flatnonzero(g.assignment == k) for k in range(5)])
     assert sorted(members) == list(range(23))
 
 

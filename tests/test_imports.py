@@ -1,4 +1,4 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package or the test suite imports a name it never uses.
 
 A stand-in for pyflakes' F401 check, which honours the same
 ``# noqa: F401`` comment on an import that is kept on purpose.
@@ -9,7 +9,8 @@ import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "cellfree"
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "cellfree"
 
 
 def unused_imports(source):
@@ -48,6 +49,7 @@ def test_checker_finds_unused_and_honours_noqa():
     assert unused_imports(source) == [(1, "os"), (8, "v")]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []

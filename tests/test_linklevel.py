@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cellfree.channel import ChannelEstimate, conditional_error_stats, draw_effective_channel
+from cellfree.channel import conditional_error_stats, draw_effective_channel
 from cellfree.grouping import group_large_scale, random_grouping
 from cellfree.linklevel import (
     check_corollary1,
@@ -19,9 +19,9 @@ from cellfree.snr import snr_ls
 
 
 def perfect_estimate(h_hat):
+    """(h_hat, cond_gain, cond_cov) of an estimate with no error."""
     ng = len(h_hat)
-    return ChannelEstimate(h_hat=np.asarray(h_hat, dtype=complex),
-                           cond_gain=np.zeros(ng), cond_cov=np.zeros(ng))
+    return np.asarray(h_hat, dtype=complex), np.zeros(ng), np.zeros(ng)
 
 
 @pytest.mark.parametrize("code", [alamouti(), rate_three_quarter()])
@@ -117,7 +117,7 @@ def test_conditional_z_power_matches_closed_form():
 def test_conditional_moments_zero_error():
     rng = np.random.default_rng(5)
     est = perfect_estimate(draw_effective_channel(np.ones(2), rng))
-    mc = conditional_moments(alamouti(), 0, est, rho_d=1.0, n_draws=2000, rng=rng)
+    mc = conditional_moments(alamouti(), 0, *est, rho_d=1.0, n_draws=2000, rng=rng)
     assert mc.c_n == 0 and mc.eta_power == 0
 
 
@@ -126,10 +126,9 @@ def test_conditional_moments_single_group_value():
     beta, rho_p, rho_d, tau_p = 1.2, 0.9, 1.7, 1
     c_e, u, cc = conditional_error_stats(np.array([beta]), rho_p, tau_p)
     h_hat = np.sqrt((beta + c_e) / 2) * (rng.standard_normal(1) + 1j * rng.standard_normal(1))
-    est = ChannelEstimate(h_hat=h_hat, cond_gain=u, cond_cov=cc)
     from cellfree.ostbc import single_group
 
-    mc = conditional_moments(single_group(), 0, est, rho_d, 50_000, rng)
+    mc = conditional_moments(single_group(), 0, h_hat, u, cc, rho_d, 50_000, rng)
     target = -np.sqrt(rho_d) * abs(h_hat[0]) ** 2 / (1 + rho_p * tau_p * beta)
     assert abs(mc.c_n - target) < 3 * mc.c_n_se
 
@@ -144,10 +143,9 @@ def test_conditional_moments_alamouti_imaginary_part():
     h_hat = np.sqrt((beta_bar + c_e) / 2) * (
         rng.standard_normal(2) + 1j * rng.standard_normal(2)
     )
-    est = ChannelEstimate(h_hat=h_hat, cond_gain=u, cond_cov=cc)
     target = np.imag(h_hat.conj() @ (code.a[0].conj().T @ code.b[0]) @ (u * h_hat))
     assert abs(target) < 1e-12
-    mc = conditional_moments(code, 0, est, 1.3, 50_000, rng)
+    mc = conditional_moments(code, 0, h_hat, u, cc, 1.3, 50_000, rng)
     assert abs(mc.c_n.imag - (-np.sqrt(1.3) * target)) < 3 * mc.c_n_se
 
 
@@ -155,7 +153,7 @@ def test_conditional_moments_requires_enough_draws():
     rng = np.random.default_rng(8)
     est = perfect_estimate(np.ones(2, dtype=complex))
     with pytest.raises(ValueError):
-        conditional_moments(alamouti(), 0, est, 1.0, 10, rng)
+        conditional_moments(alamouti(), 0, *est, 1.0, 10, rng)
 
 
 def test_empirical_cdf_single_group_exponential():
@@ -196,15 +194,13 @@ def test_mrc_oracle_matches_branch_sum():
     beta_bar = np.array([0.9, 1.8])
     rho_p, rho_d, tau_p = 1.2, 1.6, 2
     c_e, u, cc = conditional_error_stats(beta_bar, rho_p, tau_p)
-    estimates = []
-    for _ in range(2):
-        h_hat = np.sqrt((beta_bar + c_e) / 2) * (
-            rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        )
-        estimates.append(ChannelEstimate(h_hat=h_hat, cond_gain=u, cond_cov=cc))
-    closed = sum(snr_ls(code, 0, est, rho_d) for est in estimates)
+    h_hat = np.array([
+        np.sqrt((beta_bar + c_e) / 2) * (rng.standard_normal(2) + 1j * rng.standard_normal(2))
+        for _ in range(2)
+    ])
+    closed = sum(snr_ls(code, 0, row, u, cc, rho_d) for row in h_hat)
     reps = np.array([
-        mrc_empirical_sinr(code, 0, estimates, rho_d, 10_000, rng) for _ in range(8)
+        mrc_empirical_sinr(code, 0, h_hat, u, cc, rho_d, 10_000, rng) for _ in range(8)
     ])
     se = reps.std(ddof=1) / np.sqrt(len(reps))
     assert abs(reps.mean() - closed) < 3 * se

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from cellfree.channel import ChannelEstimate, conditional_error_stats
+from cellfree.channel import conditional_error_stats
 from cellfree.metrics import coverage_perfect
 from cellfree.ostbc import alamouti, rate_three_quarter, single_group
 from cellfree.snr import (
@@ -16,12 +16,13 @@ from cellfree.snr import (
 
 
 def make_estimate(beta_bar, rho_p, tau_p, rng):
+    """(h_hat, cond_gain, cond_cov): one estimate drawn from CN(0, C_h + C_e)."""
     beta_bar = np.asarray(beta_bar, dtype=float)
     c_e, u, cc = conditional_error_stats(beta_bar, rho_p, tau_p)
     h_hat = np.sqrt((beta_bar + c_e) / 2.0) * (
         rng.standard_normal(beta_bar.size) + 1j * rng.standard_normal(beta_bar.size)
     )
-    return ChannelEstimate(h_hat=h_hat, cond_gain=u, cond_cov=cc)
+    return h_hat, u, cc
 
 
 def test_lambda_perfect_unit_case():
@@ -46,11 +47,11 @@ def test_perfect_snr_hyperexponential_law():
 def test_theorem1_vanishing_error_collapses():
     rng = np.random.default_rng(1)
     est = make_estimate([1.0, 2.0], rho_p=1e12, tau_p=2, rng=rng)
-    terms = conditional_snr_terms(alamouti(), 0, est, rho_d=2.0)
-    scale = np.sum(np.abs(est.h_hat) ** 2)
+    terms = conditional_snr_terms(alamouti(), 0, *est, rho_d=2.0)
+    scale = np.sum(np.abs(est[0]) ** 2)
     assert abs(terms.c_n) < 1e-9 * scale
     assert terms.eta_power < 1e-9 * scale
-    s = snr_ls(alamouti(), 0, est, rho_d=2.0)
+    s = snr_ls(alamouti(), 0, *est, rho_d=2.0)
     assert s == pytest.approx(2.0 * scale, rel=1e-6)
 
 
@@ -65,8 +66,8 @@ def test_theorem1_single_group_reduction():
         tau_p = int(rng.integers(1, 6))
         es = rng.uniform(0.5, 2.0)
         est = make_estimate([beta], rho_p, tau_p, rng)
-        terms = conditional_snr_terms(code, 0, est, rho_d, es)
-        h2 = abs(est.h_hat[0]) ** 2
+        terms = conditional_snr_terms(code, 0, *est, rho_d, es)
+        h2 = abs(est[0][0]) ** 2
         denom = 1.0 + rho_p * tau_p * beta
         assert terms.c_n == pytest.approx(-np.sqrt(rho_d) * h2 / denom, rel=1e-10)
         assert terms.z_power == pytest.approx(h2, rel=1e-12)
@@ -77,27 +78,27 @@ def test_theorem1_single_group_reduction():
 def test_theorem1_q1_hermitian_psd():
     rng = np.random.default_rng(3)
     est = make_estimate([1.0, 0.5], 2.0, 2, rng)
-    terms = conditional_snr_terms(alamouti(), 1, est, rho_d=1.0)
+    terms = conditional_snr_terms(alamouti(), 1, *est, rho_d=1.0)
     assert np.abs(terms.q1 - terms.q1.conj().T).max() < 1e-14
     assert np.linalg.eigvalsh(terms.q1).min() > 0
-    assert terms.z_power == pytest.approx(np.sum(np.abs(est.h_hat) ** 2))
+    assert terms.z_power == pytest.approx(np.sum(np.abs(est[0]) ** 2))
 
 
 def test_theorem1_dimension_checks():
     rng = np.random.default_rng(4)
     est = make_estimate([1.0], 1.0, 1, rng)
     with pytest.raises(ValueError):
-        conditional_snr_terms(alamouti(), 0, est, 1.0)
+        conditional_snr_terms(alamouti(), 0, *est, 1.0)
     est2 = make_estimate([1.0, 1.0], 1.0, 2, rng)
     with pytest.raises(ValueError):
-        conditional_snr_terms(alamouti(), 5, est2, 1.0)
+        conditional_snr_terms(alamouti(), 5, *est2, 1.0)
 
 
 def test_snr_ls_collapses_to_perfect_form():
     rng = np.random.default_rng(5)
     est = make_estimate([1.0, 2.0, 0.5, 1.5], rho_p=1e10, tau_p=4, rng=rng)
-    val = snr_ls(rate_three_quarter(), 1, est, rho_d=1.7, es=1.2)
-    assert val == pytest.approx(1.7 * 1.2 * np.sum(np.abs(est.h_hat) ** 2), rel=1e-5)
+    val = snr_ls(rate_three_quarter(), 1, *est, rho_d=1.7, es=1.2)
+    assert val == pytest.approx(1.7 * 1.2 * np.sum(np.abs(est[0]) ** 2), rel=1e-5)
 
 
 def test_corollary1_distribution_via_general_formula():
@@ -118,8 +119,8 @@ def test_alamouti_symbol_index_independence():
     rng = np.random.default_rng(7)
     for _ in range(20):
         est = make_estimate(rng.uniform(0.2, 3.0, 2), rng.uniform(0.5, 3.0), 2, rng)
-        v0 = snr_ls(alamouti(), 0, est, rho_d=1.7)
-        v1 = snr_ls(alamouti(), 1, est, rho_d=1.7)
+        v0 = snr_ls(alamouti(), 0, *est, rho_d=1.7)
+        v1 = snr_ls(alamouti(), 1, *est, rho_d=1.7)
         assert v0 == pytest.approx(v1, rel=1e-12)
 
 
@@ -135,9 +136,8 @@ def test_batch_matches_scalar_theorem1():
         for n in range(code.n_symbols):
             batch = snr_ls_values(code, n, h_hat, u, cc, 2.3, 1.1)
             for i in range(50):
-                est = ChannelEstimate(h_hat=h_hat[i], cond_gain=u, cond_cov=cc)
                 assert batch[i] == pytest.approx(
-                    snr_ls(code, n, est, 2.3, 1.1), rel=1e-12
+                    snr_ls(code, n, h_hat[i], u, cc, 2.3, 1.1), rel=1e-12
                 )
 
 
@@ -206,7 +206,7 @@ def test_snr_ls_symbol_values_nonnegative_rate34():
     rng = np.random.default_rng(10)
     est = make_estimate(rng.uniform(0.5, 2.0, 4), 1.0, 4, rng)
     for n in range(3):
-        assert snr_ls(rate_three_quarter(), n, est, 1.0) >= 0
+        assert snr_ls(rate_three_quarter(), n, *est, 1.0) >= 0
 
 
 def test_degenerate_denominator_is_flagged():
