@@ -37,14 +37,20 @@ class UsageError(Exception):
     pass
 
 
+def _config_label(path):
+    """A config file's name without its extension, which labels its CSV rows."""
+    label = os.path.splitext(os.path.basename(path))[0]
+    if any(c in label for c in ',"#\r\n'):
+        raise UsageError(f"config file name {path!r} would label CSV rows with a comma, "
+                         "quote, '#' or line break; rename the file")
+    return label
+
+
 def _load_experiment(name_or_path):
     if name_or_path in PRESETS:
         return PRESETS[name_or_path]()
     if os.path.exists(name_or_path):
-        label = os.path.splitext(os.path.basename(name_or_path))[0]
-        if any(c in label for c in ',"\r\n'):
-            raise UsageError(f"config file name {name_or_path!r} would label CSV rows with "
-                             "a comma, quote or line break; rename the file")
+        label = _config_label(name_or_path)
         try:
             with open(name_or_path) as f:
                 cfg = config_from_text(f.read())
@@ -86,6 +92,7 @@ def cmd_list(args):
 
 
 def cmd_validate(args):
+    _config_label(args.config)
     try:
         with open(args.config) as f:
             cfg = config_from_text(f.read())

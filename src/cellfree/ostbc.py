@@ -8,10 +8,6 @@ import numpy as np
 from dataclasses import dataclass
 
 
-class NotLinearError(ValueError):
-    """The supplied generator is not linear in Re(s_n), Im(s_n)."""
-
-
 @dataclass(frozen=True)
 class OstbcCode:
     """Dispersion-matrix representation of a linear OSTBC.
@@ -22,7 +18,7 @@ class OstbcCode:
 
     a: np.ndarray
     b: np.ndarray
-    name: str = "ostbc"
+    name: str
 
     def __post_init__(self):
         a = np.asarray(self.a, dtype=complex)
@@ -64,33 +60,6 @@ def code_matrix(code, symbols):
     )
 
 
-def dispersion_matrices(generator, n_symbols):
-    """Extract (A, B) stacks from a code-matrix generator by basis probing.
-
-    A_n is the generator at Re(s_n) = 1 (all else zero); B_n is -i times the
-    generator at Im(s_n) = 1. Raises :class:`NotLinearError` when a
-    superposition check on random inputs fails.
-    """
-    zero = generator(np.zeros(n_symbols, dtype=complex))
-    a_list, b_list = [], []
-    for n in range(n_symbols):
-        e = np.zeros(n_symbols, dtype=complex)
-        e[n] = 1.0
-        a_list.append(np.asarray(generator(e), dtype=complex) - zero)
-        e[n] = 1j
-        b_list.append(-1j * (np.asarray(generator(e), dtype=complex) - zero))
-    a, b = np.array(a_list), np.array(b_list)
-    probe = OstbcCode(a, b, "probe")
-    rng = np.random.default_rng(0)
-    for _ in range(8):
-        s = rng.standard_normal(n_symbols) + 1j * rng.standard_normal(n_symbols)
-        if np.abs(np.asarray(generator(s)) - code_matrix(probe, s)).max() > 1e-9 or np.abs(
-            zero
-        ).max() > 1e-12:
-            raise NotLinearError("generator is not linear in the symbol components")
-    return a, b
-
-
 def single_group():
     """Trivial one-antenna-group repetition code (N_g = N_s = tau_d = 1)."""
     one = np.ones((1, 1, 1), dtype=complex)
@@ -104,23 +73,16 @@ def alamouti():
     return OstbcCode(a, b, "alamouti")
 
 
-def _rate34_generator(s):
-    s1, s2, s3 = s
-    c = np.conj
-    return np.array(
-        [
-            [s1, s2, s3, 0],
-            [-c(s2), c(s1), 0, s3],
-            [-c(s3), 0, c(s1), -s2],
-            [0, -c(s3), c(s2), s1],
-        ],
-        dtype=complex,
-    )
-
-
 def rate_three_quarter():
-    """Standard four-antenna orthogonal code with rate 3/4 (N_g = 4)."""
-    a, b = dispersion_matrices(_rate34_generator, 3)
+    """Rate-3/4 orthogonal design for N_g = 4 (Tarokh, Jafarkhani & Calderbank 1999):
+    X = [[s1, s2, s3, 0], [-s2*, s1*, 0, s3], [-s3*, 0, s1*, -s2], [0, -s3*, s2*, s1]].
+    """
+    a = np.array([np.eye(4),
+                  [[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]],
+                  [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]]], dtype=complex)
+    b = np.array([np.diag([1, -1, -1, 1]),
+                  [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]],
+                  [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]], dtype=complex)
     return OstbcCode(a, b, "rate34")
 
 
@@ -151,25 +113,3 @@ def orthogonality_defect(code, symbols):
     eye = np.eye(code.n_groups)
     defect = gram - target[..., None, None] * eye
     return float(np.abs(defect).max())
-
-
-def expected_projection_identity_check(code, rng, n_draws=100_000, energy=1.0, tol_se=5.0):
-    """Monte-Carlo check of E[X Re(s_n)] = (E_s/2) A_n and E[X Im(s_n)] = i (E_s/2) B_n.
-
-    Returns True when every entry of both estimates is within tol_se standard
-    errors of its target, for every symbol index.
-    """
-    s = draw_symbols(rng, (n_draws, code.n_symbols), energy)
-    x = code_matrix(code, s)
-    # entrywise SE of mean(X * component); X entries are O(sqrt(Es)) combos
-    for n in range(code.n_symbols):
-        for comp, target in (
-            (s[:, n].real, energy / 2.0 * code.a[n]),
-            (s[:, n].imag, 1j * energy / 2.0 * code.b[n]),
-        ):
-            prod = x * comp[:, None, None]
-            est = prod.mean(axis=0)
-            se = prod.std(axis=0) / np.sqrt(n_draws)
-            if np.any(np.abs(est - target) > tol_se * np.maximum(se, 1e-15)):
-                return False
-    return True

@@ -155,15 +155,41 @@ def test_removed_system_setting_is_an_unknown_key(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("name", ["a,b.cfg", 'a"b.cfg', "a\nb.cfg", "a\rb.cfg"])
-def test_config_name_that_would_break_csv_rows_exits_2(tmp_path, capsys, name):
+BAD_CONFIG_NAMES = ["a,b.cfg", 'a"b.cfg', "a\nb.cfg", "a\rb.cfg", "a#b.cfg", "#a.cfg"]
+
+
+@pytest.mark.parametrize("command,name",
+                         [("run", n) for n in BAD_CONFIG_NAMES]
+                         + [("validate", n) for n in BAD_CONFIG_NAMES],
+                         ids=BAD_CONFIG_NAMES + [f"validate-{n}" for n in BAD_CONFIG_NAMES])
+def test_config_name_that_would_break_csv_rows_exits_2(tmp_path, capsys, command, name):
     # the file name labels every CSV row, so a comma would shift its fields
+    # and a leading '#' would turn the row into a comment that readers skip
     path = tmp_path / name
     path.write_text(TINY)
     out = tmp_path / "x.csv"
-    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 2
+    args = {"run": ["run", "--scenario", str(path), "--out", str(out)],
+            "validate": ["validate", "--config", str(path)]}[command]
+    assert main(args) == 2
     assert repr(str(path)) in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_run_with_no_ap_in_any_trial_reports_zero_plans(tmp_path):
+    # at density 0 every PPP layout is empty: no trial has a power plan, and
+    # every trial is scored as zero SNR
+    path = tmp_path / "empty.cfg"
+    path.write_text(config_to_text(
+        ScenarioConfig(deployment="ppp", density=0.0, half_width_km=1.0, shadow="none",
+                       csi="ls", code="alamouti", power="optimized", epsilon=0.1,
+                       outer=3, inner=20, seed=4)))
+    out = tmp_path / "r.csv"
+    assert main(["run", "--scenario", str(path), "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert "# power_plan[empty/empty]: per-trial plans over 0 of 3 trials" in lines
+    body = [l for l in lines if not l.startswith("#")]
+    assert len(body) == 1 + 3 * 20
+    assert all(float(l.split(",")[-1]) == 0.0 for l in body[1:])
 
 
 def test_unwritable_output_exits_2(tmp_path, tiny_config, capsys):

@@ -4,17 +4,50 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cellfree.ostbc import (
-    NotLinearError,
     alamouti,
     by_name,
     code_matrix,
-    dispersion_matrices,
     draw_symbols,
-    expected_projection_identity_check,
     orthogonality_defect,
     rate_three_quarter,
     single_group,
 )
+
+
+def _textbook_alamouti(s):
+    return np.array([[s[0], s[1]], [-np.conj(s[1]), np.conj(s[0])]])
+
+
+def _textbook_rate34(s):
+    s1, s2, s3 = s
+    c = np.conj
+    return np.array([[s1, s2, s3, 0], [-c(s2), c(s1), 0, s3],
+                     [-c(s3), 0, c(s1), -s2], [0, -c(s3), c(s2), s1]])
+
+
+TEXTBOOK = {"alamouti": _textbook_alamouti, "rate34": _textbook_rate34}
+
+
+def _expected_projection_identity_check(code, rng, n_draws=100_000, energy=1.0, tol_se=5.0):
+    """Monte-Carlo check of E[X Re(s_n)] = (E_s/2) A_n and E[X Im(s_n)] = i (E_s/2) B_n.
+
+    Returns True when every entry of both estimates is within tol_se standard
+    errors of its target, for every symbol index.
+    """
+    s = draw_symbols(rng, (n_draws, code.n_symbols), energy)
+    x = code_matrix(code, s)
+    # entrywise SE of mean(X * component); X entries are O(sqrt(Es)) combos
+    for n in range(code.n_symbols):
+        for comp, target in (
+            (s[:, n].real, energy / 2.0 * code.a[n]),
+            (s[:, n].imag, 1j * energy / 2.0 * code.b[n]),
+        ):
+            prod = x * comp[:, None, None]
+            est = prod.mean(axis=0)
+            se = prod.std(axis=0) / np.sqrt(n_draws)
+            if np.any(np.abs(est - target) > tol_se * np.maximum(se, 1e-15)):
+                return False
+    return True
 
 
 def test_alamouti_direct_expansion():
@@ -65,32 +98,14 @@ def test_unknown_code_name():
         by_name("golden")
 
 
-def test_dispersion_extraction_roundtrip():
-    def gen(s):
-        return np.array([[s[0], s[1]], [-np.conj(s[1]), np.conj(s[0])]])
-
-    a, b = dispersion_matrices(gen, 2)
-    code = alamouti()
-    assert np.allclose(a, code.a) and np.allclose(b, code.b)
+@pytest.mark.parametrize("name", sorted(TEXTBOOK))
+def test_code_matrix_matches_textbook_generator(name):
+    # the dispersion tables against X written out as in the literature
+    code, textbook = by_name(name), TEXTBOOK[name]
     rng = np.random.default_rng(1)
     for _ in range(100):
-        s = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert np.abs(code_matrix(code, s) - gen(s)).max() < 1e-12
-
-
-def test_dispersion_single_group_from_generator():
-    a, b = dispersion_matrices(lambda s: s.reshape(1, 1), 1)
-    assert np.array_equal(a, [[[1.0]]]) and np.array_equal(b, [[[1.0]]])
-
-
-def test_nonlinear_generator_rejected():
-    with pytest.raises(NotLinearError):
-        dispersion_matrices(lambda s: np.array([[s[0] * abs(s[0])]]), 1)
-
-
-def test_affine_generator_rejected():
-    with pytest.raises(NotLinearError):
-        dispersion_matrices(lambda s: np.array([[s[0] + 1.0]]), 1)
+        s = rng.standard_normal(code.n_symbols) + 1j * rng.standard_normal(code.n_symbols)
+        assert np.abs(code_matrix(code, s) - textbook(s)).max() < 1e-12
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -117,7 +132,7 @@ def test_zero_symbols_give_zero_matrix():
 @pytest.mark.parametrize("name", ["alamouti", "rate34"])
 def test_projection_identity_monte_carlo(name):
     rng = np.random.default_rng(42)
-    assert expected_projection_identity_check(by_name(name), rng, n_draws=100_000)
+    assert _expected_projection_identity_check(by_name(name), rng, n_draws=100_000)
 
 
 def test_projection_identity_needs_zero_mean_symbols():

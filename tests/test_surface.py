@@ -25,8 +25,6 @@ TEST_REFERENCES = {
                  "the processed symbol decomposes into signal, eta and noise",
     "mrc_empirical_sinr": "measured post-combining SINR that the MRC branch sum is tested "
                           "against",
-    "expected_projection_identity_check": "Monte-Carlo check of the OSTBC projection identity "
-                                          "behind theorem 1",
 }
 
 #: The general formulas that the unit tests vary; every other public function
