@@ -9,6 +9,12 @@ algebra stays on the diagonals since C_h and C_e are diagonal by construction.
 import numpy as np
 
 
+def complex_normal(rng, shape, var=1.0):
+    """CN(0, var) draws: sqrt(var/2) (x + iy), every real part x drawn before
+    any imaginary part y. var broadcasts against shape and may be zero."""
+    return np.sqrt(var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
 def draw_effective_channel(beta_bar, rng, size=None):
     """Draw h with independent CN(0, beta_bar_k) components.
 
@@ -19,9 +25,7 @@ def draw_effective_channel(beta_bar, rng, size=None):
     if np.any(beta_bar <= 0):
         raise ValueError("beta_bar entries must be positive")
     shape = beta_bar.shape if size is None else (*np.atleast_1d(size), *beta_bar.shape)
-    return np.sqrt(beta_bar / 2.0) * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    )
+    return complex_normal(rng, shape, beta_bar)
 
 
 def make_pilot_block(tau_p, n_groups):
@@ -70,6 +74,5 @@ def ls_estimate(h, x_p, rho_p, rng):
     return the LS estimate hhat; each leading index gets its own noise block."""
     if rho_p <= 0:
         raise ValueError("pilot power must be > 0")
-    shape = (*h.shape[:-1], x_p.shape[0])
-    w = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+    w = complex_normal(rng, (*h.shape[:-1], x_p.shape[0]))
     return ls_estimate_from_obs(np.sqrt(rho_p) * h @ x_p.T + w, x_p, rho_p)

@@ -4,6 +4,12 @@ import argparse
 import os
 import sys
 
+# BLAS and LAPACK run on one thread, so output bytes do not depend on the
+# thread count (a multi-threaded LAPACK factors the correlated-shadowing
+# covariance differently in the last bits). Set before numpy loads.
+os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"), "1"))
+
 from . import linklevel
 from .harness import (
     PRESETS,
@@ -46,16 +52,21 @@ def _config_label(path):
     return label
 
 
+def _read_config(path):
+    """(label, config) of a config file; a bad name or content is a usage error."""
+    label = _config_label(path)
+    try:
+        with open(path) as f:
+            return label, config_from_text(f.read())
+    except (ValueError, OSError) as e:
+        raise UsageError(f"malformed config file {path}: {e}")
+
+
 def _load_experiment(name_or_path):
     if name_or_path in PRESETS:
         return PRESETS[name_or_path]()
     if os.path.exists(name_or_path):
-        label = _config_label(name_or_path)
-        try:
-            with open(name_or_path) as f:
-                cfg = config_from_text(f.read())
-        except (ValueError, OSError) as e:
-            raise UsageError(f"malformed config file {name_or_path}: {e}")
+        label, cfg = _read_config(name_or_path)
         return Experiment(label, ((label, cfg),))
     raise UsageError(
         f"unknown scenario {name_or_path!r}: not a preset "
@@ -92,12 +103,7 @@ def cmd_list(args):
 
 
 def cmd_validate(args):
-    _config_label(args.config)
-    try:
-        with open(args.config) as f:
-            cfg = config_from_text(f.read())
-    except (OSError, ValueError) as e:
-        raise UsageError(f"malformed config file {args.config}: {e}")
+    _, cfg = _read_config(args.config)
     try:
         validate_config(cfg)
     except ValueError as e:

@@ -12,7 +12,6 @@ import hashlib
 import math
 import types
 from dataclasses import dataclass, fields, replace
-from functools import partial
 from typing import Literal, get_args, get_origin
 
 import numpy as np
@@ -254,24 +253,25 @@ def _fixed_layout(cfg):
     return None
 
 
-def _trial_grouping(cfg, code, layout, cached, rng):
-    """Draw-order contract: the random grouping draw is the first use of the
-    trial stream, and only happens when the code has more than one group."""
+def _layout_setup(cfg, code, layout):
+    """(grouping, plan) of a layout: what its trials share.
+
+    The grouping is None when it is random: each trial then draws its own,
+    as the first use of its stream after the layout. The pilot/data power
+    plan is None for perfect CSI, which has no pilots.
+    """
     if code.n_groups == 1:
-        return Grouping(np.zeros(layout.n_antennas, dtype=np.int64), 1)
-    if cfg.grouping == "neighbor":
-        return cached if cached is not None else neighbor_grouping(layout, code.n_groups)
-    return random_grouping(layout.n_antennas, code.n_groups, rng)
-
-
-def _trial_plan(cfg, layout):
-    """Pilot/data power plan; None for perfect CSI, which has no pilots."""
+        grouping = Grouping(np.zeros(layout.n_antennas, dtype=np.int64), 1)
+    elif cfg.grouping == "neighbor":
+        grouping = neighbor_grouping(layout, code.n_groups)
+    else:
+        grouping = None
     if cfg.csi == "perfect":
-        return None
-    tau_p = cfg.effective_tau_p()
+        return grouping, None
     if cfg.power == "uniform":
-        return uniform_plan(tau_p)
-    return optimize_pilot_power(layout, tau_p, grid_resolution=cfg.opt_grid_km)
+        return grouping, uniform_plan(cfg.effective_tau_p())
+    return grouping, optimize_pilot_power(layout, cfg.effective_tau_p(),
+                                          grid_resolution=cfg.opt_grid_km)
 
 
 def _symbol_energy(code):
@@ -288,30 +288,28 @@ def _symbol_energy(code):
 def _sample_snr(code, beta_bar, plan, cfg, rng):
     """Inner small-scale SNR samples for one network realization.
 
-    Per receive branch: perfect CSI samples the sum-of-exponentials law,
-    single-group LS samples Exp(lambda_ls), and multi-group LS draws the
-    estimate marginal hhat ~ CN(0, C_h + C_e) (identical in law to the
-    simulated pilot path) and evaluates the closed-form conditional SNR.
-    Branch SNRs add under maximum-ratio combining.
+    Perfect CSI samples the sum-of-exponentials law and single-group LS
+    samples Exp(lambda_ls), both as one (branch, rate, sample) draw in the
+    order of one rng.exponential call per branch and rate. Multi-group LS
+    draws each branch's estimate marginal hhat ~ CN(0, C_h + C_e) in turn
+    (identical in law to the simulated pilot path) and evaluates the
+    closed-form conditional SNR of all branches at once. Branch SNRs add
+    under maximum-ratio combining.
     """
-    inner = cfg.inner
-    total = np.zeros(inner)
+    rx, inner = cfg.rx_antennas, cfg.inner
     tau_p = cfg.effective_tau_p()
     es = _symbol_energy(code)
-    for _ in range(cfg.rx_antennas):
-        if cfg.csi == "perfect":
-            branch = np.zeros(inner)
-            for bb in beta_bar:
-                branch += rng.exponential(DEFAULT_RHO * es * bb, inner)
-        elif code.n_groups == 1:
-            lam = lambda_ls(float(beta_bar[0]), plan.rho_p, tau_p, plan.rho_d, es)
-            branch = rng.exponential(1.0 / lam, inner)
-        else:
-            c_e, u, cc = conditional_error_stats(beta_bar, plan.rho_p, tau_p)
-            h_hat = draw_effective_channel(beta_bar + c_e, rng, size=inner)
-            branch = snr_ls_values(code, 0, h_hat, u, cc, plan.rho_d, es)
-        total += branch
-    return total
+    if cfg.csi == "perfect":
+        scale = DEFAULT_RHO * es * beta_bar
+    elif code.n_groups == 1:
+        scale = 1.0 / lambda_ls(beta_bar, plan.rho_p, tau_p, plan.rho_d, es)
+    else:
+        c_e, u, cc = conditional_error_stats(beta_bar, plan.rho_p, tau_p)
+        h_hat = np.stack([draw_effective_channel(beta_bar + c_e, rng, size=inner)
+                          for _ in range(rx)])
+        return snr_ls_values(code, 0, h_hat, u, cc, plan.rho_d, es).sum(axis=0)
+    draws = scale[:, None] * rng.standard_exponential((rx, scale.size, inner))
+    return draws.sum(axis=1).sum(axis=0)
 
 
 def _hyperexp_gamma_eps(lambdas, eps):
@@ -401,70 +399,61 @@ def _plan_spread(plans):
             f"rho_d {spread([p.rho_d for p in planned])}, tau_p={planned[0].tau_p}")
 
 
-def _grouping_trial(cfg, code, layout, beta_ant, t):
+def _grouping_trial(cfg, code, layout, grouping, beta_ant, t):
     """Group rates of trial t per terminal (rows); their quantiles are found
     after the loop. beta_ant holds the path-loss beta per (terminal, antenna)."""
     rng = trial_stream(cfg.seed, t)
-    g = _trial_grouping(cfg, code, layout, None, rng)
+    g = grouping if grouping is not None else random_grouping(layout.n_antennas,
+                                                              code.n_groups, rng)
     es = _symbol_energy(code)
     return np.stack([lambda_perfect(group_large_scale(b, g), DEFAULT_RHO, es) for b in beta_ant])
 
 
-def _network_trial(cfg, code, fixed, grouping, plan, t):
+def _network_trial(cfg, code, fixed, setup, t):
     """SNR samples and power plan of trial t; a degenerate layout scores zero
-    SNR and has no plan. fixed, grouping and plan are None when the trial
-    draws or computes its own."""
+    SNR and has no plan. fixed and its setup are None when the trial draws
+    its own layout."""
     rng = trial_stream(cfg.seed, t)
     layout = fixed if fixed is not None else place_ppp(
         cfg.density, cfg.region(), rng, cfg.antennas_per_ap
     )
     if layout.n_antennas < code.n_groups:
         return np.zeros(cfg.inner), None
-    g = _trial_grouping(cfg, code, layout, grouping, rng)
+    grouping, plan = setup if setup is not None else _layout_setup(cfg, code, layout)
+    if grouping is None:
+        grouping = random_grouping(layout.n_antennas, code.n_groups, rng)
     terminal = np.asarray(cfg.terminals[0], dtype=float)
     shadow = shadow_fields(layout, [terminal], cfg.shadow_params(), rng)[0]
-    beta_bar = large_scale_from_shadow(layout, terminal, shadow, g)
-    plan = plan if plan is not None else _trial_plan(cfg, layout)
+    beta_bar = large_scale_from_shadow(layout, terminal, shadow, grouping)
     return _sample_snr(code, beta_bar, plan, cfg, rng), plan
 
 
 def run_scenario(cfg, label=None):
     """Run one scenario's outer trials in order; deterministic for fixed (config, seed)."""
     code, fixed = validate_config(cfg)
-    cached_grouping = None
-    if fixed is not None and cfg.grouping == "neighbor" and code.n_groups > 1:
-        cached_grouping = neighbor_grouping(fixed, code.n_groups)
-    cached_plan = None
-    if fixed is not None or cfg.power == "uniform":
-        cached_plan = _trial_plan(cfg, fixed)
+    setup = None if fixed is None else _layout_setup(cfg, code, fixed)
 
     if cfg.vary == "grouping":
         # path-loss-only beta per (terminal, antenna); shadow is 'none' here
         beta_ant = antenna_beta(fixed, cfg.terminals)
-        trial = partial(_grouping_trial, cfg, code, fixed, beta_ant)
-    else:
-        trial = partial(_network_trial, cfg, code, fixed, cached_grouping, cached_plan)
-
-    outputs = [trial(t) for t in range(cfg.outer)]
-
-    if cfg.vary == "grouping":
-        gamma = _hyperexp_gamma_eps(np.concatenate(outputs), cfg.epsilon)
+        rates = [_grouping_trial(cfg, code, fixed, setup[0], beta_ant, t)
+                 for t in range(cfg.outer)]
+        gamma = _hyperexp_gamma_eps(np.concatenate(rates), cfg.epsilon)
         values = outage_rate(gamma, 0, code).reshape(cfg.outer, -1, 1)
         kind = "rate_bpcu"
     else:
-        snrs, plans = zip(*outputs)
+        snrs, plans = zip(*(_network_trial(cfg, code, fixed, setup, t)
+                            for t in range(cfg.outer)))
         values = np.stack(snrs)[:, None, :]
         kind = "snr_linear"
 
     if cfg.csi == "perfect":
         power_note = f"rho_p=rho_d=rho={DEFAULT_RHO:.6g} (perfect CSI, no pilots)"
-    elif cached_plan is not None:
-        power_note = (
-            f"rho_p={cached_plan.rho_p:.6g} rho_d={cached_plan.rho_d:.6g} "
-            f"tau_p={cached_plan.tau_p}"
-        )
-    else:
+    elif fixed is None and cfg.power == "optimized":
         power_note = _plan_spread(plans)
+    else:
+        plan = setup[1] if setup is not None else uniform_plan(cfg.effective_tau_p())
+        power_note = f"rho_p={plan.rho_p:.6g} rho_d={plan.rho_d:.6g} tau_p={plan.tau_p}"
 
     return RunResult(cfg, label or "scenario", kind, values, power_note)
 

@@ -51,17 +51,16 @@ def run_trial(code, grouping, beta, rho_p, rho_d, tau_p, rng, es=1.0):
     symbols into signal, eta (estimation error), and z (noise) parts.
     """
     beta = np.asarray(beta, dtype=float)
-    g = (rng.standard_normal(beta.size) + 1j * rng.standard_normal(beta.size)) / np.sqrt(2.0)
-    per_antenna = g * np.sqrt(beta)
+    per_antenna = chan.complex_normal(rng, beta.size, beta)
     h = group_large_scale(per_antenna.real, grouping)
     h = h + 1j * group_large_scale(per_antenna.imag, grouping)
 
     h_hat = chan.ls_estimate(h, chan.make_pilot_block(tau_p, code.n_groups), rho_p, rng)
     e = h_hat - h
 
-    s = ost.draw_symbols(rng, code.n_symbols, es)
+    s = chan.complex_normal(rng, code.n_symbols, es)
     x_d = ost.code_matrix(code, s)
-    w = (rng.standard_normal(code.block_len) + 1j * rng.standard_normal(code.block_len)) / np.sqrt(2.0)
+    w = chan.complex_normal(rng, code.block_len)
     y = np.sqrt(rho_d) * x_d @ h + w
 
     processed = detect_symbols(code, h_hat, y)
@@ -83,13 +82,10 @@ class ConditionalMoments:
 def _conditional_error(h_hat, cond_gain, cond_cov, n_draws, rng):
     """n_draws errors from e | hhat ~ CN(U hhat, C_cond), shape (n_draws, n_groups).
 
-    Drawn inline rather than through draw_effective_channel: C_cond is zero
-    for a perfect estimate.
+    Drawn with complex_normal rather than draw_effective_channel: C_cond is
+    zero for a perfect estimate.
     """
-    shape = (n_draws, h_hat.shape[-1])
-    return cond_gain * h_hat + np.sqrt(cond_cov / 2.0) * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    )
+    return cond_gain * h_hat + chan.complex_normal(rng, (n_draws, h_hat.shape[-1]), cond_cov)
 
 
 def conditional_moments(code, n, h_hat, cond_gain, cond_cov, rho_d, n_draws, rng, es=1.0):
@@ -102,7 +98,7 @@ def conditional_moments(code, n, h_hat, cond_gain, cond_cov, rho_d, n_draws, rng
     if n_draws < 1000:
         raise ValueError("need at least 1e3 conditional draws")
     e = _conditional_error(h_hat, cond_gain, cond_cov, n_draws, rng)
-    s = ost.draw_symbols(rng, (n_draws, code.n_symbols), es)
+    s = chan.complex_normal(rng, (n_draws, code.n_symbols), es)
     xe = np.einsum("dtg,dg->dt", ost.code_matrix(code, s), e)
     eta = -np.sqrt(rho_d) * detect_symbols(code, h_hat, xe)[:, n]
     corr = np.conj(s[:, n]) * eta / es
@@ -234,15 +230,12 @@ def mrc_empirical_sinr(code, n, h_hat, cond_gain, cond_cov, rho_d, n_draws, rng,
     symbol, combines with conjugate-gain/noise-variance weights, and
     measures |E[shat s*]|^2 Es / (Es E[|shat|^2] - |E[shat s*]|^2).
     """
-    s = ost.draw_symbols(rng, (n_draws, code.n_symbols), es)
+    s = chan.complex_normal(rng, (n_draws, code.n_symbols), es)
     x_d = ost.code_matrix(code, s)
     combined = np.zeros(n_draws, dtype=complex)
     for row in h_hat:
         e = _conditional_error(row, cond_gain, cond_cov, n_draws, rng)
-        w = (
-            rng.standard_normal((n_draws, code.block_len))
-            + 1j * rng.standard_normal((n_draws, code.block_len))
-        ) / np.sqrt(2.0)
+        w = chan.complex_normal(rng, (n_draws, code.block_len))
         xe = np.einsum("dtg,dg->dt", x_d, e)
         eta = -np.sqrt(rho_d) * detect_symbols(code, row, xe)[:, n]
         z = detect_symbols(code, row, w)[:, n]

@@ -97,14 +97,6 @@ def by_name(name):
         raise ValueError(f"unknown code {name!r}; choose from {sorted(_BY_NAME)}") from None
 
 
-def draw_symbols(rng, shape, energy=1.0):
-    """Circularly-symmetric complex Gaussian symbols with E[|s|^2] = energy."""
-    shape = (shape,) if np.isscalar(shape) else tuple(shape)
-    return np.sqrt(energy / 2.0) * (
-        rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    )
-
-
 def orthogonality_defect(code, symbols):
     """max |X^H X - (sum |s_n|^2) I| for one or many symbol vectors."""
     x = code_matrix(code, symbols)

@@ -9,6 +9,7 @@ log-compressed regime, see criterion 9).
 import numpy as np
 from scipy import optimize
 
+from cellfree.channel import complex_normal
 from cellfree.cli import main as cli_main
 from cellfree.deployment import Region, place_ppp
 from cellfree.grouping import neighbor_grouping, random_grouping
@@ -22,7 +23,7 @@ from cellfree.harness import (
     trial_stream,
 )
 from cellfree.linklevel import check_corollary1, check_hyperexp, check_theorem1
-from cellfree.ostbc import alamouti, draw_symbols, orthogonality_defect, rate_three_quarter
+from cellfree.ostbc import alamouti, orthogonality_defect, rate_three_quarter
 from cellfree.power import DEFAULT_RHO, optimize_pilot_power
 from cellfree.propagation import D_I_KM, D_O_KM, ShadowParams, path_loss_db, shadow_fields
 from cellfree.snr import lambda_ls
@@ -37,7 +38,7 @@ def test_criterion_01_ostbc_orthogonality():
     rng = np.random.default_rng(0)
     defects = {}
     for code in (alamouti(), rate_three_quarter()):
-        s = draw_symbols(rng, (1000, code.n_symbols))
+        s = complex_normal(rng, (1000, code.n_symbols))
         defects[code.name] = orthogonality_defect(code, s)
     ok = all(d < 1e-10 for d in defects.values())
     report(1, "OSTBC orthogonality", ok,

@@ -125,6 +125,28 @@ def test_config_file_run_draws_no_preset_geometry(tmp_path, tiny_config, monkeyp
     assert calls == {"place_ppp": 30, "worst_position": 0}
 
 
+def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # correlated shadowing factors its covariance with LAPACK in every trial
+    cfg = ScenarioConfig(deployment="ppp", density=20.0, half_width_km=1.5,
+                         shadow="correlated", csi="ls", code="alamouti",
+                         power="optimized", opt_grid_km=0.1, epsilon=0.1,
+                         outer=40, inner=30, seed=12)
+    path = tmp_path / "scenario.cfg"
+    path.write_text(config_to_text(cfg))
+    src = os.path.dirname(os.path.dirname(cellfree.__file__))
+    base = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    base["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    outputs = []
+    for threads in ("1", "2"):
+        out, summary = tmp_path / f"r{threads}.csv", tmp_path / f"s{threads}.csv"
+        subprocess.run([sys.executable, "-m", "cellfree.cli", "run", "--scenario", str(path),
+                        "--out", str(out), "--summary", str(summary)],
+                       env=dict(base, OPENBLAS_NUM_THREADS=threads), check=True,
+                       capture_output=True)
+        outputs.append((out.read_bytes(), summary.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
 def test_grouping_run_thread_count_does_not_change_output(tmp_path):
     outputs = []
     for threads in ("1", "2"):

@@ -8,7 +8,9 @@ from scipy.linalg import expm
 
 from cellfree import harness, metrics
 
+from cellfree.channel import conditional_error_stats, draw_effective_channel
 from cellfree.deployment import place_ppp
+from cellfree.grouping import Grouping, random_grouping
 from cellfree.harness import (
     _CDF_CHUNK_ROWS,
     RunResult,
@@ -31,9 +33,15 @@ from cellfree.harness import (
 from cellfree.linklevel import empirical_snr_cdf
 from cellfree.metrics import coverage_perfect
 from cellfree.ostbc import by_name
-from cellfree.power import BOLTZMANN_J_PER_K, DEFAULT_RHO, TAU_C, optimize_pilot_power
-from cellfree.propagation import ShadowParams
-from cellfree.snr import lambda_ls, lambda_perfect
+from cellfree.power import (
+    BOLTZMANN_J_PER_K,
+    DEFAULT_RHO,
+    TAU_C,
+    optimize_pilot_power,
+    uniform_plan,
+)
+from cellfree.propagation import ShadowParams, large_scale_from_shadow, shadow_fields
+from cellfree.snr import lambda_ls, lambda_perfect, snr_ls_values
 
 FAST = dict(half_width_km=1.5, epsilon=0.1, outer=60, inner=50, seed=5)
 
@@ -510,6 +518,84 @@ def test_result_csv_reports_every_per_trial_plan(tmp_path, density):
         f"rho_d min={rho_d.min():.6g} median={np.median(rho_d):.6g} max={rho_d.max():.6g}, "
         f"tau_p=1"
     )
+
+
+@pytest.mark.parametrize("csi, code", [("perfect", "alamouti"), ("ls", "single"),
+                                       ("ls", "rate34")])
+def test_trial_replay_with_two_receive_antennas(csi, code):
+    # each trial rebuilt by hand, drawing one receive branch after the other
+    cfg = ScenarioConfig(deployment="ppp", shadow="uncorrelated", csi=csi, code=code,
+                         rx_antennas=2, half_width_km=1.5, epsilon=0.1, outer=3, inner=20,
+                         seed=5)
+    res = run_scenario(cfg)
+    stbc = by_name(code)
+    es = 1.0 / stbc.rate
+    tau_p = cfg.effective_tau_p()
+    plan = uniform_plan(tau_p) if csi == "ls" else None
+    terminal = np.zeros(2)
+    for t in range(cfg.outer):
+        rng = trial_stream(cfg.seed, t)
+        layout = place_ppp(cfg.density, cfg.region(), rng)
+        assert layout.n_antennas >= stbc.n_groups
+        if stbc.n_groups == 1:
+            grouping = Grouping(np.zeros(layout.n_antennas, dtype=np.int64), 1)
+        else:
+            grouping = random_grouping(layout.n_antennas, stbc.n_groups, rng)
+        shadow = shadow_fields(layout, [terminal], cfg.shadow_params(), rng)[0]
+        beta_bar = large_scale_from_shadow(layout, terminal, shadow, grouping)
+        total = np.zeros(cfg.inner)
+        for _ in range(cfg.rx_antennas):
+            if csi == "perfect":
+                branch = np.zeros(cfg.inner)
+                for bb in beta_bar:
+                    branch += rng.exponential(DEFAULT_RHO * es * bb, cfg.inner)
+            elif stbc.n_groups == 1:
+                lam = lambda_ls(beta_bar[0], plan.rho_p, tau_p, plan.rho_d, es)
+                branch = rng.exponential(1.0 / lam, cfg.inner)
+            else:
+                c_e, u, cc = conditional_error_stats(beta_bar, plan.rho_p, tau_p)
+                h_hat = draw_effective_channel(beta_bar + c_e, rng, size=cfg.inner)
+                branch = snr_ls_values(stbc, 0, h_hat, u, cc, plan.rho_d, es)
+            total += branch
+        assert np.array_equal(res.values[t, 0], total)
+
+
+def _count_setup_calls(monkeypatch):
+    calls = {"neighbor_grouping": 0, "optimize_pilot_power": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
+    return calls
+
+
+def test_fixed_layout_computes_its_setup_once(monkeypatch):
+    # the shape of fig9's cellular member: hexagonal, neighbor grouping, optimized power
+    calls = _count_setup_calls(monkeypatch)
+    cfg = ScenarioConfig(deployment="hexagonal", density=10.0, antennas_per_ap=4,
+                         half_width_km=0.6, shadow="uncorrelated", csi="ls", code="alamouti",
+                         grouping="neighbor", power="optimized", opt_grid_km=0.1,
+                         epsilon=0.1, outer=6, inner=10, seed=3)
+    run_scenario(cfg)
+    assert calls == {"neighbor_grouping": 1, "optimize_pilot_power": 1}
+
+
+def test_drawn_layouts_compute_one_setup_per_non_degenerate_trial(monkeypatch):
+    calls = _count_setup_calls(monkeypatch)
+    cfg = ScenarioConfig(deployment="ppp", density=1.0, half_width_km=1.0, shadow="none",
+                         csi="ls", code="alamouti", grouping="neighbor", power="optimized",
+                         opt_grid_km=0.1, epsilon=0.1, outer=12, inner=5, seed=3)
+    res = run_scenario(cfg)
+    runnable = sum(place_ppp(cfg.density, cfg.region(), trial_stream(cfg.seed, t)).n_antennas >= 2
+                   for t in range(cfg.outer))
+    assert 0 < runnable < cfg.outer
+    assert calls == {"neighbor_grouping": runnable, "optimize_pilot_power": runnable}
+    assert f"per-trial plans over {runnable} of {cfg.outer} trials" in res.power_note
 
 
 def test_summary_csv_schema(tmp_path):

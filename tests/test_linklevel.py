@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cellfree.channel import conditional_error_stats, draw_effective_channel
+from cellfree.channel import complex_normal, conditional_error_stats, draw_effective_channel
 from cellfree.grouping import group_large_scale, random_grouping
 from cellfree.linklevel import (
     check_corollary1,
@@ -14,7 +14,7 @@ from cellfree.linklevel import (
     run_trial,
     simulate_h_hat,
 )
-from cellfree.ostbc import alamouti, code_matrix, draw_symbols, rate_three_quarter
+from cellfree.ostbc import alamouti, code_matrix, rate_three_quarter
 from cellfree.snr import snr_ls
 
 
@@ -28,7 +28,7 @@ def perfect_estimate(h_hat):
 def test_noiseless_perfect_csi_recovers_symbols(code):
     rng = np.random.default_rng(0)
     h = draw_effective_channel(np.ones(code.n_groups), rng)
-    s = draw_symbols(rng, code.n_symbols)
+    s = complex_normal(rng, code.n_symbols)
     rho_d = 2.0
     y = np.sqrt(rho_d) * code_matrix(code, s) @ h
     shat = detect_symbols(code, h, y)
@@ -40,11 +40,11 @@ def test_detection_decouples_across_symbols(code):
     # with perfect CSI and no noise, symbol n is unaffected by the others
     rng = np.random.default_rng(1)
     h = draw_effective_channel(np.ones(code.n_groups), rng)
-    s = draw_symbols(rng, code.n_symbols)
+    s = complex_normal(rng, code.n_symbols)
     for n in range(code.n_symbols):
         t = s.copy()
         others = [k for k in range(code.n_symbols) if k != n]
-        t[others] = draw_symbols(rng, len(others))
+        t[others] = complex_normal(rng, len(others))
         y1 = code_matrix(code, s) @ h
         y2 = code_matrix(code, t) @ h
         assert abs(detect_symbols(code, h, y1)[n] - detect_symbols(code, h, y2)[n]) < 1e-10

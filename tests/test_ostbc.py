@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellfree.channel import complex_normal
 from cellfree.ostbc import (
     alamouti,
     by_name,
     code_matrix,
-    draw_symbols,
     orthogonality_defect,
     rate_three_quarter,
     single_group,
@@ -34,7 +34,7 @@ def _expected_projection_identity_check(code, rng, n_draws=100_000, energy=1.0, 
     Returns True when every entry of both estimates is within tol_se standard
     errors of its target, for every symbol index.
     """
-    s = draw_symbols(rng, (n_draws, code.n_symbols), energy)
+    s = complex_normal(rng, (n_draws, code.n_symbols), energy)
     x = code_matrix(code, s)
     # entrywise SE of mean(X * component); X entries are O(sqrt(Es)) combos
     for n in range(code.n_symbols):
@@ -77,7 +77,7 @@ def test_rate34_dimensions_and_orthogonality():
     code = rate_three_quarter()
     assert (code.n_groups, code.n_symbols, code.block_len) == (4, 3, 4)
     rng = np.random.default_rng(0)
-    s = draw_symbols(rng, (100, 3))
+    s = complex_normal(rng, (100, 3))
     assert orthogonality_defect(code, s) < 1e-10
 
 
@@ -113,8 +113,8 @@ def test_code_matrix_matches_textbook_generator(name):
 def test_linearity_superposition(seed):
     rng = np.random.default_rng(seed)
     code = rate_three_quarter()
-    s = draw_symbols(rng, 3)
-    t = draw_symbols(rng, 3)
+    s = complex_normal(rng, 3)
+    t = complex_normal(rng, 3)
     lhs = code_matrix(code, s + t)
     rhs = code_matrix(code, s) + code_matrix(code, t)
     assert np.abs(lhs - rhs).max() < 1e-12
@@ -140,7 +140,7 @@ def test_projection_identity_needs_zero_mean_symbols():
     # independent symbol components; a mean shift breaks it
     code = alamouti()
     rng = np.random.default_rng(43)
-    s = draw_symbols(rng, (50_000, 2)) + 0.5
+    s = complex_normal(rng, (50_000, 2)) + 0.5
     x = code_matrix(code, s)
     est = (x * s[:, 0].real[:, None, None]).mean(axis=0)
     energy = np.mean(np.abs(s) ** 2)
@@ -149,5 +149,5 @@ def test_projection_identity_needs_zero_mean_symbols():
 
 def test_symbol_energy():
     rng = np.random.default_rng(2)
-    s = draw_symbols(rng, 200_000, energy=2.5)
+    s = complex_normal(rng, 200_000, var=2.5)
     assert np.mean(np.abs(s) ** 2) == pytest.approx(2.5, rel=0.02)
