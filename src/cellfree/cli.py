@@ -6,9 +6,11 @@ import sys
 
 # BLAS and LAPACK run on one thread, so output bytes do not depend on the
 # thread count (a multi-threaded LAPACK factors the correlated-shadowing
-# covariance differently in the last bits). Set before numpy loads.
-os.environ.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
-                                 "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"), "1"))
+# covariance differently in the last bits). Pinned only while BLAS loads.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                     "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+_prior_env = {k: os.environ[k] for k in _BLAS_THREAD_VARS if k in os.environ}
+os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
 
 from . import linklevel
 from .harness import (
@@ -23,6 +25,10 @@ from .harness import (
     write_result_csv,
     write_summary_csv,
 )
+
+for _k in _BLAS_THREAD_VARS:
+    del os.environ[_k]
+os.environ.update(_prior_env)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

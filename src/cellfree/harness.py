@@ -52,7 +52,8 @@ class ScenarioConfig:
     pilot per group) for LS and 0 for perfect CSI. vary='network' runs
     exactly one terminal, at any position; only vary='grouping' runs
     several. The system model is fixed: power.TAU_C and power.DEFAULT_RHO
-    set the energy budget, and the defaults of ShadowParams the shadowing.
+    set the energy budget, the code its per-symbol energy (OstbcCode.es),
+    and the class constants of ShadowParams the shadowing.
     """
 
     deployment: Literal["ppp", "hexagonal"] = "ppp"
@@ -274,17 +275,6 @@ def _layout_setup(cfg, code, layout):
                                           grid_resolution=cfg.opt_grid_km)
 
 
-def _symbol_energy(code):
-    """Per-symbol energy that spends the data budget exactly.
-
-    The energy budget assumes rho_d is radiated every data channel use, but a
-    code matrix carries N_s symbols over tau_d uses per antenna, so the mean
-    per-use energy is Es * rate. Es = 1/rate makes every code (the rate-3/4
-    matrix has a silent slot per antenna) spend rho_d on average.
-    """
-    return 1.0 / code.rate
-
-
 def _sample_snr(code, beta_bar, plan, cfg, rng):
     """Inner small-scale SNR samples for one network realization.
 
@@ -298,16 +288,15 @@ def _sample_snr(code, beta_bar, plan, cfg, rng):
     """
     rx, inner = cfg.rx_antennas, cfg.inner
     tau_p = cfg.effective_tau_p()
-    es = _symbol_energy(code)
     if cfg.csi == "perfect":
-        scale = DEFAULT_RHO * es * beta_bar
+        scale = DEFAULT_RHO * code.es * beta_bar
     elif code.n_groups == 1:
-        scale = 1.0 / lambda_ls(beta_bar, plan.rho_p, tau_p, plan.rho_d, es)
+        scale = 1.0 / lambda_ls(beta_bar, plan.rho_p, tau_p, plan.rho_d, code.es)
     else:
         c_e, u, cc = conditional_error_stats(beta_bar, plan.rho_p, tau_p)
         h_hat = np.stack([draw_effective_channel(beta_bar + c_e, rng, size=inner)
                           for _ in range(rx)])
-        return snr_ls_values(code, 0, h_hat, u, cc, plan.rho_d, es).sum(axis=0)
+        return snr_ls_values(code, 0, h_hat, u, cc, plan.rho_d).sum(axis=0)
     draws = scale[:, None] * rng.standard_exponential((rx, scale.size, inner))
     return draws.sum(axis=1).sum(axis=0)
 
@@ -405,8 +394,8 @@ def _grouping_trial(cfg, code, layout, grouping, beta_ant, t):
     rng = trial_stream(cfg.seed, t)
     g = grouping if grouping is not None else random_grouping(layout.n_antennas,
                                                               code.n_groups, rng)
-    es = _symbol_energy(code)
-    return np.stack([lambda_perfect(group_large_scale(b, g), DEFAULT_RHO, es) for b in beta_ant])
+    return np.stack([lambda_perfect(group_large_scale(b, g), DEFAULT_RHO, code.es)
+                     for b in beta_ant])
 
 
 def _network_trial(cfg, code, fixed, setup, t):

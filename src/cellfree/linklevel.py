@@ -41,7 +41,7 @@ def detect_symbols(code, h_hat, y):
     return (y @ va.T).real + 1j * (y @ vb.T).imag
 
 
-def run_trial(code, grouping, beta, rho_p, rho_d, tau_p, rng, es=1.0):
+def run_trial(code, grouping, beta, rho_p, rho_d, tau_p, rng):
     """Full forward simulation of one coherence interval.
 
     Draws per-antenna small-scale fading g_m ~ CN(0,1) and aggregates the
@@ -58,7 +58,7 @@ def run_trial(code, grouping, beta, rho_p, rho_d, tau_p, rng, es=1.0):
     h_hat = chan.ls_estimate(h, chan.make_pilot_block(tau_p, code.n_groups), rho_p, rng)
     e = h_hat - h
 
-    s = chan.complex_normal(rng, code.n_symbols, es)
+    s = chan.complex_normal(rng, code.n_symbols, code.es)
     x_d = ost.code_matrix(code, s)
     w = chan.complex_normal(rng, code.block_len)
     y = np.sqrt(rho_d) * x_d @ h + w
@@ -88,7 +88,7 @@ def _conditional_error(h_hat, cond_gain, cond_cov, n_draws, rng):
     return cond_gain * h_hat + chan.complex_normal(rng, (n_draws, h_hat.shape[-1]), cond_cov)
 
 
-def conditional_moments(code, n, h_hat, cond_gain, cond_cov, rho_d, n_draws, rng, es=1.0):
+def conditional_moments(code, n, h_hat, cond_gain, cond_cov, rho_d, n_draws, rng):
     """Monte-Carlo conditional moments of eta_n given the estimate.
 
     Realizes the conditional law of the estimation error directly (orders
@@ -98,10 +98,10 @@ def conditional_moments(code, n, h_hat, cond_gain, cond_cov, rho_d, n_draws, rng
     if n_draws < 1000:
         raise ValueError("need at least 1e3 conditional draws")
     e = _conditional_error(h_hat, cond_gain, cond_cov, n_draws, rng)
-    s = chan.complex_normal(rng, (n_draws, code.n_symbols), es)
+    s = chan.complex_normal(rng, (n_draws, code.n_symbols), code.es)
     xe = np.einsum("dtg,dg->dt", ost.code_matrix(code, s), e)
     eta = -np.sqrt(rho_d) * detect_symbols(code, h_hat, xe)[:, n]
-    corr = np.conj(s[:, n]) * eta / es
+    corr = np.conj(s[:, n]) * eta / code.es
     c_n = complex(corr.mean())
     c_n_se = float(
         np.sqrt((corr.real.var(ddof=1) + corr.imag.var(ddof=1)) / n_draws)
@@ -128,7 +128,7 @@ def simulate_h_hat(beta_bar, rho_p, tau_p, n_trials, rng):
     return h, chan.ls_estimate(h, x_p, rho_p, rng)
 
 
-def empirical_snr_cdf(code, beta_bar, rho_p, rho_d, tau_p, n_trials, rng, es=1.0):
+def empirical_snr_cdf(code, beta_bar, rho_p, rho_d, tau_p, n_trials, rng):
     """Sorted LS SNR samples of symbol 0 over small-scale randomness.
 
     Simulates the pilot phase per trial and evaluates the conditional LS SNR
@@ -139,7 +139,7 @@ def empirical_snr_cdf(code, beta_bar, rho_p, rho_d, tau_p, n_trials, rng, es=1.0
     beta_bar = np.asarray(beta_bar, dtype=float)
     _, h_hat = simulate_h_hat(beta_bar, rho_p, tau_p, n_trials, rng)
     _, u, cc = chan.conditional_error_stats(beta_bar, rho_p, tau_p)
-    return np.sort(snr_ls_values(code, 0, h_hat, u, cc, rho_d, es))
+    return np.sort(snr_ls_values(code, 0, h_hat, u, cc, rho_d))
 
 
 def check_corollary1(seed, n_trials=100_000):
@@ -155,7 +155,7 @@ def check_corollary1(seed, n_trials=100_000):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     code = ost.single_group()
     samples = empirical_snr_cdf(code, [beta_bar], rho, rho, tau_p, n_trials, rng)
-    lam = lambda_ls(beta_bar, rho, tau_p, rho, 1.0)
+    lam = lambda_ls(beta_bar, rho, tau_p, rho, code.es)
     res = stats.kstest(samples, "expon", args=(0.0, 1.0 / lam))
     return {
         "statistic": float(res.statistic),
@@ -192,9 +192,9 @@ def check_hyperexp(seed, n_trials=100_000, n_gammas=20):
 def check_theorem1(seed, n_configs=20, n_draws=100_000):
     """Conditional-MC moments vs the general-OSTBC closed forms.
 
-    For Alamouti and then rate 3/4, draws n_configs random (beta_bar, hhat,
-    power) configurations and requires that both c_n and the eta power match
-    within three standard errors in at least 19 of 20 configurations.
+    For Alamouti and then rate 3/4, each at its own Es, draws n_configs random
+    (beta_bar, hhat, power) configurations and requires that c_n and the eta
+    power both match within three standard errors in all but at most one.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     out = {"ok": True, "codes": {}}
@@ -220,7 +220,7 @@ def check_theorem1(seed, n_configs=20, n_draws=100_000):
     return out
 
 
-def mrc_empirical_sinr(code, n, h_hat, cond_gain, cond_cov, rho_d, n_draws, rng, es=1.0):
+def mrc_empirical_sinr(code, n, h_hat, cond_gain, cond_cov, rho_d, n_draws, rng):
     """Empirical post-combining SINR for multiple receive branches.
 
     h_hat holds one estimate row per branch, shape (n_branches, n_groups),
@@ -230,7 +230,7 @@ def mrc_empirical_sinr(code, n, h_hat, cond_gain, cond_cov, rho_d, n_draws, rng,
     symbol, combines with conjugate-gain/noise-variance weights, and
     measures |E[shat s*]|^2 Es / (Es E[|shat|^2] - |E[shat s*]|^2).
     """
-    s = chan.complex_normal(rng, (n_draws, code.n_symbols), es)
+    s = chan.complex_normal(rng, (n_draws, code.n_symbols), code.es)
     x_d = ost.code_matrix(code, s)
     combined = np.zeros(n_draws, dtype=complex)
     for row in h_hat:
@@ -242,11 +242,11 @@ def mrc_empirical_sinr(code, n, h_hat, cond_gain, cond_cov, rho_d, n_draws, rng,
         hh2 = float(np.sum(np.abs(row) ** 2))
         shat = np.sqrt(rho_d) * hh2 * s[:, n] + eta + z
         # branch gain and uncorrelated-noise power from the closed form
-        corr = np.conj(s[:, n]) * eta / es
+        corr = np.conj(s[:, n]) * eta / code.es
         c_n = corr.mean()
         gain = np.sqrt(rho_d) * hh2 + c_n
         noise_var = np.mean(np.abs(shat - gain * s[:, n]) ** 2)
         combined += np.conj(gain) / noise_var * shat
-    corr = np.mean(np.conj(s[:, n]) * combined) / es
+    corr = np.mean(np.conj(s[:, n]) * combined) / code.es
     power = np.mean(np.abs(combined) ** 2)
-    return float(abs(corr) ** 2 * es / (power - es * abs(corr) ** 2))
+    return float(abs(corr) ** 2 * code.es / (power - code.es * abs(corr) ** 2))

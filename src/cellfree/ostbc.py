@@ -46,6 +46,14 @@ class OstbcCode:
     def rate(self):
         return self.n_symbols / self.block_len
 
+    @property
+    def es(self):
+        """Per-symbol energy Es = 1/rate, which spends the data budget exactly:
+        the budget assumes rho_d per data channel use, but a code matrix carries
+        N_s symbols over tau_d uses per antenna (the rate-3/4 matrix has a
+        silent slot per antenna), so the mean per-use energy is Es * rate."""
+        return 1.0 / self.rate
+
 
 def code_matrix(code, symbols):
     """Code matrix for a symbol vector, batched over leading axes.

@@ -63,20 +63,19 @@ def path_loss_only_beta(layout, position):
     return float(m * np.sum(antenna_beta(layout, position)[::m]))
 
 
-def optimal_pilot_power(beta_w, energy, tau_p, tau_c, es=1.0):
-    """Pilot power minimizing lambda_ls under the budget identity.
+def optimal_pilot_power(beta_w, energy, tau_p, tau_c):
+    """Pilot power minimizing lambda_ls at Es = 1 under the budget identity.
 
     Setting the derivative to zero gives the quadratic
-    f(x) = c1 tau_p x^2 + 2 c0 tau_p x - c0 E = 0 with
-    c0 = 1 + beta Es E / (tau_c - tau_p) and c1 = beta tau_p (1 - Es/(tau_c - tau_p)).
-    Its discriminant is c0 tau_p^2 (1 + beta E) > 0, and f(0) < 0 < f(E/tau_p)
-    for either sign of c1, so the minimizer is the root in (0, E/tau_p). It is
-    written as c0 E / (c0 tau_p + sqrt(disc)), which neither cancels at small
-    beta nor divides by c1.
+    f(x) = c1 tau_p x^2 + 2 c0 tau_p x - c0 E = 0 with c0 = 1 + beta E / d and
+    c1 = beta tau_p (1 - 1/d) >= 0, d = tau_c - tau_p. Its discriminant is
+    c0 tau_p^2 (1 + beta E) > 0 and f(0) < 0 < f(E/tau_p), so the minimizer is
+    the root in (0, E/tau_p), written as c0 E / (c0 tau_p + sqrt(disc)): it
+    neither cancels at small beta nor divides by c1 (zero at d = 1).
     """
     d = tau_c - tau_p
-    c0 = 1.0 + beta_w * es * energy / d
-    c1 = beta_w * tau_p * (1.0 - es / d)
+    c0 = 1.0 + beta_w * energy / d
+    c1 = beta_w * tau_p * (1.0 - 1.0 / d)
     disc = (c0 * tau_p) ** 2 + c1 * tau_p * c0 * energy
     return c0 * energy / (c0 * tau_p + math.sqrt(disc))
 

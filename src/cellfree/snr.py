@@ -9,7 +9,7 @@ estimate the SNR conditioned on hhat is
 
 with c_n and the eta power given by the general-OSTBC closed form
 (:func:`conditional_snr_terms`). The single-group special case collapses to an
-exponential with rate :func:`lambda_ls`.
+exponential with rate :func:`lambda_ls`. Given a code, Es is ``code.es``.
 """
 
 import numpy as np
@@ -36,7 +36,7 @@ def lambda_perfect(beta_bar, rho, es=1.0):
     return 1.0 / (rho * es * beta_bar)
 
 
-def conditional_snr_terms(code, n, h_hat, cond_gain, cond_cov, rho_d, es=1.0):
+def conditional_snr_terms(code, n, h_hat, cond_gain, cond_cov, rho_d):
     """General-OSTBC conditional moments for symbol n, literal matrix form.
 
     c_n = -sqrt(rho_d) (hhat^H U hhat + i Im(hhat^H A_n^H B_n U hhat)),
@@ -78,27 +78,27 @@ def conditional_snr_terms(code, n, h_hat, cond_gain, cond_cov, rho_d, es=1.0):
         )
         return float((h_hat.conj() @ c.conj().T @ s @ c.conj() @ h_hat.conj()).real)
 
-    eta_power = (rho_d * es / 4.0) * (
+    eta_power = (rho_d * code.es / 4.0) * (
         psi(a_n, q1) + psi_bar(a_n, q2) + psi(b_n, q1) - psi_bar(b_n, q2)
     )
     return ConditionalSnrTerms(c_n=complex(c_n), z_power=z_power, eta_power=float(eta_power), q1=q1)
 
 
-def snr_ls(code, n, h_hat, cond_gain, cond_cov, rho_d, es=1.0):
+def snr_ls(code, n, h_hat, cond_gain, cond_cov, rho_d):
     """Per-symbol SNR under LS estimation, conditioned on the estimate.
 
     The literal matrix form of :func:`conditional_snr_terms`; the reference
     that :func:`snr_ls_values` is checked against.
     """
-    terms = conditional_snr_terms(code, n, h_hat, cond_gain, cond_cov, rho_d, es)
-    num = es * abs(np.sqrt(rho_d) * terms.z_power + terms.c_n) ** 2
-    den = terms.eta_power + terms.z_power - es * abs(terms.c_n) ** 2
+    terms = conditional_snr_terms(code, n, h_hat, cond_gain, cond_cov, rho_d)
+    num = code.es * abs(np.sqrt(rho_d) * terms.z_power + terms.c_n) ** 2
+    den = terms.eta_power + terms.z_power - code.es * abs(terms.c_n) ** 2
     if den <= 0:
         raise NumericalDegeneracyError(f"non-positive SNR denominator {den}")
     return float(num / den)
 
 
-def snr_ls_values(code, n, h_hat, cond_gain, cond_cov, rho_d, es=1.0):
+def snr_ls_values(code, n, h_hat, cond_gain, cond_cov, rho_d):
     """Vectorized LS SNR over batched estimates, h_hat shape (..., n_groups).
 
     Algebraically identical to :func:`snr_ls` but reduces the psi / psi-bar
@@ -130,9 +130,9 @@ def snr_ls_values(code, n, h_hat, cond_gain, cond_cov, rho_d, es=1.0):
             # and within psi_bar the B_k inner terms subtract
             eta = eta + psi_part + sign * inner_sign * psibar_part
 
-    eta_power = (rho_d * es / 4.0) * eta
-    num = es * np.abs(np.sqrt(rho_d) * hh2 + c_n) ** 2
-    den = eta_power + hh2 - es * np.abs(c_n) ** 2
+    eta_power = (rho_d * code.es / 4.0) * eta
+    num = code.es * np.abs(np.sqrt(rho_d) * hh2 + c_n) ** 2
+    den = eta_power + hh2 - code.es * np.abs(c_n) ** 2
     if np.any(den <= 0):
         raise NumericalDegeneracyError("non-positive SNR denominator in batch")
     return num / den

@@ -147,6 +147,20 @@ def test_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1]
 
 
+def test_blas_thread_pin_does_not_leak_into_the_environment():
+    # the pin holds while BLAS loads; subprocesses of the program inherit the
+    # environment it was started with
+    src = os.path.dirname(os.path.dirname(cellfree.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    env["OMP_NUM_THREADS"] = "3"
+    probe = ("import os, cellfree.cli; "
+             "print(os.environ.get('OPENBLAS_NUM_THREADS'), os.environ.get('OMP_NUM_THREADS'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["None", "3"]
+
+
 def test_grouping_run_thread_count_does_not_change_output(tmp_path):
     outputs = []
     for threads in ("1", "2"):

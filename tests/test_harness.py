@@ -529,7 +529,6 @@ def test_trial_replay_with_two_receive_antennas(csi, code):
                          seed=5)
     res = run_scenario(cfg)
     stbc = by_name(code)
-    es = 1.0 / stbc.rate
     tau_p = cfg.effective_tau_p()
     plan = uniform_plan(tau_p) if csi == "ls" else None
     terminal = np.zeros(2)
@@ -548,14 +547,14 @@ def test_trial_replay_with_two_receive_antennas(csi, code):
             if csi == "perfect":
                 branch = np.zeros(cfg.inner)
                 for bb in beta_bar:
-                    branch += rng.exponential(DEFAULT_RHO * es * bb, cfg.inner)
+                    branch += rng.exponential(DEFAULT_RHO * stbc.es * bb, cfg.inner)
             elif stbc.n_groups == 1:
-                lam = lambda_ls(beta_bar[0], plan.rho_p, tau_p, plan.rho_d, es)
+                lam = lambda_ls(beta_bar[0], plan.rho_p, tau_p, plan.rho_d, stbc.es)
                 branch = rng.exponential(1.0 / lam, cfg.inner)
             else:
                 c_e, u, cc = conditional_error_stats(beta_bar, plan.rho_p, tau_p)
                 h_hat = draw_effective_channel(beta_bar + c_e, rng, size=cfg.inner)
-                branch = snr_ls_values(stbc, 0, h_hat, u, cc, plan.rho_d, es)
+                branch = snr_ls_values(stbc, 0, h_hat, u, cc, plan.rho_d)
             total += branch
         assert np.array_equal(res.values[t, 0], total)
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cellfree import ostbc
 from cellfree.channel import complex_normal
 from cellfree.ostbc import (
     alamouti,
@@ -151,3 +152,12 @@ def test_symbol_energy():
     rng = np.random.default_rng(2)
     s = complex_normal(rng, 200_000, var=2.5)
     assert np.mean(np.abs(s) ** 2) == pytest.approx(2.5, rel=0.02)
+
+
+@pytest.mark.parametrize("code", ostbc._BY_NAME.values(), ids=list(ostbc._BY_NAME))
+def test_symbol_energy_spends_the_data_budget(code):
+    # at Es = 1/rate every antenna radiates unit energy per channel use on
+    # average, so rho_d is the data power; rate 3/4 needs Es = 4/3 for it
+    rng = np.random.default_rng(44)
+    x = code_matrix(code, complex_normal(rng, (100_000, code.n_symbols), code.es))
+    assert np.mean(np.abs(x) ** 2) == pytest.approx(1.0, rel=0.02)

@@ -18,9 +18,9 @@ from cellfree.power import (
 from cellfree.snr import lambda_ls
 
 
-def lambda_of(rho_p, beta, energy, tau_p, tau_c, es=1.0):
+def lambda_of(rho_p, beta, energy, tau_p, tau_c):
     rho_d = (energy - rho_p * tau_p) / (tau_c - tau_p)
-    return lambda_ls(beta, rho_p, tau_p, rho_d, es)
+    return lambda_ls(beta, rho_p, tau_p, rho_d)
 
 
 def golden_section_min(f, lo, hi, tol=1e-12):
@@ -95,39 +95,39 @@ def test_optimal_pilot_power_matches_golden_section(beta, tau_p):
     )
 
 
-def textbook_root(beta, energy, tau_p, tau_c, es):
-    """(-c0 tau_p + sqrt(disc)) / (c1 tau_p) in 60-digit decimal arithmetic."""
+def textbook_root(beta, energy, tau_p, tau_c):
+    """(-c0 tau_p + sqrt(disc)) / (c1 tau_p) in 60-digit decimal arithmetic.
+
+    At tau_c - tau_p = 1, c1 = 0 and the quadratic is linear, root E / (2 tau_p).
+    """
     with localcontext() as ctx:
         ctx.prec = 60
-        beta, energy, tau_p, es = (Decimal(float(v)) for v in (beta, energy, tau_p, es))
+        beta, energy, tau_p = (Decimal(float(v)) for v in (beta, energy, tau_p))
         d = Decimal(tau_c) - tau_p
-        c0 = 1 + beta * es * energy / d
-        c1 = beta * tau_p * (1 - es / d)
+        c0 = 1 + beta * energy / d
+        c1 = beta * tau_p * (1 - 1 / d)
+        if c1 == 0:
+            return float(energy / (2 * tau_p))
         disc = (c0 * tau_p) ** 2 + c1 * tau_p * c0 * energy
         return float((-c0 * tau_p + disc.sqrt()) / (c1 * tau_p))
 
 
 def test_optimal_pilot_power_fuzz_full_range():
-    # rho*beta from 1e-18 to 1e12; a third of the cases have Es > tau_c - tau_p,
-    # where c1 < 0 and the quadratic opens downwards
+    # rho*beta from 1e-18 to 1e12
     rng = np.random.default_rng(17)
     rho = DEFAULT_RHO
-    for case in range(300):
+    for _ in range(300):
         tau_c = int(rng.integers(2, 1001))
         tau_p = int(rng.integers(1, min(tau_c - 1, 16) + 1))
-        if case % 3 == 0:
-            es = (tau_c - tau_p) * rng.uniform(1.01, 5.0)
-        else:
-            es = 10 ** rng.uniform(-2, 1)
         beta = 10 ** rng.uniform(-18, 12) / rho
         energy = rho * tau_c
         hi = energy / tau_p
-        star = optimal_pilot_power(beta, energy, tau_p, tau_c, es)
+        star = optimal_pilot_power(beta, energy, tau_p, tau_c)
         assert 0 < star < hi
-        assert star == pytest.approx(textbook_root(beta, energy, tau_p, tau_c, es), rel=1e-13)
+        assert star == pytest.approx(textbook_root(beta, energy, tau_p, tau_c), rel=1e-13)
 
         def lam(x):
-            return lambda_of(x, beta, energy, tau_p, tau_c, es)
+            return lambda_of(x, beta, energy, tau_p, tau_c)
 
         oracle = golden_section_min(lam, hi * 1e-9, hi * (1 - 1e-9))
         assert star == pytest.approx(oracle, rel=1e-6)
@@ -140,7 +140,7 @@ def test_optimal_pilot_power_at_tiny_snr(rho_beta):
     rho, tau_p, tau_c = DEFAULT_RHO, 1, 300
     energy = rho * tau_c
     star = optimal_pilot_power(rho_beta / rho, energy, tau_p, tau_c)
-    want = textbook_root(rho_beta / rho, energy, tau_p, tau_c, 1.0)
+    want = textbook_root(rho_beta / rho, energy, tau_p, tau_c)
     assert star == pytest.approx(want, rel=1e-14)
     # with beta -> 0 the split maximizing rho_p * rho_d is E / (2 tau_p)
     assert star == pytest.approx(energy / (2 * tau_p), rel=1e-6)

@@ -95,8 +95,6 @@ def test_antenna_beta_distances_equal_norm(monkeypatch):
 def test_params_validation():
     with pytest.raises(ValueError):
         ShadowParams(mode="weird")
-    with pytest.raises(ValueError):
-        ShadowParams(delta=1.5)
 
 
 def _layout(seed=0, density=20.0, hw=1.0):
@@ -112,25 +110,25 @@ def test_shadow_none_is_zero():
 def test_shadow_uncorrelated_variance():
     layout = NetworkLayout(np.zeros((1, 2)), 1, Region(1.0))
     rng = np.random.default_rng(8)
-    params = ShadowParams(mode="uncorrelated", sigma_db=8.0)
+    params = ShadowParams(mode="uncorrelated")
     draws = np.array([shadow_fields(layout, [(0, 0)], params, rng)[0][0] for _ in range(100_000)])
     assert abs(draws.var() - 64.0) < 1.0  # 3 SE of the variance estimate
 
 
 def test_shadow_correlated_pair_correlation():
-    # with delta = 0 the field is the pure AP component b; at separation equal
-    # to the decorrelation distance the correlation is 2^-1 = 0.5
-    layout = NetworkLayout(np.array([[0.0, 0.0], [0.2, 0.0]]), 1, Region(1.0))
-    params = ShadowParams(mode="correlated", sigma_db=8.0, delta=0.0, decorrelation_km=0.2)
+    # one spatial component of the field (the AP part b, say): at separation
+    # equal to the decorrelation distance the correlation is 2^-1 = 0.5
+    positions = np.array([[0.0, 0.0], [0.2, 0.0]])
     rng = np.random.default_rng(9)
-    draws = np.array([shadow_fields(layout, [(0, 0)], params, rng)[0] for _ in range(10_000)])
+    draws = np.array([propagation._correlated_draw(positions, 8.0, 0.2, rng.standard_normal(2))
+                      for _ in range(10_000)])
     corr = np.corrcoef(draws.T)[0, 1]
     assert abs(corr - 0.5) < 0.05
 
 
 def test_shadow_correlated_variance_includes_both_parts():
     layout = NetworkLayout(np.zeros((1, 2)), 1, Region(1.0))
-    params = ShadowParams(mode="correlated", sigma_db=8.0, delta=0.5)
+    params = ShadowParams(mode="correlated")
     rng = np.random.default_rng(10)
     draws = np.array([shadow_fields(layout, [(0, 0)], params, rng)[0][0] for _ in range(50_000)])
     assert abs(draws.var() - 64.0) < 1.5
@@ -166,7 +164,7 @@ def test_covariance_bit_identical_to_cdist_build():
 
 def test_duplicate_positions_fall_back_to_jitter():
     layout = NetworkLayout(np.zeros((3, 2)), 1, Region(1.0))
-    params = ShadowParams(mode="correlated", sigma_db=8.0)
+    params = ShadowParams(mode="correlated")
     v = shadow_fields(layout, [(0, 0)], params, np.random.default_rng(11))[0]
     assert np.all(np.isfinite(v))
 

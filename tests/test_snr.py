@@ -64,14 +64,13 @@ def test_theorem1_single_group_reduction():
         rho_p = rng.uniform(0.1, 10.0)
         rho_d = rng.uniform(0.1, 10.0)
         tau_p = int(rng.integers(1, 6))
-        es = rng.uniform(0.5, 2.0)
         est = make_estimate([beta], rho_p, tau_p, rng)
-        terms = conditional_snr_terms(code, 0, *est, rho_d, es)
+        terms = conditional_snr_terms(code, 0, *est, rho_d)
         h2 = abs(est[0][0]) ** 2
         denom = 1.0 + rho_p * tau_p * beta
         assert terms.c_n == pytest.approx(-np.sqrt(rho_d) * h2 / denom, rel=1e-10)
         assert terms.z_power == pytest.approx(h2, rel=1e-12)
-        expected_eta = rho_d * es * h2 * (h2 / denom**2 + beta / denom)
+        expected_eta = rho_d * code.es * h2 * (h2 / denom**2 + beta / denom)
         assert terms.eta_power == pytest.approx(expected_eta, rel=1e-10)
 
 
@@ -97,20 +96,21 @@ def test_theorem1_dimension_checks():
 def test_snr_ls_collapses_to_perfect_form():
     rng = np.random.default_rng(5)
     est = make_estimate([1.0, 2.0, 0.5, 1.5], rho_p=1e10, tau_p=4, rng=rng)
-    val = snr_ls(rate_three_quarter(), 1, *est, rho_d=1.7, es=1.2)
-    assert val == pytest.approx(1.7 * 1.2 * np.sum(np.abs(est[0]) ** 2), rel=1e-5)
+    code = rate_three_quarter()
+    val = snr_ls(code, 1, *est, rho_d=1.7)
+    assert val == pytest.approx(1.7 * code.es * np.sum(np.abs(est[0]) ** 2), rel=1e-5)
 
 
 def test_corollary1_distribution_via_general_formula():
     rng = np.random.default_rng(6)
-    beta, rho_p, rho_d, tau_p, es = 1.7, 2.0, 1.3, 1, 1.0
+    beta, rho_p, rho_d, tau_p, code = 1.7, 2.0, 1.3, 1, single_group()
     n = 100_000
     c_e, u, cc = conditional_error_stats(np.array([beta]), rho_p, tau_p)
     h_hat = np.sqrt((beta + c_e) / 2.0) * (
         rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
     )
-    vals = snr_ls_values(single_group(), 0, h_hat, u, cc, rho_d, es)
-    lam = lambda_ls(beta, rho_p, tau_p, rho_d, es)
+    vals = snr_ls_values(code, 0, h_hat, u, cc, rho_d)
+    lam = lambda_ls(beta, rho_p, tau_p, rho_d, code.es)
     res = stats.kstest(vals, "expon", args=(0, 1.0 / lam))
     assert res.pvalue > 0.01
 
@@ -134,10 +134,10 @@ def test_batch_matches_scalar_theorem1():
             + 1j * rng.standard_normal((50, code.n_groups))
         )
         for n in range(code.n_symbols):
-            batch = snr_ls_values(code, n, h_hat, u, cc, 2.3, 1.1)
+            batch = snr_ls_values(code, n, h_hat, u, cc, 2.3)
             for i in range(50):
                 assert batch[i] == pytest.approx(
-                    snr_ls(code, n, h_hat[i], u, cc, 2.3, 1.1), rel=1e-12
+                    snr_ls(code, n, h_hat[i], u, cc, 2.3), rel=1e-12
                 )
 
 

@@ -8,11 +8,14 @@ tests reach is dead code, with the exceptions listed in TEST_REFERENCES.
 """
 
 import ast
+import dataclasses
 import functools
 import pathlib
 import re
 
 import pytest
+
+from cellfree.propagation import ShadowParams
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "cellfree"
@@ -96,12 +99,25 @@ def test_test_references_are_defined_and_otherwise_unused():
     assert set(TEST_REFERENCES).isdisjoint(_used())  # a used name needs no exception
 
 
+def _public_parameters(path):
+    """(name, parameter names) of each public module-level function."""
+    return [(node.name, {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)})
+            for node in ast.parse(path.read_text()).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_general_formulas_take_rho_or_tau_c(path):
-    takers = []
-    for node in ast.parse(path.read_text()).body:
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-            params = {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)}
-            if params & {"rho", "tau_c"} and node.name not in BUDGET_FORMULAS:
-                takers.append(node.name)
+    takers = [name for name, params in _public_parameters(path)
+              if params & {"rho", "tau_c"} and name not in BUDGET_FORMULAS]
     assert takers == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_takes_both_a_code_and_es(path):
+    # the symbol energy follows from the code: OstbcCode.es
+    assert [name for name, params in _public_parameters(path) if {"code", "es"} <= params] == []
+
+
+def test_the_shadow_mode_is_the_only_shadow_setting():
+    assert [f.name for f in dataclasses.fields(ShadowParams)] == ["mode"]
