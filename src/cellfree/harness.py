@@ -283,8 +283,8 @@ def _sample_snr(code, beta_bar, plan, cfg, rng):
     order of one rng.exponential call per branch and rate. Multi-group LS
     draws each branch's estimate marginal hhat ~ CN(0, C_h + C_e) in turn
     (identical in law to the simulated pilot path) and evaluates the
-    closed-form conditional SNR of all branches at once. Branch SNRs add
-    under maximum-ratio combining.
+    closed-form conditional SNR of all branches at once on |hhat|^2, which
+    is all it depends on. Branch SNRs add under maximum-ratio combining.
     """
     rx, inner = cfg.rx_antennas, cfg.inner
     tau_p = cfg.effective_tau_p()
@@ -296,7 +296,7 @@ def _sample_snr(code, beta_bar, plan, cfg, rng):
         c_e, u, cc = conditional_error_stats(beta_bar, plan.rho_p, tau_p)
         h_hat = np.stack([draw_effective_channel(beta_bar + c_e, rng, size=inner)
                           for _ in range(rx)])
-        return snr_ls_values(code, 0, h_hat, u, cc, plan.rho_d).sum(axis=0)
+        return snr_ls_values(code, 0, np.abs(h_hat) ** 2, u, cc, plan.rho_d).sum(axis=0)
     draws = scale[:, None] * rng.standard_exponential((rx, scale.size, inner))
     return draws.sum(axis=1).sum(axis=0)
 

@@ -139,7 +139,7 @@ def empirical_snr_cdf(code, beta_bar, rho_p, rho_d, tau_p, n_trials, rng):
     beta_bar = np.asarray(beta_bar, dtype=float)
     _, h_hat = simulate_h_hat(beta_bar, rho_p, tau_p, n_trials, rng)
     _, u, cc = chan.conditional_error_stats(beta_bar, rho_p, tau_p)
-    return np.sort(snr_ls_values(code, 0, h_hat, u, cc, rho_d))
+    return np.sort(snr_ls_values(code, 0, np.abs(h_hat) ** 2, u, cc, rho_d))
 
 
 def check_corollary1(seed, n_trials=100_000):

@@ -153,12 +153,11 @@ def quantile_threshold(snr_samples, epsilon):
         raise SampleSizeError(
             f"{n} samples < {50.0 / epsilon:.0f} required for epsilon={epsilon}"
         )
-    gamma = float(np.quantile(x, epsilon, method="lower"))
-    k = int(np.floor(epsilon * (n - 1)))
+    k = int(np.floor(epsilon * (n - 1)))  # numpy's "lower" quantile index
     half = 1.959964 * np.sqrt(n * epsilon * (1.0 - epsilon))  # 97.5% normal quantile
     lo = int(np.clip(np.floor(k - half), 0, n - 1))
     hi = int(np.clip(np.ceil(k + half), 0, n - 1))
-    return gamma, (float(x[lo]), float(x[hi]))
+    return float(x[k]), (float(x[lo]), float(x[hi]))
 
 
 def outage_result(snr_samples, epsilon, tau_p, code):

@@ -6,6 +6,7 @@ X = sum_n A_n Re(s_n) + i B_n Im(s_n) and satisfies X^H X = (sum |s_n|^2) I.
 
 import numpy as np
 from dataclasses import dataclass
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,28 @@ class OstbcCode:
         N_s symbols over tau_d uses per antenna (the rate-3/4 matrix has a
         silent slot per antenna), so the mean per-use energy is Es * rate."""
         return 1.0 / self.rate
+
+    @cached_property
+    def ls_snr_tables(self):
+        """Real tables (P, R), each (n_symbols, n_groups, n_groups), of the LS
+        eta power as a quadratic form in |hhat|^2 (:func:`cellfree.snr._eta_form`).
+
+        For symbol n, G = D_k^H C over C in {A_n (+), B_n (-)}, D in {A_k (+),
+        B_k (-)} and all k, with g = diag G and s the product of the two signs:
+        P = sum Re(conj(g) g^T) - diag|g|^2 + s Re(g g^T + G o G^T - diag g^2)
+        and R = sum |G^T|^2. Built on first use and kept with the frozen code.
+        """
+        disp = np.stack([self.a, self.b])
+        g = np.einsum("dkts,cntu->ncdksu", disp.conj(), disp)
+        d = np.einsum("...ii->...i", g)[..., None, :]
+        dt, eye, sign = np.swapaxes(d, -1, -2), np.eye(self.n_groups), np.array([1.0, -1.0])
+        psi = np.real(dt.conj() * d) - eye * np.abs(d) ** 2
+        psi_bar = np.real(dt * d + g * np.swapaxes(g, -1, -2) - eye * d**2)
+        p = psi.sum(axis=(1, 2, 3)) + np.einsum("c,d,ncdkij->nij", sign, sign, psi_bar)
+        r = (np.abs(np.swapaxes(g, -1, -2)) ** 2).sum(axis=(1, 2, 3))
+        p.setflags(write=False)
+        r.setflags(write=False)
+        return p, r
 
 
 def code_matrix(code, symbols):

@@ -8,7 +8,10 @@ estimate the SNR conditioned on hhat is
           / (E[|eta_n|^2 | hhat] + ||hhat||^2 - Es |c_n|^2)
 
 with c_n and the eta power given by the general-OSTBC closed form
-(:func:`conditional_snr_terms`). The single-group special case collapses to an
+(:func:`conditional_snr_terms`, the literal reference). For the shipped
+codes it does not depend on the phases of hhat: :func:`snr_ls_values`
+evaluates it as a ratio of quadratic forms in x = |hhat|^2, with tables
+built once per code. The single-group special case collapses to an
 exponential with rate :func:`lambda_ls`. Given a code, Es is ``code.es``.
 """
 
@@ -98,44 +101,41 @@ def snr_ls(code, n, h_hat, cond_gain, cond_cov, rho_d):
     return float(num / den)
 
 
-def snr_ls_values(code, n, h_hat, cond_gain, cond_cov, rho_d):
-    """Vectorized LS SNR over batched estimates, h_hat shape (..., n_groups).
-
-    Algebraically identical to :func:`snr_ls` but reduces the psi / psi-bar
-    quadratic forms through the rank-one structure of Q1 and Q2, so nothing
-    larger than (..., n_groups) is materialized. cond_gain and cond_cov are
-    the shared (n_groups,) diagonals.
-    """
-    h_hat = np.asarray(h_hat, dtype=complex)
+def _eta_form(code, n, cond_gain, cond_cov, rho_d):
+    """(E, f) with E[|eta_n|^2 | hhat] = x^T E x + f.x at x = |hhat|^2: with the
+    code's tables P and R, E = (rho_d Es / 4) sym(P o u u^T + R o 1 (u^2)^T)
+    and f = (rho_d Es / 4) R cc, for u = cond_gain and cc = cond_cov."""
+    p, r = code.ls_snr_tables
     u = np.asarray(cond_gain, dtype=float)
-    cc = np.asarray(cond_cov, dtype=float)
-    p = u * h_hat  # U hhat
-    hh2 = np.sum(np.abs(h_hat) ** 2, axis=-1)
+    scale = rho_d * code.es / 4.0
+    e = p[n] * np.outer(u, u) + r[n] * u**2
+    return (0.5 * scale) * (e + e.T), scale * (r[n] @ np.asarray(cond_cov, dtype=float))
 
-    m_ab = code.a[n].conj().T @ code.b[n]
-    im_part = np.imag(np.einsum("...i,ij,...j->...", h_hat.conj(), m_ab, p))
-    c_n = -np.sqrt(rho_d) * (np.einsum("...k,...k->...", u, np.abs(h_hat) ** 2) + 1j * im_part)
 
-    # G stacks: (A_k^H C) and (B_k^H C) for C in {A_n, B_n}; shapes (Ns, Ng, Ng)
-    eta = 0.0
-    for sign, c_mat in ((+1.0, code.a[n]), (-1.0, code.b[n])):
-        ga = np.einsum("kts,tu->ksu", code.a.conj(), c_mat)
-        gb = np.einsum("kts,tu->ksu", code.b.conj(), c_mat)
-        for g_stack, inner_sign in ((ga, +1.0), (gb, -1.0)):
-            w = np.einsum("ksu,...u->...ks", g_stack, h_hat)
-            alpha = np.einsum("...ks,...s->...k", w.conj(), p)
-            psi_part = (np.abs(alpha) ** 2 + np.einsum("s,...ks->...k", cc, np.abs(w) ** 2)).sum(axis=-1)
-            psibar_part = np.real(alpha**2).sum(axis=-1)
-            # psi(C, Q1) always adds; psi_bar(C, Q2) adds for A_n, subtracts for B_n
-            # and within psi_bar the B_k inner terms subtract
-            eta = eta + psi_part + sign * inner_sign * psibar_part
+def snr_ls_values(code, n, x, cond_gain, cond_cov, rho_d):
+    """LS SNR of symbol n at batched squared estimate moduli x = |hhat|^2,
+    shape (..., n_groups), one per row: with u = cond_gain and w = 1 - u,
 
-    eta_power = (rho_d * code.es / 4.0) * eta
-    num = code.es * np.abs(np.sqrt(rho_d) * hh2 + c_n) ** 2
-    den = eta_power + hh2 - code.es * np.abs(c_n) ** 2
+        snr = Es rho_d (w.x)^2 / (x^T E x + (1 + f).x - Es rho_d (u.x)^2),
+
+    since c_n = -sqrt(rho_d) u.x and the eta power is x^T E x + f.x
+    (:func:`_eta_form`). Equals :func:`snr_ls` at any hhat with moduli sqrt(x).
+    """
+    if not 0 <= n < code.n_symbols:
+        raise ValueError(f"symbol index {n} out of range for {code.n_symbols} symbols")
+    if np.iscomplexobj(x):
+        raise TypeError("snr_ls_values takes the squared moduli |hhat|^2, not hhat")
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1:] != (code.n_groups,):
+        raise ValueError(f"estimate shape {x.shape} does not end in {code.n_groups} groups")
+    u = np.asarray(cond_gain, dtype=float)
+    e, f = _eta_form(code, n, u, cond_cov, rho_d)
+    k = code.es * rho_d
+    ux = x @ u
+    den = np.sum((x @ e) * x, axis=-1) + x @ (1.0 + f) - k * ux**2
     if np.any(den <= 0):
         raise NumericalDegeneracyError("non-positive SNR denominator in batch")
-    return num / den
+    return k * (x @ (1.0 - u)) ** 2 / den
 
 
 def lambda_ls(beta_bar_total, rho_p, tau_p, rho_d, es=1.0):

@@ -554,7 +554,7 @@ def test_trial_replay_with_two_receive_antennas(csi, code):
             else:
                 c_e, u, cc = conditional_error_stats(beta_bar, plan.rho_p, tau_p)
                 h_hat = draw_effective_channel(beta_bar + c_e, rng, size=cfg.inner)
-                branch = snr_ls_values(stbc, 0, h_hat, u, cc, plan.rho_d)
+                branch = snr_ls_values(stbc, 0, np.abs(h_hat) ** 2, u, cc, plan.rho_d)
             total += branch
         assert np.array_equal(res.values[t, 0], total)
 

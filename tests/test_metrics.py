@@ -218,6 +218,12 @@ def test_quantile_lower_interpolation():
     samples = np.arange(1.0, 1001.0)
     gamma, _ = quantile_threshold(samples, 0.1)
     assert gamma == np.quantile(samples, 0.1, method="lower")
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        eps = 10.0 ** rng.uniform(-3, -0.1)
+        samples = rng.exponential(1.0, int(rng.integers(np.ceil(50 / eps), 60_000)))
+        gamma, _ = quantile_threshold(samples, eps)
+        assert gamma == np.quantile(samples, eps, method="lower")
 
 
 def test_outage_result_bundle():

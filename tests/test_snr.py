@@ -7,12 +7,15 @@ from cellfree.metrics import coverage_perfect
 from cellfree.ostbc import alamouti, rate_three_quarter, single_group
 from cellfree.snr import (
     NumericalDegeneracyError,
+    _eta_form,
     lambda_ls,
     lambda_perfect,
     snr_ls,
     snr_ls_values,
     conditional_snr_terms,
 )
+
+CODES = (single_group(), alamouti(), rate_three_quarter())
 
 
 def make_estimate(beta_bar, rho_p, tau_p, rng):
@@ -109,7 +112,7 @@ def test_corollary1_distribution_via_general_formula():
     h_hat = np.sqrt((beta + c_e) / 2.0) * (
         rng.standard_normal((n, 1)) + 1j * rng.standard_normal((n, 1))
     )
-    vals = snr_ls_values(code, 0, h_hat, u, cc, rho_d)
+    vals = snr_ls_values(code, 0, np.abs(h_hat) ** 2, u, cc, rho_d)
     lam = lambda_ls(beta, rho_p, tau_p, rho_d, code.es)
     res = stats.kstest(vals, "expon", args=(0, 1.0 / lam))
     assert res.pvalue > 0.01
@@ -134,11 +137,105 @@ def test_batch_matches_scalar_theorem1():
             + 1j * rng.standard_normal((50, code.n_groups))
         )
         for n in range(code.n_symbols):
-            batch = snr_ls_values(code, n, h_hat, u, cc, 2.3)
+            batch = snr_ls_values(code, n, np.abs(h_hat) ** 2, u, cc, 2.3)
             for i in range(50):
                 assert batch[i] == pytest.approx(
                     snr_ls(code, n, h_hat[i], u, cc, 2.3), rel=1e-12
                 )
+
+
+def test_batch_rejects_what_the_literal_form_rejects():
+    rng = np.random.default_rng(11)
+    code = rate_three_quarter()
+    h_hat, u, cc = make_estimate(rng.uniform(0.5, 2.0, 4), 1.0, 4, rng)
+    x = np.abs(h_hat) ** 2
+    for n in (-1, code.n_symbols):
+        with pytest.raises(ValueError):
+            conditional_snr_terms(code, n, h_hat, u, cc, 1.0)
+        with pytest.raises(ValueError):
+            snr_ls_values(code, n, x, u, cc, 1.0)
+
+
+def test_batch_rejects_estimates_of_the_wrong_group_count():
+    rng = np.random.default_rng(12)
+    code = rate_three_quarter()
+    h_hat, u, cc = make_estimate([1.0], 1.0, 4, rng)
+    with pytest.raises(ValueError):
+        conditional_snr_terms(code, 0, h_hat, u, cc, 1.0)
+    with pytest.raises(ValueError):
+        snr_ls_values(code, 0, np.full((3, 1), 0.7), u, cc, 1.0)
+
+
+def test_batch_takes_squared_moduli_not_estimates():
+    h_hat, u, cc = make_estimate([1.0, 2.0], 1.0, 2, np.random.default_rng(15))
+    with pytest.raises(TypeError):
+        snr_ls_values(alamouti(), 0, h_hat, u, cc, 1.0)
+
+
+def test_snr_ls_does_not_depend_on_the_estimate_phases():
+    rng = np.random.default_rng(13)
+    for code in CODES:
+        for _ in range(20):
+            h_hat, u, cc = make_estimate(rng.uniform(0.2, 3.0, code.n_groups),
+                                         rng.uniform(0.5, 3.0), code.n_groups, rng)
+            turned = h_hat * np.exp(2j * np.pi * rng.uniform(size=code.n_groups))
+            for n in range(code.n_symbols):
+                assert snr_ls(code, n, turned, u, cc, 1.7) == pytest.approx(
+                    snr_ls(code, n, h_hat, u, cc, 1.7), rel=1e-13
+                )
+
+
+def test_eta_form_is_the_literal_eta_power_read_at_basis_points():
+    # eta(x) = x^T E x + f.x, read at x = s_i e_i, 4 s_i e_i and s_i e_i + s_j e_j
+    rng = np.random.default_rng(14)
+    for code in CODES:
+        beta_bar = rng.uniform(0.2, 3.0, code.n_groups)
+        rho_p, rho_d = 1.3, 2.1
+        c_e, u, cc = conditional_error_stats(beta_bar, rho_p, code.n_groups)
+        root = np.sqrt(beta_bar + c_e)
+        basis = np.diag(root)
+        for n in range(code.n_symbols):
+            def eta(h):
+                return conditional_snr_terms(code, n, h, u, cc, rho_d).eta_power
+
+            single = np.array([eta(b) for b in basis])
+            double = np.array([eta(2.0 * b) for b in basis])
+            e_read = np.diag((double - 4.0 * single) / 12.0)
+            f_read = single - np.diag(e_read)
+            for i in range(code.n_groups):
+                for j in range(i):
+                    e_read[i, j] = e_read[j, i] = 0.5 * (
+                        eta(basis[i] + basis[j]) - single[i] - single[j]
+                    )
+            e, f = _eta_form(code, n, u, cc, rho_d)
+            s = root**2
+            scale = np.abs(e_read).max() + np.abs(f_read).max()
+            assert np.abs(e * np.outer(s, s) - e_read).max() <= 1e-12 * scale
+            assert np.abs(f * s - f_read).max() <= 1e-12 * scale
+
+
+def test_single_group_batch_matches_high_precision_closed_form():
+    # c_n = -sqrt(rho_d) x / d and eta = rho_d Es x (x / d^2 + beta / d) with
+    # d = 1 + rho_p tau_p beta (test_theorem1_single_group_reduction), in 50 digits
+    mpmath = pytest.importorskip("mpmath")
+    code, rho = single_group(), 1e10
+    worst = 0.0
+    for tau_p in (1, 3):
+        for rho_beta in np.logspace(-3, 12, 31):
+            beta = rho_beta / rho
+            c_e, u, cc = conditional_error_stats(np.array([beta]), rho, tau_p)
+            x = (beta + c_e) * np.array([[0.01], [1.0], [7.0]])
+            batch = snr_ls_values(code, 0, x, u, cc, rho)
+            with mpmath.workdps(50):
+                b, r, es = mpmath.mpf(beta), mpmath.mpf(rho), mpmath.mpf(code.es)
+                d = 1 + r * tau_p * b
+                for xi, value in zip(x[:, 0], batch):
+                    xm = mpmath.mpf(xi)
+                    c_n = -mpmath.sqrt(r) * xm / d
+                    eta = r * es * xm * (xm / d**2 + b / d)
+                    exact = es * (mpmath.sqrt(r) * xm + c_n) ** 2 / (eta + xm - es * c_n**2)
+                    worst = max(worst, float(abs(value / exact - 1)))
+    assert worst <= 1e-12
 
 
 def test_lambda_ls_formula_and_collapse():
@@ -192,7 +289,7 @@ def test_eta_power_and_denominator_fuzz():
                 rng.standard_normal((n, code.n_groups))
                 + 1j * rng.standard_normal((n, code.n_groups))
             )
-            vals = snr_ls_values(code, 0, h_hat, u, cc, rho_d)  # raises if denom <= 0
+            vals = snr_ls_values(code, 0, np.abs(h_hat) ** 2, u, cc, rho_d)  # raises if denom <= 0
             assert np.all(vals >= 0)
             total += n
             # LS never beats perfect CSI: lambda_ls >= 1 / (rho_d beta_bar)
@@ -212,6 +309,6 @@ def test_snr_ls_symbol_values_nonnegative_rate34():
 def test_degenerate_denominator_is_flagged():
     # a physically impossible (negative) conditional covariance drives the
     # noise power negative; the guard must fire instead of returning garbage
-    h_hat = np.array([[1.0 + 0.5j]])
+    x = np.abs(np.array([[1.0 + 0.5j]])) ** 2
     with pytest.raises(NumericalDegeneracyError):
-        snr_ls_values(single_group(), 0, h_hat, np.array([0.5]), np.array([-10.0]), 1.0)
+        snr_ls_values(single_group(), 0, x, np.array([0.5]), np.array([-10.0]), 1.0)
