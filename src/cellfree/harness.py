@@ -23,7 +23,8 @@ from .grouping import Grouping, group_large_scale, neighbor_grouping, random_gro
 from .metrics import SampleSizeError, as_rates, coverage_and_density, outage_rate, outage_result
 from .metrics import coverage_perfect  # noqa: F401  (bench/spans.py traces it here)
 from .power import DEFAULT_RHO, TAU_C, optimize_pilot_power, uniform_plan
-from .propagation import ShadowParams, antenna_beta, large_scale_from_shadow, shadow_fields
+from .propagation import (ShadowParams, large_scale_from_shadow, path_gain, per_antenna,
+                          shadow_fields)
 from .snr import lambda_ls, lambda_perfect, snr_ls_values
 
 
@@ -255,12 +256,14 @@ def _fixed_layout(cfg):
 
 
 def _layout_setup(cfg, code, layout):
-    """(grouping, plan) of a layout: what its trials share.
+    """(gain, grouping, plan) of a layout: what its trials share.
 
+    gain is the path gain of every AP at each terminal, shape (K, n_aps).
     The grouping is None when it is random: each trial then draws its own,
     as the first use of its stream after the layout. The pilot/data power
     plan is None for perfect CSI, which has no pilots.
     """
+    gain = path_gain(layout, cfg.terminals)
     if code.n_groups == 1:
         grouping = Grouping(np.zeros(layout.n_antennas, dtype=np.int64), 1)
     elif cfg.grouping == "neighbor":
@@ -268,11 +271,11 @@ def _layout_setup(cfg, code, layout):
     else:
         grouping = None
     if cfg.csi == "perfect":
-        return grouping, None
+        return gain, grouping, None
     if cfg.power == "uniform":
-        return grouping, uniform_plan(cfg.effective_tau_p())
-    return grouping, optimize_pilot_power(layout, cfg.effective_tau_p(),
-                                          grid_resolution=cfg.opt_grid_km)
+        return gain, grouping, uniform_plan(cfg.effective_tau_p())
+    return gain, grouping, optimize_pilot_power(layout, cfg.effective_tau_p(),
+                                                grid_resolution=cfg.opt_grid_km)
 
 
 def _sample_snr(code, beta_bar, plan, cfg, rng):
@@ -390,7 +393,7 @@ def _plan_spread(plans):
 
 def _grouping_trial(cfg, code, layout, grouping, beta_ant, t):
     """Group rates of trial t per terminal (rows); their quantiles are found
-    after the loop. beta_ant holds the path-loss beta per (terminal, antenna)."""
+    after the loop. beta_ant holds the path gain per (terminal, antenna)."""
     rng = trial_stream(cfg.seed, t)
     g = grouping if grouping is not None else random_grouping(layout.n_antennas,
                                                               code.n_groups, rng)
@@ -408,12 +411,12 @@ def _network_trial(cfg, code, fixed, setup, t):
     )
     if layout.n_antennas < code.n_groups:
         return np.zeros(cfg.inner), None
-    grouping, plan = setup if setup is not None else _layout_setup(cfg, code, layout)
+    gain, grouping, plan = setup if setup is not None else _layout_setup(cfg, code, layout)
     if grouping is None:
         grouping = random_grouping(layout.n_antennas, code.n_groups, rng)
-    terminal = np.asarray(cfg.terminals[0], dtype=float)
-    shadow = shadow_fields(layout, [terminal], cfg.shadow_params(), rng)[0]
-    beta_bar = large_scale_from_shadow(layout, terminal, shadow, grouping)
+    shadow = shadow_fields(layout, cfg.terminals, cfg.shadow_params(), rng)[0]
+    beta_bar = large_scale_from_shadow(layout, gain[0], None if cfg.shadow == "none" else shadow,
+                                       grouping)
     return _sample_snr(code, beta_bar, plan, cfg, rng), plan
 
 
@@ -423,9 +426,9 @@ def run_scenario(cfg, label=None):
     setup = None if fixed is None else _layout_setup(cfg, code, fixed)
 
     if cfg.vary == "grouping":
-        # path-loss-only beta per (terminal, antenna); shadow is 'none' here
-        beta_ant = antenna_beta(fixed, cfg.terminals)
-        rates = [_grouping_trial(cfg, code, fixed, setup[0], beta_ant, t)
+        gain, grouping, _ = setup  # shadow is 'none' here
+        beta_ant = per_antenna(gain, fixed.antennas_per_ap)
+        rates = [_grouping_trial(cfg, code, fixed, grouping, beta_ant, t)
                  for t in range(cfg.outer)]
         gamma = _hyperexp_gamma_eps(np.concatenate(rates), cfg.epsilon)
         values = outage_rate(gamma, 0, code).reshape(cfg.outer, -1, 1)
@@ -441,7 +444,7 @@ def run_scenario(cfg, label=None):
     elif fixed is None and cfg.power == "optimized":
         power_note = _plan_spread(plans)
     else:
-        plan = setup[1] if setup is not None else uniform_plan(cfg.effective_tau_p())
+        plan = setup[2] if setup is not None else uniform_plan(cfg.effective_tau_p())
         power_note = f"rho_p={plan.rho_p:.6g} rho_d={plan.rho_d:.6g} tau_p={plan.tau_p}"
 
     return RunResult(cfg, label or "scenario", kind, values, power_note)

@@ -6,7 +6,7 @@ import numpy as np
 from dataclasses import dataclass
 
 from .deployment import worst_position
-from .propagation import antenna_beta
+from .propagation import path_gain
 from .snr import lambda_ls  # noqa: F401  (bench/spans.py traces power.lambda_ls)
 
 BOLTZMANN_J_PER_K = 1.380649e-23
@@ -59,8 +59,7 @@ def data_power(energy, rho_p, tau_p, tau_c):
 
 def path_loss_only_beta(layout, position):
     """Total large-scale coefficient at a position, path loss only, all antennas."""
-    m = layout.antennas_per_ap  # the antennas of an AP share its beta
-    return float(m * np.sum(antenna_beta(layout, position)[::m]))
+    return float(layout.antennas_per_ap * np.sum(path_gain(layout, position)))
 
 
 def optimal_pilot_power(beta_w, energy, tau_p, tau_c):

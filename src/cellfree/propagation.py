@@ -29,6 +29,15 @@ REFERENCE_LOSS_DB = (
     - 0.8
 )
 
+#: Squared break distances (km^2) and the linear gains 10^(-PL/10) of the two
+#: sloped branches: _NEAR_GAIN / d^2 up to D_O_KM, _FAR_GAIN * d^-3.5 beyond.
+_D_I2, _D_O2 = D_I_KM**2, D_O_KM**2
+_NEAR_GAIN = 10.0 ** (-(REFERENCE_LOSS_DB + 15.0 * np.log10(D_O_KM)) / 10.0)
+_FAR_GAIN = 10.0 ** (-REFERENCE_LOSS_DB / 10.0)
+
+#: ln(10) / 10: a loss of v dB is the linear gain exp(-v * _LN10_DIV_10).
+_LN10_DIV_10 = np.log(10.0) / 10.0
+
 
 @dataclass(frozen=True)
 class ShadowParams:
@@ -158,25 +167,40 @@ def shadow_fields(layout, terminals, params, rng):
     return np.sqrt(params.delta) * a[:, None] + np.sqrt(1.0 - params.delta) * b[None, :]
 
 
-def large_scale_from_shadow(layout, terminal, shadow_db, grouping):
-    """Per-group beta_bar for one terminal.
+def path_gain(layout, terminals):
+    """Linear path gain 10^(-PL(d)/10) of every AP, from squared distances.
 
-    beta_bar_k sums beta over the antennas of group k, with beta the
-    per-antenna coefficients of :func:`antenna_beta` under the shadow losses
-    of :func:`shadow_fields`.
-    """
-    return group_large_scale(antenna_beta(layout, terminal, shadow_db), grouping)
-
-
-def antenna_beta(layout, terminals, shadow_db=0.0):
-    """Linear beta = 10^(-(PL(d) + v)/10) per antenna.
-
-    Shape (n_antennas,) for one terminal position, (K, n_antennas) for K.
-    shadow_db is the shadow loss v per AP; all antennas of an AP share its beta.
+    Shape (n_aps,) for one terminal position, (K, n_aps) for K. With
+    m = max(d^2, D_I_KM^2) the gain is _NEAR_GAIN / m for d^2 <= D_O_KM^2 and
+    _FAR_GAIN * exp(-1.75 ln m) beyond: :func:`path_loss_db` in linear scale
+    without a square root, log10 or power of ten, within 5e-14 relative.
     """
     terminals = np.asarray(terminals, dtype=float)
-    dx = layout.positions[:, 0] - terminals[..., None, 0]
+    d2 = layout.positions[:, 0] - terminals[..., None, 0]
     dy = layout.positions[:, 1] - terminals[..., None, 1]
-    d = np.sqrt(dx * dx + dy * dy)
-    beta_ap = 10.0 ** (-(path_loss_db(d) + shadow_db) / 10.0)
-    return np.repeat(beta_ap, layout.antennas_per_ap, axis=-1)
+    d2 *= d2
+    dy *= dy
+    d2 += dy
+    m = np.maximum(d2, _D_I2)
+    far = np.log(m)
+    far *= -1.75
+    np.exp(far, out=far)
+    far *= _FAR_GAIN
+    return np.where(d2 <= _D_O2, np.divide(_NEAR_GAIN, m, out=m), far)
+
+
+def per_antenna(beta, antennas_per_ap):
+    """Per-AP values along the last axis, repeated for each antenna of the AP."""
+    return beta if antennas_per_ap == 1 else np.repeat(beta, antennas_per_ap, axis=-1)
+
+
+def large_scale_from_shadow(layout, gain, shadow_db, grouping):
+    """Per-group beta_bar for one terminal.
+
+    beta_bar_k sums beta over the antennas of group k. An AP's beta is its
+    path gain (:func:`path_gain`) times 10^(-v/10) for its shadow loss v
+    (:func:`shadow_fields`), or the path gain alone when shadow_db is None;
+    all antennas of an AP share its beta.
+    """
+    beta = gain if shadow_db is None else gain * np.exp(shadow_db * -_LN10_DIV_10)
+    return group_large_scale(per_antenna(beta, layout.antennas_per_ap), grouping)

@@ -334,3 +334,11 @@ def test_layout_outside_region_rejected():
     with pytest.raises(ValueError):
         NetworkLayout(np.array([[3.0, 0.0]]), 1, Region(1.0))
 
+
+@pytest.mark.parametrize("point", [(np.nan, 0.0), (0.0, np.nan), (1.0 + 2e-12, 0.0),
+                                   (0.0, -1.0 - 2e-12)])
+def test_layout_nan_or_just_outside_rejected(point):
+    NetworkLayout(np.array([[0.5, 0.5], [1.0 + 1e-13, -1.0]]), 1, Region(1.0))
+    with pytest.raises(ValueError):
+        NetworkLayout(np.array([[0.5, 0.5], point]), 1, Region(1.0))
+

@@ -40,7 +40,7 @@ from cellfree.power import (
     optimize_pilot_power,
     uniform_plan,
 )
-from cellfree.propagation import ShadowParams, large_scale_from_shadow, shadow_fields
+from cellfree.propagation import ShadowParams, large_scale_from_shadow, path_gain, shadow_fields
 from cellfree.snr import lambda_ls, lambda_perfect, snr_ls_values
 
 FAST = dict(half_width_km=1.5, epsilon=0.1, outer=60, inner=50, seed=5)
@@ -541,7 +541,7 @@ def test_trial_replay_with_two_receive_antennas(csi, code):
         else:
             grouping = random_grouping(layout.n_antennas, stbc.n_groups, rng)
         shadow = shadow_fields(layout, [terminal], cfg.shadow_params(), rng)[0]
-        beta_bar = large_scale_from_shadow(layout, terminal, shadow, grouping)
+        beta_bar = large_scale_from_shadow(layout, path_gain(layout, terminal), shadow, grouping)
         total = np.zeros(cfg.inner)
         for _ in range(cfg.rx_antennas):
             if csi == "perfect":
@@ -560,7 +560,7 @@ def test_trial_replay_with_two_receive_antennas(csi, code):
 
 
 def _count_setup_calls(monkeypatch):
-    calls = {"neighbor_grouping": 0, "optimize_pilot_power": 0}
+    calls = {"neighbor_grouping": 0, "optimize_pilot_power": 0, "path_gain": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -581,7 +581,7 @@ def test_fixed_layout_computes_its_setup_once(monkeypatch):
                          grouping="neighbor", power="optimized", opt_grid_km=0.1,
                          epsilon=0.1, outer=6, inner=10, seed=3)
     run_scenario(cfg)
-    assert calls == {"neighbor_grouping": 1, "optimize_pilot_power": 1}
+    assert calls == {"neighbor_grouping": 1, "optimize_pilot_power": 1, "path_gain": 1}
 
 
 def test_drawn_layouts_compute_one_setup_per_non_degenerate_trial(monkeypatch):
@@ -593,8 +593,33 @@ def test_drawn_layouts_compute_one_setup_per_non_degenerate_trial(monkeypatch):
     runnable = sum(place_ppp(cfg.density, cfg.region(), trial_stream(cfg.seed, t)).n_antennas >= 2
                    for t in range(cfg.outer))
     assert 0 < runnable < cfg.outer
-    assert calls == {"neighbor_grouping": runnable, "optimize_pilot_power": runnable}
+    assert calls == {"neighbor_grouping": runnable, "optimize_pilot_power": runnable,
+                     "path_gain": runnable}
     assert f"per-trial plans over {runnable} of {cfg.outer} trials" in res.power_note
+
+
+@pytest.mark.parametrize("deployment, layout_seed, gains", [
+    ("hexagonal", None, 1), ("ppp", 4, 1), ("ppp", None, 7)])
+def test_path_gain_once_per_layout(monkeypatch, deployment, layout_seed, gains):
+    # fig3's perfect-CSI shape: a fixed layout shares one gain, a drawn one has its own
+    calls = _count_setup_calls(monkeypatch)
+    cfg = ScenarioConfig(deployment=deployment, density=20.0, half_width_km=1.0,
+                         shadow="none", csi="perfect", code="single", layout_seed=layout_seed,
+                         epsilon=0.1, outer=7, inner=10, seed=3)
+    run_scenario(cfg)
+    assert calls["path_gain"] == gains
+
+
+def test_shared_gain_equals_per_trial_gain():
+    # a fixed layout's trials, each recomputing its whole setup, gain included
+    cfg = ScenarioConfig(deployment="ppp", density=20.0, half_width_km=1.0, layout_seed=5,
+                         shadow="uncorrelated", csi="ls", code="alamouti", power="uniform",
+                         epsilon=0.1, outer=4, inner=20, seed=6)
+    res = run_scenario(cfg)
+    code, fixed = validate_config(cfg)
+    for t in range(cfg.outer):
+        snr, _ = harness._network_trial(cfg, code, fixed, None, t)
+        assert np.array_equal(res.values[t, 0], snr)
 
 
 def test_summary_csv_schema(tmp_path):

@@ -11,9 +11,10 @@ from cellfree.propagation import (
     REFERENCE_LOSS_DB,
     CovarianceFactorizationError,
     ShadowParams,
-    antenna_beta,
     large_scale_from_shadow,
+    path_gain,
     path_loss_db,
+    per_antenna,
     shadow_fields,
 )
 
@@ -75,21 +76,22 @@ def test_path_loss_bit_identical_to_three_branch_form():
         assert type(got) is float and got == w == _three_branch_path_loss(x)
 
 
-def test_antenna_beta_distances_equal_norm(monkeypatch):
-    layout = _layout(seed=15, density=30.0)
-    seen = []
-
-    def recording(d):
-        seen.append(d)
-        return path_loss_db(d)
-
-    monkeypatch.setattr(propagation, "path_loss_db", recording)
+def test_path_gain_matches_path_loss_db():
+    # APs on the x axis at the edge set of the test above, uniform distances
+    # and a geometric sweep; terminals at the origin (exact distances) and
+    # at random points (distances by np.linalg.norm)
+    edges = [0.0, np.nextafter(0.0, 1.0)]
+    for b in (D_I_KM, D_O_KM):
+        edges += [np.nextafter(b, 0.0), b, np.nextafter(b, np.inf)]
     rng = np.random.default_rng(15)
-    for terminals in (rng.uniform(-1, 1, 2), rng.uniform(-1, 1, (4, 2))):
-        antenna_beta(layout, terminals)
-        want = np.linalg.norm(layout.positions - terminals[..., None, :], axis=-1)
-        assert seen[-1].shape == want.shape
-        assert np.array_equal(seen[-1], want)
+    d = np.concatenate([edges, rng.uniform(0.0, 10.0, 10_000), np.geomspace(1e-6, 1e4, 2_001)])
+    layout = NetworkLayout(np.column_stack([d, np.zeros_like(d)]), 1, Region(1e4))
+    for terminals in (np.zeros(2), np.vstack([np.zeros(2), rng.uniform(-1, 1, (3, 2))])):
+        dist = np.linalg.norm(layout.positions - terminals[..., None, :], axis=-1)
+        want = 10.0 ** (-path_loss_db(dist) / 10.0)
+        got = path_gain(layout, terminals)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got / want - 1.0)) <= 5e-14
 
 
 def test_params_validation():
@@ -259,10 +261,11 @@ def test_cross_terminal_field_shape():
 
 
 def _large_scale(layout, sh_params, grouping, rng):
-    """beta and beta_bar at the origin, shadowed by one draw of shadow_fields."""
+    """beta per antenna and beta_bar at the origin, shadowed by one draw of shadow_fields."""
     shadow = shadow_fields(layout, [(0, 0)], sh_params, rng)[0]
-    beta = antenna_beta(layout, (0, 0), shadow)
-    return beta, large_scale_from_shadow(layout, (0, 0), shadow, grouping)
+    gain = path_gain(layout, (0, 0))
+    beta = per_antenna(gain * 10.0 ** (-shadow / 10.0), layout.antennas_per_ap)
+    return beta, large_scale_from_shadow(layout, gain, shadow, grouping)
 
 
 def test_large_scale_beta_at_one_km():
