@@ -67,23 +67,17 @@ def neighbor_grouping(layout, n_groups):
     n_aps, m = layout.n_aps, layout.antennas_per_ap
     if n_aps * m < n_groups:
         raise InfeasibleGroupingError(f"{n_aps * m} antennas cannot fill {n_groups} groups")
-    if not np.all(np.isfinite(layout.positions)):
-        raise ValueError("AP positions must be finite")
-
-    if n_aps == 1:
-        order = [0]
-    else:
-        dist, start, _ = closest_pair(layout.positions)
-        unassigned = np.ones(n_aps, dtype=bool)
-        unassigned[start] = False
-        order = [start]
-        prev = start
-        for _ in range(n_aps - 1):
-            cand = np.where(unassigned, dist[prev], np.inf)
-            nxt = int(np.argmin(cand))  # argmin takes the lowest index on ties
-            unassigned[nxt] = False
-            order.append(nxt)
-            prev = nxt
+    dist, start, _ = closest_pair(layout.positions)  # one AP: (inf, 0, 0), a chain of one
+    unassigned = np.ones(n_aps, dtype=bool)
+    unassigned[start] = False
+    order = [start]
+    prev = start
+    for _ in range(n_aps - 1):
+        cand = np.where(unassigned, dist[prev], np.inf)
+        nxt = int(np.argmin(cand))  # argmin takes the lowest index on ties
+        unassigned[nxt] = False
+        order.append(nxt)
+        prev = nxt
 
     assignment = np.empty(n_aps * m, dtype=np.int64)
     counter = 0

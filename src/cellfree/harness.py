@@ -198,7 +198,10 @@ def config_from_text(text):
             raise ValueError(f"line {lineno}: unknown key {key!r}")
         if key in kwargs:
             raise ValueError(f"line {lineno}: duplicate key {key!r}")
-        kwargs[key] = _parse_value(known[key].type, val)
+        try:
+            kwargs[key] = _parse_value(known[key].type, val)
+        except ValueError as e:
+            raise ValueError(f"line {lineno}: bad value for {key!r}: {e}") from None
     return ScenarioConfig(**kwargs)
 
 
@@ -290,13 +293,12 @@ def _sample_snr(code, beta_bar, plan, cfg, rng):
     is all it depends on. Branch SNRs add under maximum-ratio combining.
     """
     rx, inner = cfg.rx_antennas, cfg.inner
-    tau_p = cfg.effective_tau_p()
     if cfg.csi == "perfect":
         scale = DEFAULT_RHO * code.es * beta_bar
     elif code.n_groups == 1:
-        scale = 1.0 / lambda_ls(beta_bar, plan.rho_p, tau_p, plan.rho_d, code.es)
+        scale = 1.0 / lambda_ls(beta_bar, plan.rho_p, plan.tau_p, plan.rho_d, code.es)
     else:
-        c_e, u, cc = conditional_error_stats(beta_bar, plan.rho_p, tau_p)
+        c_e, u, cc = conditional_error_stats(beta_bar, plan.rho_p, plan.tau_p)
         h_hat = np.stack([draw_effective_channel(beta_bar + c_e, rng, size=inner)
                           for _ in range(rx)])
         return snr_ls_values(code, 0, np.abs(h_hat) ** 2, u, cc, plan.rho_d).sum(axis=0)

@@ -20,10 +20,6 @@ TAU_C = 300
 DEFAULT_RHO = 1e-3 / (200e3 * 300.0 * BOLTZMANN_J_PER_K * 10.0 ** (9.0 / 10.0))
 
 
-class BudgetExhaustedError(ValueError):
-    """Pilot energy leaves nothing for the data phase."""
-
-
 @dataclass(frozen=True)
 class PowerPlan:
     """Power split of one coherence block: rho_p tau_p + rho_d (TAU_C - tau_p) = E."""
@@ -33,8 +29,8 @@ class PowerPlan:
     rho_d: float
 
     def __post_init__(self):
-        if min(self.rho_p, self.rho_d) <= 0 or self.tau_p <= 0:
-            raise ValueError("all powers and tau_p must be positive")
+        if min(self.rho_p, self.rho_d) <= 0 or not 0 < self.tau_p < TAU_C:
+            raise ValueError("powers must be positive and 0 < tau_p < TAU_C")
         energy = DEFAULT_RHO * TAU_C
         spent = self.rho_p * self.tau_p + self.rho_d * (TAU_C - self.tau_p)
         if not math.isclose(spent, energy, rel_tol=1e-9):
@@ -46,33 +42,19 @@ def uniform_plan(tau_p):
     return PowerPlan(tau_p=tau_p, rho_p=DEFAULT_RHO, rho_d=DEFAULT_RHO)
 
 
-def data_power(energy, rho_p, tau_p, tau_c):
-    """Data power implied by the budget: rho_d = (E - rho_p tau_p) / (tau_c - tau_p)."""
-    if not 0 < tau_p < tau_c:
-        raise ValueError("require 0 < tau_p < tau_c")
-    if rho_p * tau_p >= energy:
-        raise BudgetExhaustedError(
-            f"pilot energy {rho_p * tau_p} exhausts the budget {energy}"
-        )
-    return (energy - rho_p * tau_p) / (tau_c - tau_p)
-
-
-def path_loss_only_beta(layout, position):
-    """Total large-scale coefficient at a position, path loss only, all antennas."""
-    return float(layout.antennas_per_ap * np.sum(path_gain(layout, position)))
-
-
-def optimal_pilot_power(beta_w, energy, tau_p, tau_c):
-    """Pilot power minimizing lambda_ls at Es = 1 under the budget identity.
+def optimal_pilot_power(beta_w, tau_p):
+    """Pilot power minimizing lambda_ls at Es = 1 under the budget E = DEFAULT_RHO TAU_C.
 
     Setting the derivative to zero gives the quadratic
     f(x) = c1 tau_p x^2 + 2 c0 tau_p x - c0 E = 0 with c0 = 1 + beta E / d and
-    c1 = beta tau_p (1 - 1/d) >= 0, d = tau_c - tau_p. Its discriminant is
-    c0 tau_p^2 (1 + beta E) > 0 and f(0) < 0 < f(E/tau_p), so the minimizer is
-    the root in (0, E/tau_p), written as c0 E / (c0 tau_p + sqrt(disc)): it
-    neither cancels at small beta nor divides by c1 (zero at d = 1).
+    c1 = beta tau_p (1 - 1/d) >= 0, d = TAU_C - tau_p. Its discriminant is at
+    least (c0 tau_p)^2 and f(0) < 0 < f(E/tau_p), so the minimizer is the root
+    in (0, E/(2 tau_p)], written as c0 E / (c0 tau_p + sqrt(disc)): it neither
+    cancels at small beta nor divides by c1 (zero at d = 1). At most half the
+    budget goes to pilots, so the data power is positive.
     """
-    d = tau_c - tau_p
+    energy = DEFAULT_RHO * TAU_C
+    d = TAU_C - tau_p
     c0 = 1.0 + beta_w * energy / d
     c1 = beta_w * tau_p * (1.0 - 1.0 / d)
     disc = (c0 * tau_p) ** 2 + c1 * tau_p * c0 * energy
@@ -89,8 +71,7 @@ def optimize_pilot_power(layout, tau_p, grid_resolution=None):
     hold for the plan to be useful; only AP locations enter.
     """
     t_w = worst_position(layout, grid_resolution=grid_resolution)
-    beta_w = path_loss_only_beta(layout, t_w)
-    energy = DEFAULT_RHO * TAU_C
-    rho_p = optimal_pilot_power(beta_w, energy, tau_p, TAU_C)
-    rho_d = data_power(energy, rho_p, tau_p, TAU_C)
+    beta_w = float(layout.antennas_per_ap * np.sum(path_gain(layout, t_w)))
+    rho_p = optimal_pilot_power(beta_w, tau_p)
+    rho_d = (DEFAULT_RHO * TAU_C - rho_p * tau_p) / (TAU_C - tau_p)
     return PowerPlan(tau_p=tau_p, rho_p=rho_p, rho_d=rho_d)

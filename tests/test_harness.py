@@ -235,6 +235,16 @@ def test_config_text_rejects_unknown_and_duplicate_keys():
         config_from_text("seed\n")
 
 
+@pytest.mark.parametrize("text,where", [
+    ("seed=1\ndensity=abc\n", "line 2: bad value for 'density'"),
+    ("# outer trials\nouter=2.5\n", "line 2: bad value for 'outer'"),
+    ("terminals=0.0,1.0;2.0\n", "line 1: bad value for 'terminals'"),
+], ids=["float", "int", "terminals"])
+def test_config_text_bad_value_names_line_and_key(text, where):
+    with pytest.raises(ValueError, match=f"^{where}: "):
+        config_from_text(text)
+
+
 def test_config_text_comments_and_blanks():
     cfg = config_from_text("# a comment\n\nseed=9  # trailing\ncode=alamouti\n")
     assert cfg.seed == 9 and cfg.code == "alamouti"

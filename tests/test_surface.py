@@ -30,9 +30,11 @@ TEST_REFERENCES = {
                           "against",
 }
 
-#: The general formulas that the unit tests vary; every other public function
-#: reads the one energy budget, power.DEFAULT_RHO * power.TAU_C.
-BUDGET_FORMULAS = {"data_power", "optimal_pilot_power", "lambda_perfect"}
+#: Public functions that take the power as an argument; every other one reads
+#: the one energy budget, power.DEFAULT_RHO * power.TAU_C. lambda_perfect is in
+#: snr, which cannot import power without a cycle: power imports snr.lambda_ls
+#: so that the benchmark tracer can wrap it there.
+BUDGET_FORMULAS = {"lambda_perfect"}
 
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
@@ -109,7 +111,7 @@ def _public_parameters(path):
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_general_formulas_take_rho_or_tau_c(path):
     takers = [name for name, params in _public_parameters(path)
-              if params & {"rho", "tau_c"} and name not in BUDGET_FORMULAS]
+              if params & {"rho", "tau_c", "energy"} and name not in BUDGET_FORMULAS]
     assert takers == []
 
 
