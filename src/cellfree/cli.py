@@ -35,16 +35,6 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 
 
-def _seed_override(args):
-    env = os.environ.get("CELLFREE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise UsageError(f"CELLFREE_SEED must be an integer, got {env!r}")
-    return args.seed
-
-
 class UsageError(Exception):
     pass
 
@@ -81,7 +71,7 @@ def _load_experiment(name_or_path):
 
 
 def cmd_run(args):
-    exp = with_overrides(_load_experiment(args.scenario), seed=_seed_override(args),
+    exp = with_overrides(_load_experiment(args.scenario), seed=args.seed,
                          outer=args.outer, inner=args.inner)
     try:
         for _, cfg in exp.members:
@@ -120,7 +110,7 @@ def cmd_validate(args):
 
 
 def cmd_oracle(args):
-    seed = _seed_override(args)
+    seed = args.seed
     if seed < 0:
         raise UsageError(f"oracle seed must be >= 0, got {seed}")
     if args.check == "corollary1":

@@ -223,18 +223,22 @@ def config_hash(cfg):
 
 @dataclass
 class RunResult:
-    """Samples of one run, shaped (outer trial, terminal, sample of the trial).
-
-    kind is 'snr_linear' for network-randomness runs (one terminal, inner SNR
-    samples per trial) and 'rate_bpcu' for grouping-randomness runs (one
-    conditional outage rate per trial and terminal).
-    """
+    """Samples of one run, shaped (outer trial, terminal, sample of the trial)."""
 
     config: ScenarioConfig
     label: str
-    kind: str
     values: np.ndarray
     power_note: str
+
+    @property
+    def kind(self):
+        """'rate_bpcu' for grouping-randomness runs, else 'snr_linear'.
+
+        A grouping run holds one conditional outage rate per trial and
+        terminal; a network run holds one terminal's inner SNR samples per
+        trial.
+        """
+        return "rate_bpcu" if self.config.vary == "grouping" else "snr_linear"
 
     def terminals(self):
         """(row name, samples of shape (outer, per trial)) for each terminal.
@@ -434,12 +438,10 @@ def run_scenario(cfg, label=None):
                  for t in range(cfg.outer)]
         gamma = _hyperexp_gamma_eps(np.concatenate(rates), cfg.epsilon)
         values = outage_rate(gamma, 0, code).reshape(cfg.outer, -1, 1)
-        kind = "rate_bpcu"
     else:
         snrs, plans = zip(*(_network_trial(cfg, code, fixed, setup, t)
                             for t in range(cfg.outer)))
         values = np.stack(snrs)[:, None, :]
-        kind = "snr_linear"
 
     if cfg.csi == "perfect":
         power_note = f"rho_p=rho_d=rho={DEFAULT_RHO:.6g} (perfect CSI, no pilots)"
@@ -449,7 +451,7 @@ def run_scenario(cfg, label=None):
         plan = setup[2] if setup is not None else uniform_plan(cfg.effective_tau_p())
         power_note = f"rho_p={plan.rho_p:.6g} rho_d={plan.rho_d:.6g} tau_p={plan.tau_p}"
 
-    return RunResult(cfg, label or "scenario", kind, values, power_note)
+    return RunResult(cfg, label or "scenario", values, power_note)
 
 
 def summarize(result):

@@ -153,7 +153,7 @@ def check_corollary1(seed, n_trials=100_000):
 
     beta_bar, rho, tau_p = 2e-10, DEFAULT_RHO, 1
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    code = ost.single_group()
+    code = ost.by_name("single")
     samples = empirical_snr_cdf(code, [beta_bar], rho, rho, tau_p, n_trials, rng)
     lam = lambda_ls(beta_bar, rho, tau_p, rho, code.es)
     res = stats.kstest(samples, "expon", args=(0.0, 1.0 / lam))

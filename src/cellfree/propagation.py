@@ -80,7 +80,7 @@ def path_loss_db(d):
     return out if out.ndim else float(out)
 
 
-def _covariance_triangle(positions, sigma_db, d_u):
+def _covariance_triangle(positions):
     """Upper triangle of sigma^2 * 2^(-d_ij/d_u) in a C-ordered n x n buffer.
 
     That triangle is the lower triangle of the buffer's transpose in Fortran
@@ -105,13 +105,13 @@ def _covariance_triangle(positions, sigma_db, d_u):
         dy *= dy
         dx += dy
         np.sqrt(dx, out=dx)
-        dx /= -d_u
+        dx /= -ShadowParams.decorrelation_km
         np.exp2(dx, out=dx)
-        np.multiply(dx, sigma_db**2, out=cov[s:s + r, s:])
+        np.multiply(dx, ShadowParams.sigma_db**2, out=cov[s:s + r, s:])
     return cov
 
 
-def _cholesky_lower(positions, sigma_db, d_u):
+def _cholesky_lower(positions):
     """Lower Cholesky factor of sigma^2 * 2^(-d_ij/d_u) with jitter fallback.
 
     Fortran-ordered; only its lower triangle is set, and only that triangle
@@ -120,9 +120,9 @@ def _cholesky_lower(positions, sigma_db, d_u):
     of 1e-10 * sigma^2 is added to the diagonal of a rebuilt covariance
     and multiplied by 100 on each of at most 3 retries.
     """
-    jitter = 0.0
+    sigma_db, jitter = ShadowParams.sigma_db, 0.0
     for attempt in range(4):
-        cov = _covariance_triangle(positions, sigma_db, d_u)
+        cov = _covariance_triangle(positions)
         cov.flat[::len(cov) + 1] += jitter
         chol, info = dpotrf(cov.T, lower=1, clean=0, overwrite_a=1)
         if info == 0:
@@ -135,7 +135,7 @@ def _cholesky_lower(positions, sigma_db, d_u):
     )
 
 
-def _correlated_draw(positions, sigma_db, d_u, z):
+def _correlated_draw(positions, z):
     """L z for the lower Cholesky factor L of sigma^2 * 2^(-d_ij/d_u).
 
     ``dtrmv`` reads only L's lower triangle. Fewer than two positions skip
@@ -143,8 +143,8 @@ def _correlated_draw(positions, sigma_db, d_u, z):
     to LAPACK's dpotrf on [[sigma^2]].
     """
     if len(positions) <= 1:
-        return np.sqrt(sigma_db**2) * z
-    return dtrmv(_cholesky_lower(positions, sigma_db, d_u), z, lower=1, overwrite_x=1)
+        return np.sqrt(ShadowParams.sigma_db**2) * z
+    return dtrmv(_cholesky_lower(positions), z, lower=1, overwrite_x=1)
 
 
 def shadow_fields(layout, terminals, params, rng):
@@ -161,9 +161,8 @@ def shadow_fields(layout, terminals, params, rng):
         return np.zeros((k, n))
     if params.mode == "uncorrelated":
         return rng.normal(0.0, params.sigma_db, size=(k, n))
-    d_u = params.decorrelation_km
-    a = _correlated_draw(terminals, params.sigma_db, d_u, rng.standard_normal(k))
-    b = _correlated_draw(layout.positions, params.sigma_db, d_u, rng.standard_normal(n))
+    a = _correlated_draw(terminals, rng.standard_normal(k))
+    b = _correlated_draw(layout.positions, rng.standard_normal(n))
     return np.sqrt(params.delta) * a[:, None] + np.sqrt(1.0 - params.delta) * b[None, :]
 
 

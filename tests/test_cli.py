@@ -52,12 +52,12 @@ def test_run_seed_flag_changes_samples(tmp_path, tiny_config):
     assert out1.read_bytes() != out2.read_bytes()
 
 
-def test_env_seed_overrides_flag(tmp_path, tiny_config, monkeypatch):
+def test_seed_environment_variable_is_ignored(tmp_path, tiny_config, monkeypatch):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     monkeypatch.setenv("CELLFREE_SEED", "7")
     main(["run", "--scenario", tiny_config, "--out", str(out1), "--seed", "99"])
     monkeypatch.delenv("CELLFREE_SEED")
-    main(["run", "--scenario", tiny_config, "--out", str(out2), "--seed", "7"])
+    main(["run", "--scenario", tiny_config, "--out", str(out2), "--seed", "99"])
     assert out1.read_bytes() == out2.read_bytes()
 
 
@@ -303,18 +303,9 @@ def test_oracle_hyperexp(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("env, args, message", [
-    ("not-an-int", [], "CELLFREE_SEED"),
-    ("-5", [], "seed must be >= 0, got -5"),
-    (None, ["--seed", "-1"], "seed must be >= 0, got -1"),
-], ids=["env-not-an-int", "env-seed=-5", "seed=-1"])
-def test_oracle_env_seed(capsys, monkeypatch, env, args, message):
-    if env is None:
-        monkeypatch.delenv("CELLFREE_SEED", raising=False)
-    else:
-        monkeypatch.setenv("CELLFREE_SEED", env)
-    assert main(["oracle", "--check", "hyperexp", *args]) == 2
-    assert message in capsys.readouterr().err
+def test_oracle_negative_seed_is_usage_error(capsys):
+    assert main(["oracle", "--check", "hyperexp", "--seed", "-1"]) == 2
+    assert "seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_bad_arguments_exit_2():
@@ -335,16 +326,10 @@ def test_threads_flag_is_accepted_with_a_fixed_default():
     assert _run_args("--threads", "8").threads == 8
 
 
-@pytest.mark.parametrize("override", [("--outer", "0"), ("--inner", "0"), ("--seed", "-1"),
-                                      ("CELLFREE_SEED", "-5")],
-                         ids=["outer=0", "inner=0", "seed=-1", "env-seed=-5"])
-def test_bad_override_rejected_before_any_trial(tmp_path, capsys, monkeypatch, override):
-    flag, value = override
-    args = ["run", "--scenario", "fig4", "--out", str(tmp_path / "x.csv")]
-    if flag.startswith("--"):
-        args += [flag, value]
-    else:
-        monkeypatch.setenv(flag, value)
+@pytest.mark.parametrize("override", [("--outer", "0"), ("--inner", "0"), ("--seed", "-1")],
+                         ids=["outer=0", "inner=0", "seed=-1"])
+def test_bad_override_rejected_before_any_trial(tmp_path, capsys, override):
+    args = ["run", "--scenario", "fig4", "--out", str(tmp_path / "x.csv"), *override]
     assert main(args) == 2
     assert "invalid scenario configuration" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()

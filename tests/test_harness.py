@@ -714,7 +714,7 @@ def _synthetic_result(n_per_trial, label):
     values[::7] = values[0]
     cfg = ScenarioConfig(deployment="ppp", shadow="none", csi="perfect", code="single",
                          epsilon=0.1, outer=1, inner=n_per_trial, seed=7)
-    return [RunResult(cfg, label, "snr_linear", values.reshape(1, 1, -1), "rho=1")]
+    return [RunResult(cfg, label, values.reshape(1, 1, -1), "rho=1")]
 
 
 def _zero_snr_results(label):

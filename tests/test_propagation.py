@@ -122,7 +122,7 @@ def test_shadow_correlated_pair_correlation():
     # equal to the decorrelation distance the correlation is 2^-1 = 0.5
     positions = np.array([[0.0, 0.0], [0.2, 0.0]])
     rng = np.random.default_rng(9)
-    draws = np.array([propagation._correlated_draw(positions, 8.0, 0.2, rng.standard_normal(2))
+    draws = np.array([propagation._correlated_draw(positions, rng.standard_normal(2))
                       for _ in range(10_000)])
     corr = np.corrcoef(draws.T)[0, 1]
     assert abs(corr - 0.5) < 0.05
@@ -160,7 +160,7 @@ def test_covariance_bit_identical_to_cdist_build():
         np.exp2(want, out=want)
         want *= 8.0**2
         upper = np.triu_indices(len(positions))
-        cov = propagation._covariance_triangle(positions, 8.0, 0.2)
+        cov = propagation._covariance_triangle(positions)
         assert np.array_equal(cov[upper], want[upper])
 
 
@@ -175,7 +175,7 @@ def test_cholesky_lower_matches_reference_construction():
     layout = _layout(seed=1, density=20.0, hw=2.4)
     assert 400 < layout.n_aps < 520
     ref = np.linalg.cholesky(_reference_cov(layout.positions, 8.0, 0.2))
-    chol = np.tril(propagation._cholesky_lower(layout.positions, 8.0, 0.2))
+    chol = np.tril(propagation._cholesky_lower(layout.positions))
     assert np.max(np.abs(chol - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -183,7 +183,7 @@ def test_correlated_draw_matches_reference_construction():
     layout = _layout(seed=1, density=20.0, hw=2.4)
     z = np.random.default_rng(14).standard_normal(layout.n_aps)
     want = np.linalg.cholesky(_reference_cov(layout.positions, 8.0, 0.2)) @ z
-    b = propagation._correlated_draw(layout.positions, 8.0, 0.2, z.copy())
+    b = propagation._correlated_draw(layout.positions, z.copy())
     assert np.max(np.abs(b - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -191,17 +191,17 @@ def test_correlated_draw_ignores_the_unset_triangle(monkeypatch):
     # neither LAPACK nor BLAS may read the triangle the build leaves unset
     layout = _layout(seed=1, density=20.0, hw=2.4)
     z = np.random.default_rng(15).standard_normal(layout.n_aps)
-    want = propagation._correlated_draw(layout.positions, 8.0, 0.2, z.copy())
+    want = propagation._correlated_draw(layout.positions, z.copy())
     empty = np.empty
     monkeypatch.setattr(np, "empty", lambda *a, **kw: np.full_like(empty(*a, **kw), np.nan))
-    cov = propagation._covariance_triangle(layout.positions, 8.0, 0.2)
+    cov = propagation._covariance_triangle(layout.positions)
     assert np.isnan(cov[-1, 0])
-    assert np.array_equal(propagation._correlated_draw(layout.positions, 8.0, 0.2, z.copy()), want)
+    assert np.array_equal(propagation._correlated_draw(layout.positions, z.copy()), want)
 
 
 def test_single_position_draw_is_sigma_times_z():
     z = np.random.default_rng(16).standard_normal(1)
-    assert np.array_equal(propagation._correlated_draw(np.zeros((1, 2)), 8.0, 0.2, z.copy()), 8.0 * z)
+    assert np.array_equal(propagation._correlated_draw(np.zeros((1, 2)), z.copy()), 8.0 * z)
 
 
 def test_empty_layout_correlated_field():
@@ -218,7 +218,7 @@ def test_jitter_fallback_factors_rebuilt_covariance():
     cov = _reference_cov(positions, sigma_db, 0.2)
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.cholesky(cov)
-    chol = np.tril(propagation._cholesky_lower(positions, sigma_db, 0.2))
+    chol = np.tril(propagation._cholesky_lower(positions))
     target = cov + jitter * np.eye(4)
     assert np.allclose(chol @ chol.T, target, rtol=0, atol=1e-2 * jitter)
 
@@ -239,7 +239,7 @@ def test_factorization_error_after_four_attempts(monkeypatch):
     calls = _record_dpotrf(monkeypatch, 1)
     positions = np.array([[0.0, 0.0], [0.3, 0.0]])
     with pytest.raises(CovarianceFactorizationError):
-        propagation._cholesky_lower(positions, 8.0, 0.2)
+        propagation._cholesky_lower(positions)
     assert len(calls) == 4
     jitters = [c[0, 0] - 64.0 for c in calls]
     assert jitters[0] == 0.0
@@ -249,7 +249,7 @@ def test_factorization_error_after_four_attempts(monkeypatch):
 def test_illegal_argument_raises_without_retry(monkeypatch):
     calls = _record_dpotrf(monkeypatch, -1)
     with pytest.raises(ValueError, match="argument 1"):
-        propagation._cholesky_lower(np.array([[0.0, 0.0], [0.3, 0.0]]), 8.0, 0.2)
+        propagation._cholesky_lower(np.array([[0.0, 0.0], [0.3, 0.0]]))
     assert len(calls) == 1
 
 

@@ -101,11 +101,15 @@ def test_test_references_are_defined_and_otherwise_unused():
     assert set(TEST_REFERENCES).isdisjoint(_used())  # a used name needs no exception
 
 
+def _parameters(path):
+    """(name, parameter names) of each module-level function, private ones too."""
+    return [(node.name, {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)})
+            for node in ast.parse(path.read_text()).body if isinstance(node, ast.FunctionDef)]
+
+
 def _public_parameters(path):
     """(name, parameter names) of each public module-level function."""
-    return [(node.name, {arg.arg for arg in ast.walk(node.args) if isinstance(arg, ast.arg)})
-            for node in ast.parse(path.read_text()).body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    return [(name, params) for name, params in _parameters(path) if not name.startswith("_")]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -119,6 +123,14 @@ def test_only_the_general_formulas_take_rho_or_tau_c(path):
 def test_no_function_takes_both_a_code_and_es(path):
     # the symbol energy follows from the code: OstbcCode.es
     assert [name for name, params in _public_parameters(path) if {"code", "es"} <= params] == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_takes_a_shadow_constant(path):
+    # sigma, delta and d_u are ShadowParams class constants, read where they are used
+    takers = [name for name, params in _parameters(path)
+              if params & {"sigma_db", "delta", "d_u", "decorrelation_km"}]
+    assert takers == []
 
 
 def test_the_shadow_mode_is_the_only_shadow_setting():
