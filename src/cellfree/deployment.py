@@ -48,10 +48,6 @@ class NetworkLayout:
         return self.n_aps * self.antennas_per_ap
 
 
-class NoAccessPointsError(ValueError):
-    """Raised when an operation needs at least one AP in the layout."""
-
-
 def place_ppp(density, region, rng, antennas_per_ap=1):
     """Draw AP positions from a homogeneous Poisson point process.
 
@@ -121,7 +117,7 @@ def closest_pair(positions):
 def mean_nn_spacing(layout):
     """Mean nearest-neighbor distance between APs (km)."""
     if layout.n_aps < 2:
-        raise NoAccessPointsError("need at least two APs for a spacing estimate")
+        raise ValueError("need at least two APs for a spacing estimate")
     d = _CellList(layout.positions, layout.region).query(layout.positions, k=2)
     return float(d.mean())
 
@@ -225,7 +221,7 @@ def worst_position(layout, grid_resolution=None):
     which is all the power heuristic needs.
     """
     if layout.n_aps == 0:
-        raise NoAccessPointsError("worst_position needs a non-empty layout")
+        raise ValueError("worst_position needs a non-empty layout")
     hw = layout.region.half_width_km
     if grid_resolution is None:
         if layout.n_aps < 2:

@@ -6,10 +6,6 @@ from dataclasses import dataclass
 from .deployment import closest_pair
 
 
-class InfeasibleGroupingError(ValueError):
-    """Fewer antennas than groups."""
-
-
 @dataclass(frozen=True)
 class Grouping:
     """Per-antenna group assignment forming a disjoint cover of [0, n_groups)."""
@@ -40,7 +36,7 @@ def random_grouping(n_antennas, n_groups, rng):
     if n_groups < 1:
         raise ValueError("n_groups must be >= 1")
     if n_antennas < n_groups:
-        raise InfeasibleGroupingError(f"{n_antennas} antennas cannot fill {n_groups} groups")
+        raise ValueError(f"{n_antennas} antennas cannot fill {n_groups} groups")
     perm = rng.permutation(n_antennas)
     base, extra = divmod(n_antennas, n_groups)
     assignment = np.empty(n_antennas, dtype=np.int64)
@@ -66,7 +62,7 @@ def neighbor_grouping(layout, n_groups):
     """
     n_aps, m = layout.n_aps, layout.antennas_per_ap
     if n_aps * m < n_groups:
-        raise InfeasibleGroupingError(f"{n_aps * m} antennas cannot fill {n_groups} groups")
+        raise ValueError(f"{n_aps * m} antennas cannot fill {n_groups} groups")
     dist, start, _ = closest_pair(layout.positions)  # one AP: (inf, 0, 0), a chain of one
     unassigned = np.ones(n_aps, dtype=bool)
     unassigned[start] = False

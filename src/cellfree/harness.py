@@ -99,11 +99,16 @@ def validate_config(cfg):
     and that layout (None when each trial draws its own).
     """
     for f in fields(ScenarioConfig):
-        v = getattr(cfg, f.name)
+        v, kind = getattr(cfg, f.name), _value_type(f.type)
         if get_origin(f.type) is Literal and v not in get_args(f.type):
             allowed = ", ".join(map(repr, get_args(f.type)))
             raise ValueError(f"{f.name} must be one of {allowed}, got {v!r}")
-        if _value_type(f.type) in (float, tuple) and v is not None and not np.all(np.isfinite(v)):
+        if kind is int and v is not None and (isinstance(v, bool)
+                                              or not isinstance(v, (int, np.integer))):
+            raise ValueError(f"{f.name} must be an integer, got {v!r}")
+        if kind is tuple and any(np.shape(pair) != (2,) for pair in v):
+            raise ValueError(f"{f.name} must hold x,y pairs, got {v!r}")
+        if kind in (float, tuple) and v is not None and not np.all(np.isfinite(v)):
             raise ValueError(f"{f.name} must be finite, got {v}")
     if cfg.density < 0 or (cfg.deployment == "hexagonal" and cfg.density <= 0):
         raise ValueError(f"invalid density {cfg.density}")
@@ -144,6 +149,8 @@ def validate_config(cfg):
             raise ValueError("vary='grouping' needs the random grouping strategy")
         if cfg.rx_antennas != 1:
             raise ValueError("vary='grouping' scores one receive antenna; set rx_antennas=1")
+        if cfg.inner != 1:
+            raise ValueError("vary='grouping' scores one rate per trial and terminal; set inner=1")
     elif len(cfg.terminals) != 1:
         raise ValueError("vary='network' supports a single terminal")
     fixed = _fixed_layout(cfg)
@@ -471,9 +478,7 @@ def summarize(result):
                    ci_halfwidth=np.nan, n_trials=vals.size)
         if result.kind == "snr_linear":
             try:
-                res = outage_result(vals, cfg.epsilon, cfg.effective_tau_p(), code)
-                row.update(gamma_eps=res.gamma_eps, rate_bpcu=res.rate_bpcu,
-                           ci_halfwidth=res.ci_halfwidth)
+                row.update(outage_result(vals, cfg.epsilon, cfg.effective_tau_p(), code))
             except SampleSizeError:
                 pass
         else:

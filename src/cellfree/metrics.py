@@ -1,28 +1,12 @@
 """Outage rate, coverage probability, and empirical SNR quantiles."""
 
 import numpy as np
-from dataclasses import dataclass
 
 from .power import TAU_C
 
 
 class SampleSizeError(ValueError):
     """Too few samples for a reliable epsilon-quantile."""
-
-
-@dataclass(frozen=True)
-class OutageResult:
-    """Outage summary at a target outage probability epsilon.
-
-    gamma_eps is the empirical epsilon-quantile of the SNR samples and
-    rate_bpcu = (1 - tau_p/TAU_C) (N_s/tau_d) log2(1 + gamma_eps). The
-    confidence half-width is reported in rate units (95% order-statistic CI
-    on the quantile, mapped through the rate formula).
-    """
-
-    gamma_eps: float
-    rate_bpcu: float
-    ci_halfwidth: float
 
 
 def outage_rate(gamma_eps, tau_p, code):
@@ -161,8 +145,14 @@ def quantile_threshold(snr_samples, epsilon):
 
 
 def outage_result(snr_samples, epsilon, tau_p, code):
-    """Bundle quantile and rate into an :class:`OutageResult`."""
+    """Outage summary at a target outage probability epsilon, as summary-row fields.
+
+    gamma_eps is the empirical epsilon-quantile of the SNR samples and
+    rate_bpcu = (1 - tau_p/TAU_C) (N_s/tau_d) log2(1 + gamma_eps). The
+    confidence half-width ci_halfwidth is reported in rate units (95%
+    order-statistic CI on the quantile, mapped through the rate formula).
+    """
     gamma, (lo, hi) = quantile_threshold(snr_samples, epsilon)
     rate = outage_rate(gamma, tau_p, code)
     half = 0.5 * (outage_rate(hi, tau_p, code) - outage_rate(lo, tau_p, code))
-    return OutageResult(gamma_eps=gamma, rate_bpcu=float(rate), ci_halfwidth=float(half))
+    return dict(gamma_eps=gamma, rate_bpcu=float(rate), ci_halfwidth=float(half))

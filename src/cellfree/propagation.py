@@ -58,10 +58,6 @@ class ShadowParams:
             raise ValueError(f"unknown shadow mode {self.mode!r}")
 
 
-class CovarianceFactorizationError(RuntimeError):
-    """Cholesky of the shadow covariance failed even after jitter."""
-
-
 def path_loss_db(d):
     """Three-slope path loss in dB at distance d km (scalar or array).
 
@@ -130,7 +126,7 @@ def _cholesky_lower(positions):
         if info < 0:
             raise ValueError(f"dpotrf: illegal value in argument {-info}")
         jitter = 1e-10 * sigma_db**2 if attempt == 0 else jitter * 100.0
-    raise CovarianceFactorizationError(
+    raise RuntimeError(
         f"shadow covariance not factorizable for {len(positions)} APs even with jitter"
     )
 

@@ -19,10 +19,6 @@ import numpy as np
 from dataclasses import dataclass
 
 
-class NumericalDegeneracyError(ArithmeticError):
-    """Non-positive SNR denominator; must not happen for valid inputs."""
-
-
 @dataclass(frozen=True)
 class ConditionalSnrTerms:
     """Closed-form pieces of the LS SNR for one symbol index."""
@@ -30,7 +26,6 @@ class ConditionalSnrTerms:
     c_n: complex
     z_power: float
     eta_power: float
-    q1: np.ndarray
 
 
 def lambda_perfect(beta_bar, rho, es=1.0):
@@ -84,7 +79,7 @@ def conditional_snr_terms(code, n, h_hat, cond_gain, cond_cov, rho_d):
     eta_power = (rho_d * code.es / 4.0) * (
         psi(a_n, q1) + psi_bar(a_n, q2) + psi(b_n, q1) - psi_bar(b_n, q2)
     )
-    return ConditionalSnrTerms(c_n=complex(c_n), z_power=z_power, eta_power=float(eta_power), q1=q1)
+    return ConditionalSnrTerms(c_n=complex(c_n), z_power=z_power, eta_power=float(eta_power))
 
 
 def snr_ls(code, n, h_hat, cond_gain, cond_cov, rho_d):
@@ -97,7 +92,7 @@ def snr_ls(code, n, h_hat, cond_gain, cond_cov, rho_d):
     num = code.es * abs(np.sqrt(rho_d) * terms.z_power + terms.c_n) ** 2
     den = terms.eta_power + terms.z_power - code.es * abs(terms.c_n) ** 2
     if den <= 0:
-        raise NumericalDegeneracyError(f"non-positive SNR denominator {den}")
+        raise ArithmeticError(f"non-positive SNR denominator {den}")
     return float(num / den)
 
 
@@ -134,7 +129,7 @@ def snr_ls_values(code, n, x, cond_gain, cond_cov, rho_d):
     ux = x @ u
     den = np.sum((x @ e) * x, axis=-1) + x @ (1.0 + f) - k * ux**2
     if np.any(den <= 0):
-        raise NumericalDegeneracyError("non-positive SNR denominator in batch")
+        raise ArithmeticError("non-positive SNR denominator in batch")
     return k * (x @ (1.0 - u)) ** 2 / den
 
 

@@ -337,13 +337,13 @@ def test_bad_override_rejected_before_any_trial(tmp_path, capsys, override):
 
 @pytest.mark.parametrize("lines", [
     "vary=grouping\nlayout_seed=3\ndensity=0.5\nhalf_width_km=0.5\ncode=alamouti\n"
-    "csi=perfect\nshadow=none\n",
-    "deployment=hexagonal\ndensity=0.01\nhalf_width_km=0.5\n",
-    "csi=ls\npower=optimized\nlayout_seed=3\ndensity=0.5\nhalf_width_km=0.5\n",
+    "csi=perfect\nshadow=none\ninner=1\n",
+    "deployment=hexagonal\ndensity=0.01\nhalf_width_km=0.5\ninner=2\n",
+    "csi=ls\npower=optimized\nlayout_seed=3\ndensity=0.5\nhalf_width_km=0.5\ninner=2\n",
 ], ids=["grouping-no-antennas", "empty-hex-lattice", "optimized-power-no-aps"])
 def test_unrunnable_fixed_layout_rejected_before_any_trial(tmp_path, capsys, lines):
     bad = tmp_path / "bad.cfg"
-    bad.write_text(lines + "outer=3\ninner=2\n")
+    bad.write_text(lines + "outer=3\n")
     out = tmp_path / "x.csv"
     assert main(["validate", "--config", str(bad)]) == 1
     assert "invalid:" in capsys.readouterr().err
@@ -363,6 +363,16 @@ def test_grouping_run_with_receive_antennas_rejected(tmp_path, capsys, rx):
     assert main(["run", "--scenario", str(bad), "--out", str(out)]) == 2
     assert "rx_antennas=1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_grouping_run_with_inner_samples_rejected(tmp_path, capsys):
+    # a grouping run scores one rate per trial and terminal; --inner must not be ignored
+    out = tmp_path / "x.csv"
+    args = ["run", "--scenario", "fig7_positions", "--outer", "3", "--out", str(out)]
+    assert main(args + ["--inner", "5"]) == 2
+    assert "inner=1" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(args + ["--inner", "1"]) == 0
 
 
 def test_grouping_run_needs_a_fixed_layout_not_a_layout_seed(tmp_path, capsys):

@@ -6,7 +6,6 @@ from scipy.spatial import cKDTree
 from cellfree.deployment import (
     NetworkLayout,
     _CellList,
-    NoAccessPointsError,
     Region,
     hex_spacing,
     mean_nn_spacing,
@@ -326,7 +325,7 @@ def test_coincident_aps_have_zero_spacing_and_no_default_grid():
 
 def test_worst_position_empty_layout_errors():
     layout = place_ppp(0.0, Region(1.0), rng_for(0))
-    with pytest.raises(NoAccessPointsError):
+    with pytest.raises(ValueError, match="worst_position needs a non-empty layout"):
         worst_position(layout)
 
 

@@ -4,7 +4,6 @@ import pytest
 from cellfree.deployment import NetworkLayout, Region, place_ppp
 from cellfree.grouping import (
     Grouping,
-    InfeasibleGroupingError,
     group_large_scale,
     neighbor_grouping,
     random_grouping,
@@ -42,7 +41,7 @@ def test_membership_uniformity():
 
 
 def test_infeasible_counts_rejected():
-    with pytest.raises(InfeasibleGroupingError):
+    with pytest.raises(ValueError, match="3 antennas cannot fill 4 groups"):
         random_grouping(3, 4, np.random.default_rng(0))
 
 
@@ -110,7 +109,7 @@ def test_neighbor_multi_antenna_round_robin():
 
 
 def test_neighbor_infeasible():
-    with pytest.raises(InfeasibleGroupingError):
+    with pytest.raises(ValueError, match="1 antennas cannot fill 2 groups"):
         neighbor_grouping(_layout_from([[0, 0]]), 2)
 
 

@@ -191,6 +191,19 @@ def test_validate_config_conflicts():
         assert all(repr(value) in str(err.value) for value in allowed), str(err.value)
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("tau_p", 1.5), ("outer", 3.0), ("inner", 5.0), ("rx_antennas", True),
+    ("terminals", ((1.0,),)), ("terminals", ((0.0, 0.0, 5.0),)),
+], ids=["tau_p=1.5", "outer=3.0", "inner=5.0", "rx_antennas=True", "terminal-x", "terminal-xyz"])
+def test_validate_config_reads_each_field_kind(field, bad):
+    # a fractional count or a terminal that is not an x,y pair must fail before trial 1
+    cfg = ScenarioConfig(csi="ls", shadow="none", density=5.0, half_width_km=0.5,
+                         outer=2, inner=2)
+    with pytest.raises(ValueError, match=f"{field} must"):
+        validate_config(replace(cfg, **{field: bad}))
+    validate_config(replace(cfg, outer=np.int64(2), tau_p=np.int32(1)))  # numpy integers count
+
+
 def test_effective_tau_p_defaults():
     assert ScenarioConfig(csi="ls", code="rate34").effective_tau_p() == 4
     assert ScenarioConfig(csi="ls", code="alamouti", tau_p=7).effective_tau_p() == 7

@@ -231,6 +231,6 @@ def test_outage_result_bundle():
     samples = rng.exponential(1.0, 50_000)
     res = outage_result(samples, 0.01, tau_p=2, code=alamouti())
     expected = outage_rate(-np.log(0.99), 2, alamouti())
-    assert res.rate_bpcu == pytest.approx(expected, rel=0.15)
-    assert res.ci_halfwidth > 0
-    assert res.gamma_eps >= 0
+    assert res["rate_bpcu"] == pytest.approx(expected, rel=0.15)
+    assert res["ci_halfwidth"] > 0
+    assert res["gamma_eps"] >= 0

@@ -6,7 +6,6 @@ from cellfree.channel import conditional_error_stats
 from cellfree.metrics import coverage_perfect
 from cellfree.ostbc import alamouti, rate_three_quarter, single_group
 from cellfree.snr import (
-    NumericalDegeneracyError,
     _eta_form,
     lambda_ls,
     lambda_perfect,
@@ -77,12 +76,10 @@ def test_theorem1_single_group_reduction():
         assert terms.eta_power == pytest.approx(expected_eta, rel=1e-10)
 
 
-def test_theorem1_q1_hermitian_psd():
+def test_theorem1_z_power_is_estimate_energy():
     rng = np.random.default_rng(3)
     est = make_estimate([1.0, 0.5], 2.0, 2, rng)
     terms = conditional_snr_terms(alamouti(), 1, *est, rho_d=1.0)
-    assert np.abs(terms.q1 - terms.q1.conj().T).max() < 1e-14
-    assert np.linalg.eigvalsh(terms.q1).min() > 0
     assert terms.z_power == pytest.approx(np.sum(np.abs(est[0]) ** 2))
 
 
@@ -310,5 +307,5 @@ def test_degenerate_denominator_is_flagged():
     # a physically impossible (negative) conditional covariance drives the
     # noise power negative; the guard must fire instead of returning garbage
     x = np.abs(np.array([[1.0 + 0.5j]])) ** 2
-    with pytest.raises(NumericalDegeneracyError):
+    with pytest.raises(ArithmeticError, match="non-positive SNR denominator in batch"):
         snr_ls_values(single_group(), 0, x, np.array([0.5]), np.array([-10.0]), 1.0)

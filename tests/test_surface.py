@@ -10,6 +10,8 @@ tests reach is dead code, with the exceptions listed in TEST_REFERENCES.
 import ast
 import dataclasses
 import functools
+import importlib
+import inspect
 import pathlib
 import re
 
@@ -99,6 +101,38 @@ def test_test_references_are_defined_and_otherwise_unused():
         defined.update(public_definitions(path.read_text()))
     assert set(TEST_REFERENCES) <= defined
     assert set(TEST_REFERENCES).isdisjoint(_used())  # a used name needs no exception
+
+
+def caught(source):
+    """Names of the exception classes that the source's except clauses catch."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            names |= {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node.type)
+                      if isinstance(n, (ast.Name, ast.Attribute))}
+    return names
+
+
+def test_checker_reads_except_clauses():
+    source = (
+        "try: pass\n"
+        "except (A, mod.B) as e: raise C(e)\n"
+        "except D: pass\n"
+        "except: pass\n"
+    )
+    assert caught(source) == {"A", "mod", "B", "D"}
+
+
+def test_every_exception_class_is_caught_somewhere():
+    # a subclass that no except clause names tells callers nothing its base does not
+    defined = set()
+    for path in PACKAGE.glob("*.py"):
+        module = importlib.import_module(f"cellfree.{path.stem}".removesuffix(".__init__"))
+        defined |= {name for name, obj in vars(module).items()
+                    if inspect.isclass(obj) and issubclass(obj, BaseException)
+                    and obj.__module__ == module.__name__}
+    caught_anywhere = set().union(*(caught(p.read_text()) for p in PACKAGE.glob("*.py")))
+    assert sorted(defined - caught_anywhere) == []
 
 
 def _parameters(path):
