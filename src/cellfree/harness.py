@@ -10,6 +10,7 @@ remaining cases evaluate the general-OSTBC SNR at simulated estimates.
 
 import hashlib
 import math
+import numbers
 import types
 from dataclasses import dataclass, fields, replace
 from typing import Literal, get_args, get_origin
@@ -42,6 +43,9 @@ _SETUP_DOMAIN = 1  # reserved for fixed-layout draws; trials use domain 0
 
 #: Largest mean numpy's Generator.poisson accepts; a PPP draws its AP count with it.
 _POISSON_LAM_MAX = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
+
+#: The types a value of each field kind (see _value_type) may have; no kind takes a bool.
+_KIND_TYPES = {float: numbers.Real, int: numbers.Integral, str: str, tuple: (tuple, list)}
 
 
 @dataclass(frozen=True)
@@ -100,20 +104,20 @@ def validate_config(cfg):
     """
     for f in fields(ScenarioConfig):
         v, kind = getattr(cfg, f.name), _value_type(f.type)
+        if v is None and type(None) in get_args(f.type):
+            continue  # an optional field left unset
         if get_origin(f.type) is Literal and v not in get_args(f.type):
             allowed = ", ".join(map(repr, get_args(f.type)))
             raise ValueError(f"{f.name} must be one of {allowed}, got {v!r}")
-        if kind is int and v is not None and (isinstance(v, bool)
-                                              or not isinstance(v, (int, np.integer))):
-            raise ValueError(f"{f.name} must be an integer, got {v!r}")
-        if kind is tuple and any(np.shape(pair) != (2,) for pair in v):
-            raise ValueError(f"{f.name} must hold x,y pairs, got {v!r}")
-        if kind in (float, tuple) and v is not None and not np.all(np.isfinite(v)):
+        if isinstance(v, bool) or not isinstance(v, _KIND_TYPES[kind]):
+            raise ValueError(f"{f.name} must be of type {kind.__name__}, got {v!r}")
+        if kind is tuple and ({np.shape(p) for p in v} != {(2,)}
+                              or np.asarray(v).dtype.kind not in "iuf"):
+            raise ValueError(f"{f.name} must hold one or more numeric x,y pairs, got {v!r}")
+        if kind in (float, tuple) and not np.all(np.isfinite(v)):
             raise ValueError(f"{f.name} must be finite, got {v}")
     if cfg.density < 0 or (cfg.deployment == "hexagonal" and cfg.density <= 0):
         raise ValueError(f"invalid density {cfg.density}")
-    if not cfg.terminals:
-        raise ValueError("terminals must contain at least one x,y pair")
     mean_aps = cfg.density * cfg.region().area_km2
     if cfg.deployment == "ppp" and not mean_aps <= _POISSON_LAM_MAX:
         raise ValueError(f"expected AP count density * area = {mean_aps:.6g} must be "
@@ -427,9 +431,9 @@ def _network_trial(cfg, code, fixed, setup, t):
     gain, grouping, plan = setup if setup is not None else _layout_setup(cfg, code, layout)
     if grouping is None:
         grouping = random_grouping(layout.n_antennas, code.n_groups, rng)
-    shadow = shadow_fields(layout, cfg.terminals, cfg.shadow_params(), rng)[0]
-    beta_bar = large_scale_from_shadow(layout, gain[0], None if cfg.shadow == "none" else shadow,
-                                       grouping)
+    shadow = None if cfg.shadow == "none" else shadow_fields(
+        layout, cfg.terminals, cfg.shadow_params(), rng)[0]
+    beta_bar = large_scale_from_shadow(layout, gain[0], shadow, grouping)
     return _sample_snr(code, beta_bar, plan, cfg, rng), plan
 
 
@@ -450,13 +454,8 @@ def run_scenario(cfg, label=None):
                             for t in range(cfg.outer)))
         values = np.stack(snrs)[:, None, :]
 
-    if cfg.csi == "perfect":
-        power_note = f"rho_p=rho_d=rho={DEFAULT_RHO:.6g} (perfect CSI, no pilots)"
-    elif fixed is None and cfg.power == "optimized":
-        power_note = _plan_spread(plans)
-    else:
-        plan = setup[2] if setup is not None else uniform_plan(cfg.effective_tau_p())
-        power_note = f"rho_p={plan.rho_p:.6g} rho_d={plan.rho_d:.6g} tau_p={plan.tau_p}"
+    power_note = (f"rho_p=rho_d=rho={DEFAULT_RHO:.6g} (perfect CSI, no pilots)"
+                  if cfg.csi == "perfect" else _plan_spread(plans))
 
     return RunResult(cfg, label or "scenario", values, power_note)
 

@@ -2,14 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from dataclasses import replace
+from dataclasses import fields, replace
+from typing import get_args
 from scipy import optimize, stats
 from scipy.linalg import expm
 
 from cellfree import harness, metrics
 
 from cellfree.channel import conditional_error_stats, draw_effective_channel
-from cellfree.deployment import place_ppp
+from cellfree.deployment import place_hex, place_ppp
 from cellfree.grouping import Grouping, random_grouping
 from cellfree.harness import (
     _CDF_CHUNK_ROWS,
@@ -193,8 +194,9 @@ def test_validate_config_conflicts():
 
 @pytest.mark.parametrize("field, bad", [
     ("tau_p", 1.5), ("outer", 3.0), ("inner", 5.0), ("rx_antennas", True),
-    ("terminals", ((1.0,),)), ("terminals", ((0.0, 0.0, 5.0),)),
-], ids=["tau_p=1.5", "outer=3.0", "inner=5.0", "rx_antennas=True", "terminal-x", "terminal-xyz"])
+    ("terminals", ((1.0,),)), ("terminals", ((0.0, 0.0, 5.0),)), ("terminals", (("0", "0"),)),
+], ids=["tau_p=1.5", "outer=3.0", "inner=5.0", "rx_antennas=True", "terminal-x", "terminal-xyz",
+        "terminal-str"])
 def test_validate_config_reads_each_field_kind(field, bad):
     # a fractional count or a terminal that is not an x,y pair must fail before trial 1
     cfg = ScenarioConfig(csi="ls", shadow="none", density=5.0, half_width_km=0.5,
@@ -202,6 +204,29 @@ def test_validate_config_reads_each_field_kind(field, bad):
     with pytest.raises(ValueError, match=f"{field} must"):
         validate_config(replace(cfg, **{field: bad}))
     validate_config(replace(cfg, outer=np.int64(2), tau_p=np.int32(1)))  # numpy integers count
+
+
+#: A value of the wrong type for each field kind; True and None are wrong for
+#: every field, except None for an optional one.
+_WRONG_TYPE = {float: "1.0", int: "1", str: 1.0, tuple: "0.0,0.0"}
+
+
+@pytest.mark.parametrize("field", fields(ScenarioConfig), ids=lambda f: f.name)
+def test_validate_config_rejects_values_of_another_kind(field):
+    # a config built in Python must fail with ValueError, not run or raise TypeError
+    cfg = ScenarioConfig(csi="ls", shadow="none", density=5.0, half_width_km=0.5,
+                         outer=2, inner=2)
+    bad = [True, np.True_, _WRONG_TYPE[harness._value_type(field.type)]]
+    if type(None) not in get_args(field.type):
+        bad.append(None)
+    for value in bad:
+        with pytest.raises(ValueError, match=f"{field.name} must"):
+            validate_config(replace(cfg, **{field.name: value}))
+
+
+def test_every_field_kind_has_a_type_rule():
+    kinds = {harness._value_type(f.type) for f in fields(ScenarioConfig)}
+    assert kinds == set(harness._KIND_TYPES) == set(_WRONG_TYPE)
 
 
 def test_effective_tau_p_defaults():
@@ -543,6 +568,24 @@ def test_result_csv_reports_every_per_trial_plan(tmp_path, density):
     )
 
 
+def test_uniform_power_run_with_no_ap_reports_zero_plans():
+    # every layout is empty, so no trial uses the uniform plan
+    cfg = ScenarioConfig(deployment="ppp", density=0.0, half_width_km=1.0, shadow="none",
+                         csi="ls", code="single", power="uniform", epsilon=0.1, outer=4,
+                         inner=5, seed=2)
+    assert run_scenario(cfg).power_note == "per-trial plans over 0 of 4 trials"
+
+
+def test_fixed_layout_run_reports_its_one_plan_for_every_trial():
+    cfg = ScenarioConfig(deployment="hexagonal", density=10.0, half_width_km=0.6, shadow="none",
+                         csi="ls", code="alamouti", grouping="neighbor", power="optimized",
+                         opt_grid_km=0.1, epsilon=0.1, outer=5, inner=5, seed=3)
+    plan = optimize_pilot_power(place_hex(cfg.density, cfg.region()), 2, grid_resolution=0.1)
+    rho_p, rho_d = (f"min={v:.6g} median={v:.6g} max={v:.6g}" for v in (plan.rho_p, plan.rho_d))
+    assert run_scenario(cfg).power_note == (
+        f"per-trial plans over 5 of 5 trials: rho_p {rho_p}, rho_d {rho_d}, tau_p=2")
+
+
 @pytest.mark.parametrize("csi, code", [("perfect", "alamouti"), ("ls", "single"),
                                        ("ls", "rate34")])
 def test_trial_replay_with_two_receive_antennas(csi, code):
@@ -594,6 +637,17 @@ def _count_setup_calls(monkeypatch):
     for name in calls:
         monkeypatch.setattr(harness, name, counted(name, getattr(harness, name)))
     return calls
+
+
+@pytest.mark.parametrize("shadow, draws", [("none", 0), ("uncorrelated", 6)])
+def test_shadow_field_drawn_only_when_shadowing_is_on(monkeypatch, shadow, draws):
+    calls = []
+    monkeypatch.setattr(harness, "shadow_fields",
+                        lambda *args: calls.append(args) or shadow_fields(*args))
+    cfg = ScenarioConfig(deployment="ppp", density=20.0, half_width_km=1.0, shadow=shadow,
+                         csi="perfect", code="single", epsilon=0.1, outer=6, inner=5, seed=3)
+    run_scenario(cfg)
+    assert len(calls) == draws
 
 
 def test_fixed_layout_computes_its_setup_once(monkeypatch):
