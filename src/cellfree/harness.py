@@ -21,12 +21,13 @@ from . import ostbc
 from .channel import conditional_error_stats, draw_effective_channel
 from .deployment import Region, closest_pair, place_hex, place_ppp, worst_position
 from .grouping import Grouping, group_large_scale, neighbor_grouping, random_grouping
-from .metrics import SampleSizeError, as_rates, coverage_and_density, outage_rate, outage_result
+from .metrics import (SampleSizeError, as_rates, coverage_and_density, lambda_perfect,
+                      outage_rate, outage_result)
 from .metrics import coverage_perfect  # noqa: F401  (bench/spans.py traces it here)
 from .power import DEFAULT_RHO, TAU_C, optimize_pilot_power, uniform_plan
 from .propagation import (ShadowParams, large_scale_from_shadow, path_gain, per_antenna,
                           shadow_fields)
-from .snr import lambda_ls, lambda_perfect, snr_ls_values
+from .snr import lambda_ls, snr_ls_values
 
 
 def trial_stream(seed, index, domain=0):
@@ -109,10 +110,10 @@ def validate_config(cfg):
         if get_origin(f.type) is Literal and v not in get_args(f.type):
             allowed = ", ".join(map(repr, get_args(f.type)))
             raise ValueError(f"{f.name} must be one of {allowed}, got {v!r}")
-        if isinstance(v, bool) or not isinstance(v, _KIND_TYPES[kind]):
+        if not _of_kind(v, kind):
             raise ValueError(f"{f.name} must be of type {kind.__name__}, got {v!r}")
         if kind is tuple and ({np.shape(p) for p in v} != {(2,)}
-                              or np.asarray(v).dtype.kind not in "iuf"):
+                              or not all(_of_kind(c, float) for p in v for c in p)):
             raise ValueError(f"{f.name} must hold one or more numeric x,y pairs, got {v!r}")
         if kind in (float, tuple) and not np.all(np.isfinite(v)):
             raise ValueError(f"{f.name} must be finite, got {v}")
@@ -167,6 +168,11 @@ def validate_config(cfg):
 
 
 # -- canonical key=value serialization (also the CLI config-file format) --
+
+def _of_kind(v, kind):
+    """Whether v may hold a value of the field kind (see _KIND_TYPES); a bool never does."""
+    return not isinstance(v, bool) and isinstance(v, _KIND_TYPES[kind])
+
 
 def _value_type(annotation):
     """Type of a field's values: str for a Literal, X for X | None, tuple for tuple[...]."""
@@ -408,14 +414,12 @@ def _plan_spread(plans):
             f"rho_d {spread([p.rho_d for p in planned])}, tau_p={planned[0].tau_p}")
 
 
-def _grouping_trial(cfg, code, layout, grouping, beta_ant, t):
+def _grouping_trial(cfg, code, beta_ant, t):
     """Group rates of trial t per terminal (rows); their quantiles are found
-    after the loop. beta_ant holds the path gain per (terminal, antenna)."""
-    rng = trial_stream(cfg.seed, t)
-    g = grouping if grouping is not None else random_grouping(layout.n_antennas,
-                                                              code.n_groups, rng)
-    return np.stack([lambda_perfect(group_large_scale(b, g), DEFAULT_RHO, code.es)
-                     for b in beta_ant])
+    after the loop. beta_ant holds the path gain per (terminal, antenna). The
+    grouping is drawn even for one group, where it is the all-zero one."""
+    g = random_grouping(beta_ant.shape[-1], code.n_groups, trial_stream(cfg.seed, t))
+    return np.stack([lambda_perfect(group_large_scale(b, g), code.es) for b in beta_ant])
 
 
 def _network_trial(cfg, code, fixed, setup, t):
@@ -443,10 +447,8 @@ def run_scenario(cfg, label=None):
     setup = None if fixed is None else _layout_setup(cfg, code, fixed)
 
     if cfg.vary == "grouping":
-        gain, grouping, _ = setup  # shadow is 'none' here
-        beta_ant = per_antenna(gain, fixed.antennas_per_ap)
-        rates = [_grouping_trial(cfg, code, fixed, grouping, beta_ant, t)
-                 for t in range(cfg.outer)]
+        beta_ant = per_antenna(setup[0], fixed.antennas_per_ap)  # shadow is 'none' here
+        rates = [_grouping_trial(cfg, code, beta_ant, t) for t in range(cfg.outer)]
         gamma = _hyperexp_gamma_eps(np.concatenate(rates), cfg.epsilon)
         values = outage_rate(gamma, 0, code).reshape(cfg.outer, -1, 1)
     else:
@@ -579,8 +581,10 @@ def _fig7_terminals(layout):
 # Desk-scale operating point: epsilon = 1e-2 with shrunken regions where
 # correlated shadowing would otherwise dominate the run time; the full
 # epsilon = 1e-3 operating point needs larger outer/inner counts via CLI
-# flags. Members of one experiment share the master seed so compared curves
-# are paired.
+# flags. Members share the master seed, so trial t draws the same layout in
+# each member, but not the same shadow field: a multi-group member draws its
+# grouping permutation first, on the same stream, so fig6 and fig8 compare
+# single-group and multi-group members over different shadow fields.
 _BASE = ScenarioConfig(epsilon=1e-2, outer=1000, inner=100, seed=1)
 _LS_BASE = replace(_BASE, csi="ls", half_width_km=2.5, outer=800, opt_grid_km=0.05)
 

@@ -1,9 +1,10 @@
 """Symbol-level simulation oracle.
 
 Simulates actual pilot and OSTBC data transmission with per-antenna fading
-and validates every closed form in :mod:`cellfree.snr`: the processed symbol
-decomposes as shat_n = sqrt(rho_d) ||hhat||^2 s_n + eta_n + z_n and the
-conditional moments of eta_n are measured by Monte Carlo. This module ships
+and validates every closed form of :mod:`cellfree.snr` and the perfect-CSI
+law of :mod:`cellfree.metrics`: the processed symbol decomposes as
+shat_n = sqrt(rho_d) ||hhat||^2 s_n + eta_n + z_n and the conditional
+moments of eta_n are measured by Monte Carlo. This module ships
 with the library (not test-only code): the frozen expected values in the
 test suite were produced by it.
 """
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 from . import channel as chan
 from . import ostbc as ost
 from .grouping import group_large_scale
-from .metrics import coverage_perfect
+from .metrics import coverage_perfect, lambda_perfect
 from .power import DEFAULT_RHO
-from .snr import conditional_snr_terms, lambda_ls, lambda_perfect, snr_ls_values
+from .snr import conditional_snr_terms, lambda_ls, snr_ls_values
 
 
 @dataclass(frozen=True)
@@ -115,29 +116,18 @@ def conditional_moments(code, n, h_hat, cond_gain, cond_cov, rho_d, n_draws, rng
     )
 
 
-def simulate_h_hat(beta_bar, rho_p, tau_p, n_trials, rng):
-    """Draw n_trials channels and their LS estimates through the pilot phase.
-
-    Runs the actual observation y_p = sqrt(rho_p) X_p h + w per trial and
-    applies the LS formula, exercising the full pilot path rather than the
-    equivalent hhat = h + CN(0, I/(rho_p tau_p)) shortcut.
-    """
-    beta_bar = np.asarray(beta_bar, dtype=float)
-    x_p = chan.make_pilot_block(tau_p, beta_bar.size)
-    h = chan.draw_effective_channel(beta_bar, rng, size=n_trials)
-    return h, chan.ls_estimate(h, x_p, rho_p, rng)
-
-
 def empirical_snr_cdf(code, beta_bar, rho_p, rho_d, tau_p, n_trials, rng):
     """Sorted LS SNR samples of symbol 0 over small-scale randomness.
 
-    Simulates the pilot phase per trial and evaluates the conditional LS SNR
-    at the resulting estimate.
+    Runs the actual pilot observation y_p = sqrt(rho_p) X_p h + w per trial
+    and its LS estimate (not the equivalent hhat = h + CN(0, I/(rho_p tau_p))
+    shortcut), then evaluates the conditional LS SNR at each estimate.
     """
     if n_trials < 1000:
         raise ValueError("need at least 1e3 trials")
     beta_bar = np.asarray(beta_bar, dtype=float)
-    _, h_hat = simulate_h_hat(beta_bar, rho_p, tau_p, n_trials, rng)
+    h = chan.draw_effective_channel(beta_bar, rng, size=n_trials)
+    h_hat = chan.ls_estimate(h, chan.make_pilot_block(tau_p, beta_bar.size), rho_p, rng)
     _, u, cc = chan.conditional_error_stats(beta_bar, rho_p, tau_p)
     return np.sort(snr_ls_values(code, 0, np.abs(h_hat) ** 2, u, cc, rho_d))
 
@@ -176,10 +166,10 @@ def check_hyperexp(seed, n_trials=100_000, n_gammas=20):
     binomial standard errors.
     """
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    beta_bar, rho = np.array([1e-10, 2.3e-10, 0.7e-10]), DEFAULT_RHO
+    beta_bar = np.array([1e-10, 2.3e-10, 0.7e-10])
     h = chan.draw_effective_channel(beta_bar, rng, size=n_trials)
-    samples = np.sort(rho * np.sum(np.abs(h) ** 2, axis=-1))  # perfect CSI: rho ||h||^2
-    lam = lambda_perfect(beta_bar, rho)
+    samples = np.sort(DEFAULT_RHO * np.sum(np.abs(h) ** 2, axis=-1))  # perfect CSI: rho ||h||^2
+    lam = lambda_perfect(beta_bar, 1.0)
     gammas = np.quantile(samples, np.linspace(0.02, 0.98, n_gammas))
     p = coverage_perfect(gammas, lam)
     se = np.sqrt(np.maximum(p * (1.0 - p), 1e-12) / n_trials)

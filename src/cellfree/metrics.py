@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from .power import TAU_C
+from .power import DEFAULT_RHO, TAU_C
 
 
 class SampleSizeError(ValueError):
@@ -27,6 +27,11 @@ def as_rates(lambdas):
     if bad.any():
         raise ValueError(f"rates must be finite and positive, got {lam[bad].flat[0]}")
     return lam
+
+
+def lambda_perfect(beta_bar, es):
+    """Exponential rates 1/(rho Es beta_bar_n) of the perfect-CSI SNR, at rho = DEFAULT_RHO."""
+    return 1.0 / (DEFAULT_RHO * es * np.asarray(beta_bar, dtype=float))
 
 
 def coverage_perfect(gamma, lambdas):

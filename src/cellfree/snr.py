@@ -1,8 +1,8 @@
-"""Closed-form SNR machinery for perfect and LS-estimated CSI.
+"""Closed-form SNR machinery for LS-estimated CSI.
 
-With perfect CSI the per-symbol SNR is rho Es ||h||^2, distributed as a sum
-of independent exponentials with rates 1/(rho Es beta_bar_n). With an LS
-estimate the SNR conditioned on hhat is
+The perfect-CSI rates 1/(rho Es beta_bar_n) are
+:func:`cellfree.metrics.lambda_perfect`, next to the coverage they feed.
+With an LS estimate the SNR conditioned on hhat is
 
     snr = Es |sqrt(rho_d) ||hhat||^2 + c_n|^2
           / (E[|eta_n|^2 | hhat] + ||hhat||^2 - Es |c_n|^2)
@@ -26,12 +26,6 @@ class ConditionalSnrTerms:
     c_n: complex
     z_power: float
     eta_power: float
-
-
-def lambda_perfect(beta_bar, rho, es=1.0):
-    """Exponential rates lambda_n = 1/(rho Es beta_bar_n) of the perfect-CSI SNR."""
-    beta_bar = np.asarray(beta_bar, dtype=float)
-    return 1.0 / (rho * es * beta_bar)
 
 
 def conditional_snr_terms(code, n, h_hat, cond_gain, cond_cov, rho_d):

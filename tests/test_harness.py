@@ -32,7 +32,7 @@ from cellfree.harness import (
     write_summary_csv,
 )
 from cellfree.linklevel import empirical_snr_cdf
-from cellfree.metrics import coverage_perfect
+from cellfree.metrics import coverage_perfect, lambda_perfect, outage_rate
 from cellfree.ostbc import by_name
 from cellfree.power import (
     BOLTZMANN_J_PER_K,
@@ -41,8 +41,9 @@ from cellfree.power import (
     optimize_pilot_power,
     uniform_plan,
 )
-from cellfree.propagation import ShadowParams, large_scale_from_shadow, path_gain, shadow_fields
-from cellfree.snr import lambda_ls, lambda_perfect, snr_ls_values
+from cellfree.propagation import (ShadowParams, large_scale_from_shadow, path_gain, per_antenna,
+                                  shadow_fields)
+from cellfree.snr import lambda_ls, snr_ls_values
 
 FAST = dict(half_width_km=1.5, epsilon=0.1, outer=60, inner=50, seed=5)
 
@@ -91,7 +92,7 @@ def test_perfect_fixed_layout_matches_single_exponential():
 
     layout = place_hex(20.0, cfg.region())
     beta_bar = np.sum(10 ** (-path_loss_db(np.linalg.norm(layout.positions, axis=1)) / 10))
-    lam = lambda_perfect(np.array([beta_bar]), DEFAULT_RHO)[0]
+    lam = lambda_perfect(np.array([beta_bar]), 1.0)[0]
     for gamma in np.quantile(res.values, [0.1, 0.5, 0.9]):
         p_emp = np.mean(res.values >= gamma)
         p = np.exp(-gamma * lam)
@@ -195,8 +196,9 @@ def test_validate_config_conflicts():
 @pytest.mark.parametrize("field, bad", [
     ("tau_p", 1.5), ("outer", 3.0), ("inner", 5.0), ("rx_antennas", True),
     ("terminals", ((1.0,),)), ("terminals", ((0.0, 0.0, 5.0),)), ("terminals", (("0", "0"),)),
+    ("terminals", ((True, 0.0),)), ("terminals", ((0.0, np.True_),)),
 ], ids=["tau_p=1.5", "outer=3.0", "inner=5.0", "rx_antennas=True", "terminal-x", "terminal-xyz",
-        "terminal-str"])
+        "terminal-str", "terminal-bool-x", "terminal-numpy-bool-y"])
 def test_validate_config_reads_each_field_kind(field, bad):
     # a fractional count or a terminal that is not an x,y pair must fail before trial 1
     cfg = ScenarioConfig(csi="ls", shadow="none", density=5.0, half_width_km=0.5,
@@ -204,6 +206,8 @@ def test_validate_config_reads_each_field_kind(field, bad):
     with pytest.raises(ValueError, match=f"{field} must"):
         validate_config(replace(cfg, **{field: bad}))
     validate_config(replace(cfg, outer=np.int64(2), tau_p=np.int32(1)))  # numpy integers count
+    for pair in ((0.0, 1), (np.float32(0.5), np.float64(0.0))):  # ints and numpy floats count
+        validate_config(replace(cfg, terminals=(pair,)))
 
 
 #: A value of the wrong type for each field kind; True and None are wrong for
@@ -513,6 +517,21 @@ def test_fig7_scenario_rates_and_terminal_split():
     assert [samples.size for _, samples in res.terminals()] == [150, 150, 150]
     rows = summarize(res)
     assert [r["scenario"].split("/")[-1] for r in rows] == ["t0", "t1", "t2"]
+
+
+def test_single_group_grouping_run_scores_the_closed_form_rate_in_every_trial():
+    # one group holds every antenna whatever the drawn grouping, so each trial of a
+    # terminal scores the quantile of one exponential, -log1p(-eps) / lambda
+    cfg = ScenarioConfig(density=20.0, half_width_km=0.5, shadow="none", csi="perfect",
+                         code="single", antennas_per_ap=2, epsilon=1e-2, outer=6, inner=1,
+                         vary="grouping", layout_seed=3, terminals=((0.0, 0.0), (0.2, -0.1)))
+    res = run_scenario(cfg)
+    layout = harness._fixed_layout(cfg)
+    beta_ant = per_antenna(path_gain(layout, cfg.terminals), cfg.antennas_per_ap)
+    for (_, rates), b in zip(res.terminals(), beta_ant):
+        root = -np.log1p(-cfg.epsilon) / lambda_perfect(b.sum(), 1.0)
+        assert np.all(rates == rates[0])
+        assert rates[0] == pytest.approx(outage_rate(root, 0, by_name("single")), rel=1e-12)
 
 
 def test_run_experiment_applies_overrides():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from cellfree.channel import complex_normal, conditional_error_stats, draw_effective_channel
+from cellfree.channel import (complex_normal, conditional_error_stats, draw_effective_channel,
+                              ls_estimate, make_pilot_block)
 from cellfree.grouping import group_large_scale, random_grouping
 from cellfree.linklevel import (
     check_corollary1,
@@ -12,7 +13,6 @@ from cellfree.linklevel import (
     empirical_snr_cdf,
     mrc_empirical_sinr,
     run_trial,
-    simulate_h_hat,
 )
 from cellfree.ostbc import alamouti, code_matrix, rate_three_quarter
 from cellfree.snr import snr_ls
@@ -180,11 +180,12 @@ def test_check_theorem1_small():
     assert res["ok"], res
 
 
-def test_simulate_h_hat_marginal():
+def test_pilot_path_error_marginal():
+    # the LS error of the simulated pilot path has variance 1/(rho_p tau_p)
     rng = np.random.default_rng(10)
-    h, h_hat = simulate_h_hat(np.array([1.0, 3.0]), 2.0, 2, 50_000, rng)
-    e = h_hat - h
-    assert np.allclose(np.mean(np.abs(e) ** 2, axis=0), 0.25, atol=0.01)
+    h = draw_effective_channel(np.array([1.0, 3.0]), rng, size=50_000)
+    h_hat = ls_estimate(h, make_pilot_block(2, 2), 2.0, rng)
+    assert np.allclose(np.mean(np.abs(h_hat - h) ** 2, axis=0), 0.25, atol=0.01)
 
 
 def test_mrc_oracle_matches_branch_sum():

@@ -3,12 +3,12 @@ import pytest
 from scipy import stats
 
 from cellfree.channel import conditional_error_stats
-from cellfree.metrics import coverage_perfect
+from cellfree.metrics import coverage_perfect, lambda_perfect
 from cellfree.ostbc import alamouti, rate_three_quarter, single_group
+from cellfree.power import DEFAULT_RHO
 from cellfree.snr import (
     _eta_form,
     lambda_ls,
-    lambda_perfect,
     snr_ls,
     snr_ls_values,
     conditional_snr_terms,
@@ -28,20 +28,20 @@ def make_estimate(beta_bar, rho_p, tau_p, rng):
 
 
 def test_lambda_perfect_unit_case():
-    # rho Es beta_bar_n = 1 gives unit exponential rates
-    lam = lambda_perfect(np.array([1.0, 0.5]), rho=2.0, es=1.0)
+    # DEFAULT_RHO Es beta_bar_n = 1 gives unit exponential rates
+    lam = lambda_perfect(np.array([1.0, 0.5]) / DEFAULT_RHO, es=2.0)
     assert np.allclose(lam, [0.5, 1.0])
 
 
 def test_perfect_snr_hyperexponential_law():
     rng = np.random.default_rng(0)
-    beta_bar = np.array([0.6, 1.7, 2.9])
-    rho, es, n = 1.3, 1.0, 100_000
+    beta_bar = np.array([0.6, 1.7, 2.9]) / DEFAULT_RHO
+    es, n = 1.3, 100_000
     h = np.sqrt(beta_bar / 2.0) * (
         rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
     )
-    samples = rho * es * np.sum(np.abs(h) ** 2, axis=1)
-    lam = lambda_perfect(beta_bar, rho, es)
+    samples = DEFAULT_RHO * es * np.sum(np.abs(h) ** 2, axis=1)
+    lam = lambda_perfect(beta_bar, es)
     res = stats.kstest(samples, lambda g: 1.0 - coverage_perfect(g, lam))
     assert res.pvalue > 0.01
 

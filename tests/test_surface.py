@@ -32,12 +32,6 @@ TEST_REFERENCES = {
                           "against",
 }
 
-#: Public functions that take the power as an argument; every other one reads
-#: the one energy budget, power.DEFAULT_RHO * power.TAU_C. lambda_perfect is in
-#: snr, which cannot import power without a cycle: power imports snr.lambda_ls
-#: so that the benchmark tracer can wrap it there.
-BUDGET_FORMULAS = {"lambda_perfect"}
-
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 
@@ -148,8 +142,10 @@ def _public_parameters(path):
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_only_the_general_formulas_take_rho_or_tau_c(path):
+    # the general formulas take a plan's rho_p and rho_d; every other function
+    # reads the one energy budget, power.DEFAULT_RHO * power.TAU_C
     takers = [name for name, params in _public_parameters(path)
-              if params & {"rho", "tau_c", "energy"} and name not in BUDGET_FORMULAS]
+              if params & {"rho", "tau_c", "energy"}]
     assert takers == []
 
 
