@@ -533,19 +533,29 @@ _CDF_CHUNK_ROWS = 1024
 def write_cdf_tables(path, results):
     """Gnuplot-friendly CDF tables: blocks of 'value cdf' per scenario row.
 
-    Rows are built and formatted _CDF_CHUNK_ROWS at a time, so that neither
-    the pairs nor the text of a large block are held in memory at once.
+    The probability column i/n is the same in every block of n samples, so
+    it is formatted once per sample count and kept, for the most recent n
+    only, as one string of newline-ended lines per _CDF_CHUNK_ROWS rows.
+    Each block sorts its values and writes them chunk by chunk, interleaved
+    with the split lines of the matching column string, so that the text of
+    a large block is never held in memory at once.
     """
+    n_col, col = 0, []
     with open(path, "w") as f:
         for r in results:
             for name, samples in r.terminals():
                 vals = np.sort(samples, axis=None)
+                starts = range(0, vals.size, _CDF_CHUNK_ROWS)
+                if vals.size != n_col:
+                    n_col = vals.size
+                    col = ["%.17g\n" * len(c) % tuple(i / n_col for i in c)
+                           for c in (range(s + 1, n_col + 1)[:_CDF_CHUNK_ROWS] for s in starts)]
                 f.write(f"# {name} ({r.kind})\n")
-                for start in range(0, vals.size, _CDF_CHUNK_ROWS):
-                    chunk = vals[start:start + _CDF_CHUNK_ROWS]
-                    cdf = np.arange(start + 1, start + chunk.size + 1) / vals.size
-                    rows = np.column_stack([chunk, cdf]).ravel().tolist()
-                    f.write("%.17g %.17g\n" * chunk.size % tuple(rows))
+                for start, text in zip(starts, col):
+                    chunk = vals[start:start + _CDF_CHUNK_ROWS].tolist()
+                    rows = [None] * (2 * len(chunk))
+                    rows[::2], rows[1::2] = chunk, text.splitlines()
+                    f.write("%.17g %s\n" * len(chunk) % tuple(rows))
                 f.write("\n\n")
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -793,14 +794,21 @@ def _reference_cdf_tables(results):
     return "".join(out)
 
 
-def _synthetic_result(n_per_trial, label):
+def _synthetic_result(n_per_trial, label, seed=None):
     """One trial of n_per_trial SNR samples over many magnitudes, with ties."""
-    rng = np.random.default_rng(n_per_trial)
+    rng = np.random.default_rng(n_per_trial if seed is None else seed)
     values = rng.exponential(size=n_per_trial) * 10.0 ** rng.integers(-300, 300, n_per_trial)
     values[::7] = values[0]
     cfg = ScenarioConfig(deployment="ppp", shadow="none", csi="perfect", code="single",
                          epsilon=0.1, outer=1, inner=n_per_trial, seed=7)
     return [RunResult(cfg, label, values.reshape(1, 1, -1), "rho=1")]
+
+
+def _mixed_count_results(label):
+    # sample counts n, n, m, n: the probability column is reused, rebuilt for
+    # m and rebuilt again for n; each block holds other values
+    n, m = _CDF_CHUNK_ROWS + 1, 1
+    return [_synthetic_result(k, f"{label}/{i}", seed=i)[0] for i, k in enumerate([n, n, m, n])]
 
 
 def _zero_snr_results(label):
@@ -824,9 +832,11 @@ def _three_terminal_results(label):
     lambda label: _synthetic_result(1, label),
     lambda label: _synthetic_result(_CDF_CHUNK_ROWS, label),
     lambda label: _synthetic_result(_CDF_CHUNK_ROWS + 1, label),
+    _mixed_count_results,
     _zero_snr_results,
     _three_terminal_results,
-], ids=["one-row", "one-chunk", "chunk-plus-one", "zero-snr", "three-terminals"])
+], ids=["one-row", "one-chunk", "chunk-plus-one", "counts-n-n-m-n", "zero-snr",
+        "three-terminals"])
 def test_writers_match_per_row_formatting(tmp_path, make):
     # a label may hold '%', which the block formatting must escape
     results = make("run%d 50%s%%")
@@ -834,6 +844,20 @@ def test_writers_match_per_row_formatting(tmp_path, make):
     write_cdf_tables(tmp_path / "c.dat", results)
     assert (tmp_path / "r.csv").read_bytes() == _reference_result_csv(results).encode()
     assert (tmp_path / "c.dat").read_bytes() == _reference_cdf_tables(results).encode()
+
+
+def test_cdf_writer_peak_memory_stays_below_two_mb(tmp_path):
+    # fig3 at --outer 350: six blocks of 35,000 samples. The traced peak is
+    # about 1.3 MB: two sorted blocks and the kept probability column, one
+    # string per chunk. A list of per-row str objects would add about 2.7 MB.
+    results = [_synthetic_result(35_000, f"m{i}", seed=i)[0] for i in range(6)]
+    tracemalloc.start()
+    try:
+        write_cdf_tables(tmp_path / "c.dat", results)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_mixed_kinds_rejected(tmp_path):
