@@ -196,15 +196,14 @@ class _CellList:
 _COARSE_ANCHORS = 16
 
 
-def worst_position(layout, grid_resolution=None):
+def worst_position(layout, grid_resolution):
     """Grid point of the layout's region maximizing the minimum distance to any AP.
 
     Parameters
     ----------
     layout : NetworkLayout
-    grid_resolution : float, optional
-        Grid step in km (> 0). Defaults to one tenth of the mean
-        nearest-neighbor spacing (or half_width/20 for a single-AP layout).
+    grid_resolution : float
+        Grid step in km (> 0); runs take it from ScenarioConfig.opt_grid_km.
 
     The grid is ``axis x axis`` with ``axis = arange(-hw, hw + step/2, step)``,
     and the result equals the argmax of the nearest-AP distance over every
@@ -223,11 +222,6 @@ def worst_position(layout, grid_resolution=None):
     if layout.n_aps == 0:
         raise ValueError("worst_position needs a non-empty layout")
     hw = layout.region.half_width_km
-    if grid_resolution is None:
-        if layout.n_aps < 2:
-            grid_resolution = hw / 20.0
-        else:
-            grid_resolution = mean_nn_spacing(layout) / 10.0
     if not grid_resolution > 0:
         raise ValueError(f"grid_resolution must be > 0, got {grid_resolution}")
     axis = np.arange(-hw, hw + grid_resolution / 2.0, grid_resolution)

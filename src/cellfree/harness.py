@@ -80,7 +80,7 @@ class ScenarioConfig:
     vary: Literal["network", "grouping"] = "network"
     layout_seed: int | None = None     # fixed layout drawn once when set
     terminals: tuple[tuple[float, float], ...] = ((0.0, 0.0),)
-    opt_grid_km: float | None = None   # grid step of the worst-position search
+    opt_grid_km: float = 0.05          # grid step of the worst-position search (km)
 
     def n_groups(self):
         return ostbc.by_name(self.code).n_groups
@@ -133,7 +133,7 @@ def validate_config(cfg):
         raise ValueError("seeds must be >= 0")
     if cfg.rx_antennas < 1 or cfg.antennas_per_ap < 1:
         raise ValueError("antenna counts must be >= 1")
-    if cfg.opt_grid_km is not None and cfg.opt_grid_km <= 0:
+    if cfg.opt_grid_km <= 0:
         raise ValueError(f"opt_grid_km must be > 0, got {cfg.opt_grid_km}")
     if cfg.csi == "ls":
         tp = cfg.effective_tau_p()
@@ -596,7 +596,7 @@ def _fig7_terminals(layout):
 # grouping permutation first, on the same stream, so fig6 and fig8 compare
 # single-group and multi-group members over different shadow fields.
 _BASE = ScenarioConfig(epsilon=1e-2, outer=1000, inner=100, seed=1)
-_LS_BASE = replace(_BASE, csi="ls", half_width_km=2.5, outer=800, opt_grid_km=0.05)
+_LS_BASE = replace(_BASE, csi="ls", half_width_km=2.5, outer=800)
 
 
 def _fig3():
@@ -664,7 +664,7 @@ def _fig8():
 
 def _fig9():
     fig9_base = replace(_BASE, csi="ls", code="alamouti", power="optimized",
-                        half_width_km=0.6, outer=300, inner=60, opt_grid_km=0.05)
+                        half_width_km=0.6, outer=300, inner=60)
     return Experiment("fig9", (
         ("cellular", replace(fig9_base, deployment="hexagonal", density=10.0,
                              antennas_per_ap=100, grouping="neighbor")),

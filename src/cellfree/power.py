@@ -61,10 +61,11 @@ def optimal_pilot_power(beta_w, tau_p):
     return c0 * energy / (c0 * tau_p + math.sqrt(disc))
 
 
-def optimize_pilot_power(layout, tau_p, grid_resolution=None):
+def optimize_pilot_power(layout, tau_p, grid_resolution):
     """Heuristic pilot/data split performed without CSI at the APs.
 
-    Finds the grid position furthest from the closest AP, computes its
+    Finds the position furthest from the closest AP on a grid of step
+    grid_resolution km (see deployment.worst_position), computes its
     path-loss-only coefficient beta_w with all antennas as one group, and
     picks the pilot power minimizing lambda_ls at Es = 1 for that
     coefficient. Neither assumption (single group, no shadowing) needs to

@@ -142,14 +142,9 @@ def test_worst_position_maximizes_over_grid():
             assert best >= d - 1e-12
 
 
-def _full_grid_worst_position(layout, grid_resolution=None):
+def _full_grid_worst_position(layout, grid_resolution):
     """Reference: nearest-AP distance at every grid point, first argmax."""
     hw = layout.region.half_width_km
-    if grid_resolution is None:
-        if layout.n_aps < 2:
-            grid_resolution = hw / 20.0
-        else:
-            grid_resolution = mean_nn_spacing(layout) / 10.0
     axis = np.arange(-hw, hw + grid_resolution / 2.0, grid_resolution)
     gx, gy = np.meshgrid(axis, axis, indexing="ij")
     grid = np.column_stack([gx.ravel(), gy.ravel()])
@@ -157,6 +152,7 @@ def _full_grid_worst_position(layout, grid_resolution=None):
     return grid[int(np.argmax(dmin))].copy()
 
 
+# step None: a tenth of the mean AP spacing, up to 418,609 grid points
 @pytest.mark.parametrize("density,half_width,step", [
     (1.0, 5.0, None), (1.0, 2.5, 0.05), (5.0, 2.5, 0.1), (20.0, 2.5, 0.05),
     (20.0, 2.5, None), (20.0, 0.5, 0.02), (100.0, 1.0, 0.013), (1000.0, 0.6, 0.05),
@@ -168,25 +164,28 @@ def test_worst_position_equals_full_grid_scan_on_ppp(density, half_width, step):
         layout = place_ppp(density, region, rng_for(seed))
         if layout.n_aps == 0:
             continue
-        expected = _full_grid_worst_position(layout, step)
-        assert np.array_equal(worst_position(layout, step), expected)
+        s = step or mean_nn_spacing(layout) / 10.0
+        expected = _full_grid_worst_position(layout, s)
+        assert np.array_equal(worst_position(layout, s), expected)
 
 
 @pytest.mark.parametrize("step", [None, 0.05, hex_spacing(20.0) / 20.0])
 def test_worst_position_equals_full_grid_scan_on_hex(step):
     layout = place_hex(20.0, Region(2.5))
+    step = step or mean_nn_spacing(layout) / 10.0
     expected = _full_grid_worst_position(layout, step)
     assert np.array_equal(worst_position(layout, step), expected)
 
 
 def test_worst_position_single_ap_tie_takes_first_corner():
     # with a dyadic step all four corners tie; (-hw, -hw) has the lowest
-    # row-major index. The default step 0.05 rounds the last axis value up.
-    layout = NetworkLayout(np.array([[0.0, 0.0]]), 1, Region(1.0))
-    for step in (None, 0.25, 1 / 64):
+    # row-major index. The step hw / 20 = 0.05 rounds the last axis value up.
+    hw = 1.0
+    layout = NetworkLayout(np.array([[0.0, 0.0]]), 1, Region(hw))
+    for step in (hw / 20, 0.25, 1 / 64):
         p = worst_position(layout, step)
         assert np.array_equal(p, _full_grid_worst_position(layout, step))
-        if step is not None:
+        if step != hw / 20:
             assert np.array_equal(p, [-1.0, -1.0])
 
 
@@ -230,10 +229,10 @@ def test_worst_position_non_positive_step_rejected(step):
 
 
 def test_worst_position_coincident_aps_rejected():
-    # mean spacing 0 gives a zero default step
+    # two APs at one point: zero mean spacing, but the step is the caller's
     layout = NetworkLayout(np.array([[0.1, 0.2], [0.1, 0.2]]), 1, Region(1.0))
-    with pytest.raises(ValueError, match="grid_resolution"):
-        worst_position(layout)
+    assert mean_nn_spacing(layout) == 0.0
+    assert np.array_equal(worst_position(layout, 0.05), _full_grid_worst_position(layout, 0.05))
 
 
 def _grid(hw, n):
@@ -319,14 +318,13 @@ def test_mean_nn_spacing_bit_identical_to_kdtree():
 def test_coincident_aps_have_zero_spacing_and_no_default_grid():
     layout = NetworkLayout(np.array([[0.1, 0.2]] * 3), 1, Region(1.0))
     assert mean_nn_spacing(layout) == 0.0
-    with pytest.raises(ValueError, match="grid_resolution"):
-        worst_position(layout)
+    assert np.array_equal(worst_position(layout, 0.05), _full_grid_worst_position(layout, 0.05))
 
 
 def test_worst_position_empty_layout_errors():
     layout = place_ppp(0.0, Region(1.0), rng_for(0))
     with pytest.raises(ValueError, match="worst_position needs a non-empty layout"):
-        worst_position(layout)
+        worst_position(layout, 0.05)
 
 
 def test_layout_outside_region_rejected():

@@ -282,7 +282,8 @@ def test_config_text_rejects_unknown_and_duplicate_keys():
     ("seed=1\ndensity=abc\n", "line 2: bad value for 'density'"),
     ("# outer trials\nouter=2.5\n", "line 2: bad value for 'outer'"),
     ("terminals=0.0,1.0;2.0\n", "line 1: bad value for 'terminals'"),
-], ids=["float", "int", "terminals"])
+    ("seed=1\nopt_grid_km=none\n", "line 2: bad value for 'opt_grid_km'"),
+], ids=["float", "int", "terminals", "grid-step-none"])
 def test_config_text_bad_value_names_line_and_key(text, where):
     with pytest.raises(ValueError, match=f"^{where}: "):
         config_from_text(text)

@@ -126,7 +126,7 @@ def test_optimized_pilots_take_at_most_half_the_budget(monkeypatch):
         monkeypatch.setattr(power, "path_gain",
                             lambda layout, position, g=rho_beta / DEFAULT_RHO: np.array([g]))
         for tau_p in range(1, TAU_C):
-            plan = optimize_pilot_power(layout, tau_p)
+            plan = optimize_pilot_power(layout, tau_p, grid_resolution=0.05)
             assert plan.tau_p == tau_p
             assert plan.rho_p * tau_p <= ENERGY / 2
 
