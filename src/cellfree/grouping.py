@@ -30,22 +30,64 @@ class Grouping:
 def random_grouping(n_antennas, n_groups, rng):
     """Uniformly random balanced partition (group sizes differ by at most 1).
 
-    Shuffles the antenna indices and splits the permutation into contiguous
-    blocks; the first (n_antennas mod n_groups) groups get the extra antenna.
+    Shuffles the antenna indices and splits the permutation with
+    :func:`balanced_split`.
     """
     if n_groups < 1:
         raise ValueError("n_groups must be >= 1")
     if n_antennas < n_groups:
         raise ValueError(f"{n_antennas} antennas cannot fill {n_groups} groups")
-    perm = rng.permutation(n_antennas)
-    base, extra = divmod(n_antennas, n_groups)
-    assignment = np.empty(n_antennas, dtype=np.int64)
-    start = 0
-    for k in range(n_groups):
-        size = base + (1 if k < extra else 0)
-        assignment[perm[start : start + size]] = k
-        start += size
-    return Grouping(assignment, n_groups)
+    return Grouping(balanced_split(rng.permutation(n_antennas), n_groups), n_groups)
+
+
+def balanced_split(perms, n_groups):
+    """Group of every antenna when each permutation is split into contiguous blocks.
+
+    perms is one permutation of the n antenna indices, shape (n,), or a block
+    of them, shape (m, n). Group k takes the k-th block of permutation slots,
+    and the first (n mod n_groups) blocks are one slot longer; antenna
+    perms[..., i] joins the group of slot i. Returns the assignment in
+    antenna order, shaped like perms.
+    """
+    base, extra = divmod(perms.shape[-1], n_groups)
+    slot_group = np.arange(n_groups).repeat([base + 1] * extra + [base] * (n_groups - extra))
+    out = np.empty(perms.shape, dtype=np.int64)
+    rows = () if perms.ndim == 1 else (np.arange(len(perms))[:, None],)
+    out[(*rows, perms)] = slot_group
+    return out
+
+
+#: Elements (draws x rows of beta x antennas) of one batch of random_group_sums:
+#: each per-batch array holds at most 64 KB, whatever the number of draws,
+#: unless one draw alone needs more.
+_BATCH_ELEMENTS = 8192
+
+
+def random_group_sums(beta, n_groups, n_draws, stream):
+    """Group sums of beta under n_draws random balanced groupings.
+
+    beta has shape (K, n antennas); the result has shape (n_draws, K,
+    n_groups). Draw t permutes the antennas with stream(t).permutation(n), as
+    random_grouping does, in draw order and even for one group. The
+    permutations of a batch of draws are split together, and one bincount
+    takes every sum of the batch, adding each group's antennas in antenna
+    order: entry (t, k) is bit-identical to group_large_scale(beta[k], g)
+    for draw t's grouping g.
+    """
+    n_rows, n = beta.shape
+    batch = max(1, _BATCH_ELEMENTS // beta.size)
+    perms = np.empty((batch, n), dtype=np.int64)
+    sums = np.empty((n_draws, n_rows, n_groups))
+    for start in range(0, n_draws, batch):
+        m = min(batch, n_draws - start)
+        for i in range(m):
+            perms[i] = stream(start + i).permutation(n)
+        # the sum of draw i of the batch, row k and group g goes to bin (i*K + k)*G + g
+        keys = ((np.arange(m * n_rows) * n_groups).reshape(m, n_rows, 1)
+                + balanced_split(perms[:m], n_groups)[:, None, :])
+        weights = np.broadcast_to(beta, keys.shape).ravel()
+        sums[start:start + m] = np.bincount(keys.ravel(), weights).reshape(m, n_rows, n_groups)
+    return sums
 
 
 def neighbor_grouping(layout, n_groups):

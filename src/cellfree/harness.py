@@ -3,9 +3,11 @@
 Every outer trial draws from its own counter-based stream keyed by
 (master seed, trial index), so a trial's draws depend on nothing but its
 index. Trials are independent Monte-Carlo repetitions and run one after
-another on one thread. Closed-form conditional SNR distributions are used
-whenever they exist (perfect CSI, and LS with a single group); only the
-remaining cases evaluate the general-OSTBC SNR at simulated estimates.
+another on one thread (a vary='grouping' trial only draws its grouping,
+and grouping.random_group_sums sums a batch of them at once). Closed-form
+conditional SNR distributions are used whenever they exist (perfect CSI, and
+LS with a single group); only the remaining cases evaluate the general-OSTBC
+SNR at simulated estimates.
 """
 
 import hashlib
@@ -20,7 +22,7 @@ import numpy as np
 from . import ostbc
 from .channel import conditional_error_stats, draw_effective_channel
 from .deployment import Region, closest_pair, place_hex, place_ppp, worst_position
-from .grouping import Grouping, group_large_scale, neighbor_grouping, random_grouping
+from .grouping import Grouping, neighbor_grouping, random_group_sums, random_grouping
 from .metrics import (SampleSizeError, as_rates, coverage_and_density, lambda_perfect,
                       outage_rate, outage_result)
 from .metrics import coverage_perfect  # noqa: F401  (bench/spans.py traces it here)
@@ -414,14 +416,6 @@ def _plan_spread(plans):
             f"rho_d {spread([p.rho_d for p in planned])}, tau_p={planned[0].tau_p}")
 
 
-def _grouping_trial(cfg, code, beta_ant, t):
-    """Group rates of trial t per terminal (rows); their quantiles are found
-    after the loop. beta_ant holds the path gain per (terminal, antenna). The
-    grouping is drawn even for one group, where it is the all-zero one."""
-    g = random_grouping(beta_ant.shape[-1], code.n_groups, trial_stream(cfg.seed, t))
-    return np.stack([lambda_perfect(group_large_scale(b, g), code.es) for b in beta_ant])
-
-
 def _network_trial(cfg, code, fixed, setup, t):
     """SNR samples and power plan of trial t; a degenerate layout scores zero
     SNR and has no plan. fixed and its setup are None when the trial draws
@@ -448,8 +442,10 @@ def run_scenario(cfg, label=None):
 
     if cfg.vary == "grouping":
         beta_ant = per_antenna(setup[0], fixed.antennas_per_ap)  # shadow is 'none' here
-        rates = [_grouping_trial(cfg, code, beta_ant, t) for t in range(cfg.outer)]
-        gamma = _hyperexp_gamma_eps(np.concatenate(rates), cfg.epsilon)
+        beta_bar = random_group_sums(beta_ant, code.n_groups, cfg.outer,
+                                     lambda t: trial_stream(cfg.seed, t))
+        rates = lambda_perfect(beta_bar, code.es).reshape(-1, code.n_groups)
+        gamma = _hyperexp_gamma_eps(rates, cfg.epsilon)
         values = outage_rate(gamma, 0, code).reshape(cfg.outer, -1, 1)
     else:
         snrs, plans = zip(*(_network_trial(cfg, code, fixed, setup, t)

@@ -4,6 +4,7 @@ import pytest
 from cellfree.deployment import NetworkLayout, Region, place_ppp
 from cellfree.grouping import (
     Grouping,
+    balanced_split,
     group_large_scale,
     neighbor_grouping,
     random_grouping,
@@ -38,6 +39,23 @@ def test_membership_uniformity():
     freq = counts / runs
     tol = 4.0 * np.sqrt(0.25 * 0.75 / runs)  # 4 sigma: 32 cells are checked at once
     assert np.abs(freq - 1.0 / k).max() < tol
+
+
+@pytest.mark.parametrize("n, k", [(7, 1), (10, 4), (13, 4), (12, 3), (101, 2)])
+def test_balanced_split_of_a_block_matches_random_grouping_row_by_row(n, k):
+    seeds = range(6)
+    perms = np.stack([np.random.default_rng(s).permutation(n) for s in seeds])
+    block = balanced_split(perms, k)
+    assert block.shape == perms.shape and block.dtype == np.int64
+    for row, perm, s in zip(block, perms, seeds):
+        assert np.array_equal(row, random_grouping(n, k, np.random.default_rng(s)).assignment)
+        assert np.array_equal(balanced_split(perm, k), row)
+        # group k holds the k-th contiguous block of the permutation's slots
+        assert np.all(np.diff(row[perm]) >= 0)
+        sizes = np.bincount(row, minlength=k)
+        assert list(sizes) == [n // k + 1] * (n % k) + [n // k] * (k - n % k)
+    if k == 1:
+        assert not block.any()
 
 
 def test_infeasible_counts_rejected():

@@ -8,11 +8,11 @@ from typing import get_args
 from scipy import optimize, stats
 from scipy.linalg import expm
 
-from cellfree import harness, metrics
+from cellfree import grouping, harness, metrics
 
 from cellfree.channel import conditional_error_stats, draw_effective_channel
 from cellfree.deployment import place_hex, place_ppp
-from cellfree.grouping import Grouping, random_grouping
+from cellfree.grouping import Grouping, group_large_scale, random_group_sums, random_grouping
 from cellfree.harness import (
     _CDF_CHUNK_ROWS,
     RunResult,
@@ -534,6 +534,82 @@ def test_single_group_grouping_run_scores_the_closed_form_rate_in_every_trial():
         root = -np.log1p(-cfg.epsilon) / lambda_perfect(b.sum(), 1.0)
         assert np.all(rates == rates[0])
         assert rates[0] == pytest.approx(outage_rate(root, 0, by_name("single")), rel=1e-12)
+
+
+_THREE_TERMINALS = ((0.0, 0.0), (0.2, -0.1), (-0.3, 0.25))
+
+
+def _grouping_cfg(code, antennas_per_ap, terminals, outer=1):
+    return ScenarioConfig(density=20.0, half_width_km=0.5, shadow="none", csi="perfect",
+                          code=code, antennas_per_ap=antennas_per_ap, epsilon=1e-3,
+                          outer=outer, inner=1, seed=9, vary="grouping", layout_seed=5,
+                          terminals=terminals)
+
+
+def _beta_ant(cfg):
+    layout = harness._fixed_layout(cfg)
+    return per_antenna(path_gain(layout, cfg.terminals), cfg.antennas_per_ap)
+
+
+def _grouping_batch(cfg):
+    """Trials per batch of a grouping run's sums."""
+    return max(1, grouping._BATCH_ELEMENTS // _beta_ant(cfg).size)
+
+
+def _per_trial_grouping_rates(cfg):
+    """Group rates of each trial and terminal, one grouping and sum at a time."""
+    code, beta_ant = by_name(cfg.code), _beta_ant(cfg)
+    return np.stack([
+        np.stack([lambda_perfect(group_large_scale(b, g), code.es) for b in beta_ant])
+        for g in (random_grouping(beta_ant.shape[-1], code.n_groups, trial_stream(cfg.seed, t))
+                  for t in range(cfg.outer))])
+
+
+@pytest.mark.parametrize("terminals", [((0.1, 0.1),), _THREE_TERMINALS], ids=["k1", "k3"])
+@pytest.mark.parametrize("antennas_per_ap", [1, 3])
+@pytest.mark.parametrize("code_name", ["single", "alamouti", "rate34"])
+def test_batched_grouping_rates_equal_per_trial_sums(code_name, antennas_per_ap, terminals):
+    # an outer of two full batches and part of a third; each group sum adds its
+    # antennas in antenna order, so the rates and roots are bit-identical
+    cfg = _grouping_cfg(code_name, antennas_per_ap, terminals)
+    cfg = replace(cfg, outer=2 * _grouping_batch(cfg) + 5)
+    code = by_name(code_name)
+    assert code.n_groups == 1 or _beta_ant(cfg).shape[-1] % code.n_groups  # unequal groups
+    ref = _per_trial_grouping_rates(cfg)
+    sums = random_group_sums(_beta_ant(cfg), code.n_groups, cfg.outer,
+                             lambda t: trial_stream(cfg.seed, t))
+    rates = lambda_perfect(sums, code.es)
+    assert rates.shape == ref.shape == (cfg.outer, len(terminals), code.n_groups)
+    assert np.array_equal(rates, ref)
+    gamma = _hyperexp_gamma_eps(ref.reshape(-1, code.n_groups), cfg.epsilon)
+    expected = outage_rate(gamma, 0, code).reshape(cfg.outer, -1, 1)
+    assert np.array_equal(run_scenario(cfg).values, expected)
+
+
+@pytest.mark.parametrize("code_name", ["alamouti", "rate34"])
+def test_grouping_trial_does_not_depend_on_outer_or_its_batch(code_name):
+    # k straddles a batch boundary, and k + m shifts where the last batch ends
+    cfg = _grouping_cfg(code_name, 1, _THREE_TERMINALS)
+    k = _grouping_batch(cfg) + 3
+    short = run_scenario(replace(cfg, outer=k)).values
+    long = run_scenario(replace(cfg, outer=k + _grouping_batch(cfg) - 1)).values
+    assert np.array_equal(long[:k], short)
+
+
+def test_grouping_run_peak_memory_stays_below_one_mb():
+    # 1,995 antennas and 2,000 trials: an unbatched (trials, antennas)
+    # temporary would take 32 MB. The traced peak is about 0.8 MB, set by the
+    # root search; the batched sums peak at about 0.45 MB.
+    cfg = _grouping_cfg("alamouti", 95, ((0.1, 0.1),), outer=2000)
+    assert _beta_ant(cfg).shape[-1] == 1995
+    tracemalloc.start()
+    try:
+        res = run_scenario(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.values.shape == (2000, 1, 1)
+    assert peak < 1e6
 
 
 def test_run_experiment_applies_overrides():
