@@ -8,23 +8,10 @@ from .deployment import closest_pair
 
 @dataclass(frozen=True)
 class Grouping:
-    """Per-antenna group assignment forming a disjoint cover of [0, n_groups)."""
+    """Group of every antenna, in [0, n_groups), as built by the two constructors."""
 
-    assignment: np.ndarray  # (n_antennas,) int
+    assignment: np.ndarray  # (n_antennas,) int64
     n_groups: int
-
-    def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=np.int64)
-        a.setflags(write=False)
-        object.__setattr__(self, "assignment", a)
-        if self.n_groups < 1:
-            raise ValueError("n_groups must be >= 1")
-        if a.size and (a.min() < 0 or a.max() >= self.n_groups):
-            raise ValueError("group indices out of range")
-
-    @property
-    def n_antennas(self):
-        return self.assignment.size
 
 
 def random_grouping(n_antennas, n_groups, rng):
@@ -71,8 +58,8 @@ def random_group_sums(beta, n_groups, n_draws, stream):
     random_grouping does, in draw order and even for one group. The
     permutations of a batch of draws are split together, and one bincount
     takes every sum of the batch, adding each group's antennas in antenna
-    order: entry (t, k) is bit-identical to group_large_scale(beta[k], g)
-    for draw t's grouping g.
+    order: entry (t, k) is bit-identical to group_large_scale(beta[k], g,
+    n_groups) for draw t's assignment g.
     """
     n_rows, n = beta.shape
     batch = max(1, _BATCH_ELEMENTS // beta.size)
@@ -102,6 +89,8 @@ def neighbor_grouping(layout, n_groups):
     so with antennas_per_ap >= n_groups every AP covers all groups and can
     transmit the full code.
     """
+    if n_groups < 1:
+        raise ValueError("n_groups must be >= 1")
     n_aps, m = layout.n_aps, layout.antennas_per_ap
     if n_aps * m < n_groups:
         raise ValueError(f"{n_aps * m} antennas cannot fill {n_groups} groups")
@@ -126,11 +115,15 @@ def neighbor_grouping(layout, n_groups):
     return Grouping(assignment, n_groups)
 
 
-def group_large_scale(beta, grouping):
-    """Per-group sums beta_bar_k = sum of beta over the antennas of group k."""
+def group_large_scale(beta, assignment, n_groups):
+    """Per-group sums beta_bar_k = sum of beta over the antennas of group k.
+
+    assignment holds the group of every antenna; a group without antennas
+    sums to zero.
+    """
     beta = np.asarray(beta, dtype=float)
-    if beta.size != grouping.n_antennas:
+    if beta.size != len(assignment):
         raise ValueError(
-            f"beta has {beta.size} entries but grouping covers {grouping.n_antennas} antennas"
+            f"beta has {beta.size} entries but the assignment covers {len(assignment)} antennas"
         )
-    return np.bincount(grouping.assignment, weights=beta, minlength=grouping.n_groups)
+    return np.bincount(assignment, weights=beta, minlength=n_groups)

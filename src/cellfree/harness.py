@@ -22,7 +22,7 @@ import numpy as np
 from . import ostbc
 from .channel import conditional_error_stats, draw_effective_channel
 from .deployment import Region, closest_pair, place_hex, place_ppp, worst_position
-from .grouping import Grouping, neighbor_grouping, random_group_sums, random_grouping
+from .grouping import neighbor_grouping, random_group_sums, random_grouping
 from .metrics import (SampleSizeError, as_rates, coverage_and_density, lambda_perfect,
                       outage_rate, outage_result)
 from .metrics import coverage_perfect  # noqa: F401  (bench/spans.py traces it here)
@@ -282,26 +282,27 @@ def _fixed_layout(cfg):
 
 
 def _layout_setup(cfg, code, layout):
-    """(gain, grouping, plan) of a layout: what its trials share.
+    """(layout, gain, assignment, plan) of a layout: what its trials share.
 
     gain is the path gain of every AP at each terminal, shape (K, n_aps).
-    The grouping is None when it is random: each trial then draws its own,
-    as the first use of its stream after the layout. The pilot/data power
-    plan is None for perfect CSI, which has no pilots.
+    assignment is the group of every antenna, or None when the grouping is
+    random: each trial then draws its own, as the first use of its stream
+    after the layout. The pilot/data power plan is None for perfect CSI,
+    which has no pilots.
     """
     gain = path_gain(layout, cfg.terminals)
     if code.n_groups == 1:
-        grouping = Grouping(np.zeros(layout.n_antennas, dtype=np.int64), 1)
+        assignment = np.zeros(layout.n_antennas, dtype=np.int64)
     elif cfg.grouping == "neighbor":
-        grouping = neighbor_grouping(layout, code.n_groups)
+        assignment = neighbor_grouping(layout, code.n_groups).assignment
     else:
-        grouping = None
+        assignment = None
     if cfg.csi == "perfect":
-        return gain, grouping, None
+        return layout, gain, assignment, None
     if cfg.power == "uniform":
-        return gain, grouping, uniform_plan(cfg.effective_tau_p())
-    return gain, grouping, optimize_pilot_power(layout, cfg.effective_tau_p(),
-                                                grid_resolution=cfg.opt_grid_km)
+        return layout, gain, assignment, uniform_plan(cfg.effective_tau_p())
+    return layout, gain, assignment, optimize_pilot_power(layout, cfg.effective_tau_p(),
+                                                          grid_resolution=cfg.opt_grid_km)
 
 
 def _sample_snr(code, beta_bar, plan, cfg, rng):
@@ -416,22 +417,21 @@ def _plan_spread(plans):
             f"rho_d {spread([p.rho_d for p in planned])}, tau_p={planned[0].tau_p}")
 
 
-def _network_trial(cfg, code, fixed, setup, t):
+def _network_trial(cfg, code, setup, t):
     """SNR samples and power plan of trial t; a degenerate layout scores zero
-    SNR and has no plan. fixed and its setup are None when the trial draws
-    its own layout."""
+    SNR and has no plan. setup is None when the trial draws its own layout."""
     rng = trial_stream(cfg.seed, t)
-    layout = fixed if fixed is not None else place_ppp(
-        cfg.density, cfg.region(), rng, cfg.antennas_per_ap
-    )
-    if layout.n_antennas < code.n_groups:
-        return np.zeros(cfg.inner), None
-    gain, grouping, plan = setup if setup is not None else _layout_setup(cfg, code, layout)
-    if grouping is None:
-        grouping = random_grouping(layout.n_antennas, code.n_groups, rng)
+    if setup is None:
+        layout = place_ppp(cfg.density, cfg.region(), rng, cfg.antennas_per_ap)
+        if layout.n_antennas < code.n_groups:
+            return np.zeros(cfg.inner), None
+        setup = _layout_setup(cfg, code, layout)
+    layout, gain, assignment, plan = setup
+    if assignment is None:
+        assignment = random_grouping(layout.n_antennas, code.n_groups, rng).assignment
     shadow = None if cfg.shadow == "none" else shadow_fields(
         layout, cfg.terminals, cfg.shadow_params(), rng)[0]
-    beta_bar = large_scale_from_shadow(layout, gain[0], shadow, grouping)
+    beta_bar = large_scale_from_shadow(layout, gain[0], shadow, assignment, code.n_groups)
     return _sample_snr(code, beta_bar, plan, cfg, rng), plan
 
 
@@ -441,15 +441,14 @@ def run_scenario(cfg, label=None):
     setup = None if fixed is None else _layout_setup(cfg, code, fixed)
 
     if cfg.vary == "grouping":
-        beta_ant = per_antenna(setup[0], fixed.antennas_per_ap)  # shadow is 'none' here
+        beta_ant = per_antenna(setup[1], fixed.antennas_per_ap)  # shadow is 'none' here
         beta_bar = random_group_sums(beta_ant, code.n_groups, cfg.outer,
                                      lambda t: trial_stream(cfg.seed, t))
         rates = lambda_perfect(beta_bar, code.es).reshape(-1, code.n_groups)
         gamma = _hyperexp_gamma_eps(rates, cfg.epsilon)
         values = outage_rate(gamma, 0, code).reshape(cfg.outer, -1, 1)
     else:
-        snrs, plans = zip(*(_network_trial(cfg, code, fixed, setup, t)
-                            for t in range(cfg.outer)))
+        snrs, plans = zip(*(_network_trial(cfg, code, setup, t) for t in range(cfg.outer)))
         values = np.stack(snrs)[:, None, :]
 
     power_note = (f"rho_p=rho_d=rho={DEFAULT_RHO:.6g} (perfect CSI, no pilots)"

@@ -42,19 +42,20 @@ def detect_symbols(code, h_hat, y):
     return (y @ va.T).real + 1j * (y @ vb.T).imag
 
 
-def run_trial(code, grouping, beta, rho_p, rho_d, tau_p, rng):
+def run_trial(code, assignment, beta, rho_p, rho_d, tau_p, rng):
     """Full forward simulation of one coherence interval.
 
     Draws per-antenna small-scale fading g_m ~ CN(0,1) and aggregates the
-    effective channel h_k = sum_{m in G_k} g_m sqrt(beta_m), runs the pilot
-    phase and LS estimation, transmits a random symbol block through the
-    code, and detects with the estimate. The record decomposes the processed
+    effective channel h_k = sum_{m in G_k} g_m sqrt(beta_m), G_k being the
+    antennas that assignment puts in group k, runs the pilot phase and LS
+    estimation, transmits a random symbol block through the code, and
+    detects with the estimate. The record decomposes the processed
     symbols into signal, eta (estimation error), and z (noise) parts.
     """
     beta = np.asarray(beta, dtype=float)
     per_antenna = chan.complex_normal(rng, beta.size, beta)
-    h = group_large_scale(per_antenna.real, grouping)
-    h = h + 1j * group_large_scale(per_antenna.imag, grouping)
+    h = group_large_scale(per_antenna.real, assignment, code.n_groups)
+    h = h + 1j * group_large_scale(per_antenna.imag, assignment, code.n_groups)
 
     h_hat = chan.ls_estimate(h, chan.make_pilot_block(tau_p, code.n_groups), rho_p, rng)
     e = h_hat - h

@@ -189,13 +189,14 @@ def per_antenna(beta, antennas_per_ap):
     return beta if antennas_per_ap == 1 else np.repeat(beta, antennas_per_ap, axis=-1)
 
 
-def large_scale_from_shadow(layout, gain, shadow_db, grouping):
+def large_scale_from_shadow(layout, gain, shadow_db, assignment, n_groups):
     """Per-group beta_bar for one terminal.
 
-    beta_bar_k sums beta over the antennas of group k. An AP's beta is its
-    path gain (:func:`path_gain`) times 10^(-v/10) for its shadow loss v
-    (:func:`shadow_fields`), or the path gain alone when shadow_db is None;
-    all antennas of an AP share its beta.
+    beta_bar_k sums beta over the antennas of group k, assignment[i] being
+    the group of antenna i. An AP's beta is its path gain (:func:`path_gain`)
+    times 10^(-v/10) for its shadow loss v (:func:`shadow_fields`), or the
+    path gain alone when shadow_db is None; all antennas of an AP share its
+    beta.
     """
     beta = gain if shadow_db is None else gain * np.exp(shadow_db * -_LN10_DIV_10)
-    return group_large_scale(per_antenna(beta, layout.antennas_per_ap), grouping)
+    return group_large_scale(per_antenna(beta, layout.antennas_per_ap), assignment, n_groups)

@@ -12,7 +12,7 @@ from cellfree import grouping, harness, metrics
 
 from cellfree.channel import conditional_error_stats, draw_effective_channel
 from cellfree.deployment import place_hex, place_ppp
-from cellfree.grouping import Grouping, group_large_scale, random_group_sums, random_grouping
+from cellfree.grouping import group_large_scale, random_group_sums, random_grouping
 from cellfree.harness import (
     _CDF_CHUNK_ROWS,
     RunResult,
@@ -560,8 +560,10 @@ def _per_trial_grouping_rates(cfg):
     """Group rates of each trial and terminal, one grouping and sum at a time."""
     code, beta_ant = by_name(cfg.code), _beta_ant(cfg)
     return np.stack([
-        np.stack([lambda_perfect(group_large_scale(b, g), code.es) for b in beta_ant])
-        for g in (random_grouping(beta_ant.shape[-1], code.n_groups, trial_stream(cfg.seed, t))
+        np.stack([lambda_perfect(group_large_scale(b, g, code.n_groups), code.es)
+                  for b in beta_ant])
+        for g in (random_grouping(beta_ant.shape[-1], code.n_groups,
+                                  trial_stream(cfg.seed, t)).assignment
                   for t in range(cfg.outer))])
 
 
@@ -700,11 +702,12 @@ def test_trial_replay_with_two_receive_antennas(csi, code):
         layout = place_ppp(cfg.density, cfg.region(), rng)
         assert layout.n_antennas >= stbc.n_groups
         if stbc.n_groups == 1:
-            grouping = Grouping(np.zeros(layout.n_antennas, dtype=np.int64), 1)
+            assignment = np.zeros(layout.n_antennas, dtype=np.int64)
         else:
-            grouping = random_grouping(layout.n_antennas, stbc.n_groups, rng)
+            assignment = random_grouping(layout.n_antennas, stbc.n_groups, rng).assignment
         shadow = shadow_fields(layout, [terminal], cfg.shadow_params(), rng)[0]
-        beta_bar = large_scale_from_shadow(layout, path_gain(layout, terminal), shadow, grouping)
+        beta_bar = large_scale_from_shadow(layout, path_gain(layout, terminal), shadow,
+                                           assignment, stbc.n_groups)
         total = np.zeros(cfg.inner)
         for _ in range(cfg.rx_antennas):
             if csi == "perfect":
@@ -792,7 +795,7 @@ def test_shared_gain_equals_per_trial_gain():
     res = run_scenario(cfg)
     code, fixed = validate_config(cfg)
     for t in range(cfg.outer):
-        snr, _ = harness._network_trial(cfg, code, fixed, None, t)
+        snr, _ = harness._network_trial(cfg, code, harness._layout_setup(cfg, code, fixed), t)
         assert np.array_equal(res.values[t, 0], snr)
 
 

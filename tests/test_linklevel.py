@@ -63,7 +63,7 @@ def test_detection_of_a_batch_equals_single_calls(code):
 
 def _small_system(code, rng, n_aps=6):
     beta = rng.uniform(0.2, 1.5, n_aps)
-    g = random_grouping(n_aps, code.n_groups, rng)
+    g = random_grouping(n_aps, code.n_groups, rng).assignment
     return beta, g
 
 
@@ -90,7 +90,7 @@ def test_trial_estimate_error_statistics():
         rec = run_trial(code, g, beta, rho_p=0.8, rho_d=1.0, tau_p=2, rng=rng)
         e[i] = rec.h_hat - rec.h
         hh[i] = rec.h_hat
-    _, u, cc = conditional_error_stats(group_large_scale(beta, g), 0.8, 2)
+    _, u, cc = conditional_error_stats(group_large_scale(beta, g, 2), 0.8, 2)
     for k in range(2):
         slope = np.vdot(hh[:, k], e[:, k]) / np.vdot(hh[:, k], hh[:, k])
         se = np.sqrt(cc[k] / (n * np.mean(np.abs(hh[:, k]) ** 2)))

@@ -4,7 +4,7 @@ from scipy.spatial.distance import cdist
 
 from cellfree import propagation
 from cellfree.deployment import NetworkLayout, Region, place_ppp
-from cellfree.grouping import Grouping, random_grouping
+from cellfree.grouping import random_grouping
 from cellfree.propagation import (
     D_I_KM,
     D_O_KM,
@@ -259,18 +259,18 @@ def test_cross_terminal_field_shape():
     assert v.shape == (2, layout.n_aps)
 
 
-def _large_scale(layout, sh_params, grouping, rng):
+def _large_scale(layout, sh_params, assignment, n_groups, rng):
     """beta per antenna and beta_bar at the origin, shadowed by one draw of shadow_fields."""
     shadow = shadow_fields(layout, [(0, 0)], sh_params, rng)[0]
     gain = path_gain(layout, (0, 0))
     beta = per_antenna(gain * 10.0 ** (-shadow / 10.0), layout.antennas_per_ap)
-    return beta, large_scale_from_shadow(layout, gain, shadow, grouping)
+    return beta, large_scale_from_shadow(layout, gain, shadow, assignment, n_groups)
 
 
 def test_large_scale_beta_at_one_km():
     layout = NetworkLayout(np.array([[1.0, 0.0]]), 1, Region(2.0))
-    g = Grouping(np.zeros(1, dtype=int), 1)
-    beta, _ = _large_scale(layout, ShadowParams(mode="none"), g, np.random.default_rng(0))
+    g = np.zeros(1, dtype=np.int64)
+    beta, _ = _large_scale(layout, ShadowParams(mode="none"), g, 1, np.random.default_rng(0))
     # 141.2 dB of loss is about 7.6e-15 in linear scale
     assert beta[0] == pytest.approx(10 ** (-path_loss_db(1.0) / 10.0))
     assert abs(beta[0] - 7.6e-15) < 0.05 * 7.6e-15
@@ -278,15 +278,16 @@ def test_large_scale_beta_at_one_km():
 
 def test_beta_bar_single_group_sums_both_aps():
     layout = NetworkLayout(np.array([[0.5, 0.0], [0.0, 0.5]]), 1, Region(1.0))
-    g = Grouping(np.zeros(2, dtype=int), 1)
-    beta, beta_bar = _large_scale(layout, ShadowParams(mode="none"), g, np.random.default_rng(0))
+    g = np.zeros(2, dtype=np.int64)
+    beta, beta_bar = _large_scale(layout, ShadowParams(mode="none"), g, 1,
+                                  np.random.default_rng(0))
     assert beta_bar[0] == pytest.approx(beta.sum(), rel=1e-15)
 
 
 def test_multi_antenna_aps_share_beta():
     layout = NetworkLayout(np.array([[0.3, 0.2]]), 2, Region(1.0))
-    g = Grouping(np.array([0, 1]), 2)
-    beta, _ = _large_scale(layout, ShadowParams(mode="none"), g, np.random.default_rng(0))
+    g = np.array([0, 1])
+    beta, _ = _large_scale(layout, ShadowParams(mode="none"), g, 2, np.random.default_rng(0))
     assert beta[0] == beta[1]
 
 
@@ -294,14 +295,14 @@ def test_partition_property_any_grouping():
     layout = _layout(seed=5, density=30.0)
     rng = np.random.default_rng(13)
     for n_groups in (1, 2, 4, 7):
-        g = random_grouping(layout.n_antennas, n_groups, rng)
-        beta, beta_bar = _large_scale(layout, ShadowParams(mode="correlated"), g, rng)
+        g = random_grouping(layout.n_antennas, n_groups, rng).assignment
+        beta, beta_bar = _large_scale(layout, ShadowParams(mode="correlated"), g, n_groups, rng)
         assert beta_bar.sum() == pytest.approx(beta.sum(), rel=1e-12)
         assert beta_bar.shape == (n_groups,)
 
 
 def test_grouping_must_cover_layout():
     layout = _layout(seed=6)
-    g = Grouping(np.zeros(3, dtype=int), 1)
+    g = np.zeros(3, dtype=np.int64)
     with pytest.raises(ValueError):
-        _large_scale(layout, ShadowParams(mode="none"), g, np.random.default_rng(0))
+        _large_scale(layout, ShadowParams(mode="none"), g, 1, np.random.default_rng(0))

@@ -89,6 +89,14 @@ def test_public_names_have_a_user(path):
     assert unused == []
 
 
+@pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "grouping.py"}),
+                         ids=lambda p: p.name)
+def test_only_the_grouping_constructors_name_grouping(path):
+    # the run path passes the group of every antenna as a plain int64 array;
+    # Grouping is only what random_grouping and neighbor_grouping return
+    assert "Grouping" not in named(path.read_text())
+
+
 def test_test_references_are_defined_and_otherwise_unused():
     defined = set()
     for path in PACKAGE.glob("*.py"):
