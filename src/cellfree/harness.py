@@ -8,8 +8,14 @@ and grouping.random_group_sums sums a batch of them at once). Closed-form
 conditional SNR distributions are used whenever they exist (perfect CSI, and
 LS with a single group); only the remaining cases evaluate the general-OSTBC
 SNR at simulated estimates.
+
+Trial t's stream is numpy's Philox(SeedSequence(seed, spawn_key=(0, t)))
+bit for bit, so plain numpy replays any trial; trial_stream derives those
+Philox keys a block of trials at a time, without building a SeedSequence
+per trial.
 """
 
+import functools
 import hashlib
 import math
 import numbers
@@ -18,6 +24,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Literal, get_args, get_origin
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import ostbc
 from .channel import conditional_error_stats, draw_effective_channel
@@ -36,10 +43,73 @@ def trial_stream(seed, index, domain=0):
     """Counter-based Philox stream keyed by (seed, domain, index).
 
     A pure function of its arguments: the same trial always regenerates the
-    same stream, independent of which trials ran before it.
+    same stream, independent of which trials ran before it. Its draws are
+    those of Philox(SeedSequence(entropy=seed, spawn_key=(domain, index))).
     """
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(domain, index))
-    return np.random.Generator(np.random.Philox(ss))
+    block, row = divmod(index, _KEY_BLOCK)
+    key = _philox_keys(seed, domain, block)[row]
+    return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
+
+
+class _PhiloxKey(ISeedSequence):
+    """A Philox key already derived, handed to Philox as its seed sequence."""
+
+    def __init__(self, key):
+        self.key = key
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.key
+
+
+_KEY_BLOCK = 1024  # trial indices per block of keys (16 KB); divides 2**32
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+@functools.lru_cache(maxsize=4)
+def _philox_keys(seed, domain, block):
+    """Philox keys of a block of trial indices, one uint64 pair per row.
+
+    Row r is SeedSequence(entropy=seed, spawn_key=(domain, index)).generate_state(2,
+    np.uint64) for index = block * _KEY_BLOCK + r. The pool after the seed
+    and domain words is numpy's own; the mixing of the index words and the
+    output hash are SeedSequence's, ported to uint32 arithmetic over the
+    whole block. A block never crosses a multiple of 2**32, so only the
+    lowest index word varies within it.
+    """
+    pool = np.random.SeedSequence(entropy=seed, spawn_key=(domain,)).pool
+    if block < 0:
+        raise ValueError("trial index must be >= 0")
+    first = block * _KEY_BLOCK
+
+    def n_words(x):
+        return max(1, -(-int(x).bit_length() // 32))
+
+    # one hash step per hashmix: 4 fill the pool, 12 mix it, 4 per entropy word past it
+    hash_const = _INIT_A * pow(_MULT_A, 16 + 4 * (max(4, n_words(seed)) + n_words(domain) - 4),
+                               2**32) % 2**32
+    mixer = [np.full(_KEY_BLOCK, p, np.uint32) for p in pool]
+    for w in range(n_words(first)):
+        word = np.full(_KEY_BLOCK, (first >> 32 * w) % 2**32, np.uint32)
+        if w == 0:
+            word += np.arange(_KEY_BLOCK, dtype=np.uint32)
+        for i in range(len(mixer)):
+            value = word ^ hash_const
+            hash_const = hash_const * _MULT_A % 2**32
+            value *= hash_const
+            value ^= value >> 16
+            mixed = mixer[i] * _MIX_MULT_L - value * _MIX_MULT_R
+            mixer[i] = mixed ^ (mixed >> 16)
+    hash_const, state = _INIT_B, []
+    for m in mixer:
+        value = m ^ hash_const
+        hash_const = hash_const * _MULT_B % 2**32
+        value *= hash_const
+        state.append(value ^ (value >> 16))
+    keys = np.stack(state, axis=1).astype("<u4").view("<u8")
+    keys.flags.writeable = False
+    return keys
 
 
 _SETUP_DOMAIN = 1  # reserved for fixed-layout draws; trials use domain 0

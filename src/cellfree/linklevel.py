@@ -133,6 +133,11 @@ def empirical_snr_cdf(code, beta_bar, rho_p, rho_d, tau_p, n_trials, rng):
     return np.sort(snr_ls_values(code, 0, np.abs(h_hat) ** 2, u, cc, rho_d))
 
 
+def _oracle_stream(seed):
+    """The Philox stream an oracle check draws from, keyed by its seed alone."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+
+
 def check_corollary1(seed, n_trials=100_000):
     """KS test of simulated single-group LS SNR against Exp(lambda_ls).
 
@@ -143,7 +148,7 @@ def check_corollary1(seed, n_trials=100_000):
     from scipy import stats
 
     beta_bar, rho, tau_p = 2e-10, DEFAULT_RHO, 1
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _oracle_stream(seed)
     code = ost.by_name("single")
     samples = empirical_snr_cdf(code, [beta_bar], rho, rho, tau_p, n_trials, rng)
     lam = lambda_ls(beta_bar, rho, tau_p, rho, code.es)
@@ -166,7 +171,7 @@ def check_hyperexp(seed, n_trials=100_000, n_gammas=20):
     gamma grid spanning the distribution; every point must fall within three
     binomial standard errors.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _oracle_stream(seed)
     beta_bar = np.array([1e-10, 2.3e-10, 0.7e-10])
     h = chan.draw_effective_channel(beta_bar, rng, size=n_trials)
     samples = np.sort(DEFAULT_RHO * np.sum(np.abs(h) ** 2, axis=-1))  # perfect CSI: rho ||h||^2
@@ -187,7 +192,7 @@ def check_theorem1(seed, n_configs=20, n_draws=100_000):
     (beta_bar, hhat, power) configurations and requires that c_n and the eta
     power both match within three standard errors in all but at most one.
     """
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    rng = _oracle_stream(seed)
     out = {"ok": True, "codes": {}}
     for name in ("alamouti", "rate34"):
         code = ost.by_name(name)

@@ -64,3 +64,14 @@ def test_traced_run_reaches_power_and_shadow_hooks(spans, tmp_path, monkeypatch)
     assert metrics["deployment.worst_position.calls"] > 0
     assert metrics["deployment.worst_position.grid_points"] > 0
     assert metrics["propagation.shadow_fields.chol_mflop"] > 0
+
+
+def test_traced_grouping_run_records_one_trial_per_outer_trial(spans, tmp_path, monkeypatch):
+    # random_group_sums draws each grouping from its own domain-0 trial_stream
+    # call; the fixed layout's domain-1 draws open no trial
+    metrics, trial_ms = _traced_run(
+        spans, tmp_path, monkeypatch, density=10.0, half_width_km=1.0, shadow="none",
+        csi="perfect", code="alamouti", vary="grouping", layout_seed=3,
+        terminals=((0.0, 0.0), (0.3, -0.2)), epsilon=0.1, outer=30, inner=1, seed=4)
+    assert len(trial_ms) == 30
+    assert metrics["harness.run_scenario.calls"] == 1

@@ -65,6 +65,42 @@ def test_trial_stream_is_pure_function_of_key():
     assert not np.array_equal(a, trial_stream(43, 7).standard_normal(5))
 
 
+def _numpy_stream(seed, index, domain):
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=seed, spawn_key=(domain, index))))
+
+
+def _draws(rng):
+    return rng.integers(0, 2**62, 4), rng.standard_normal(3), rng.permutation(9)
+
+
+def _assert_same_draws(seed, index, domain):
+    for ours, theirs in zip(_draws(trial_stream(seed, index, domain)),
+                            _draws(_numpy_stream(seed, index, domain))):
+        assert np.array_equal(ours, theirs), (seed, index, domain)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**128 + 1])
+def test_trial_stream_draws_numpy_seed_sequence_stream(seed):
+    # seeds of one to five words (more than four words get no zero padding);
+    # indices at a key block's edges and on both sides of a two-word index
+    block = harness._KEY_BLOCK
+    indices = [0, block - 1, block, 2**32 - 1, 2**32]
+    for domain in (0, 1):
+        for index in indices + indices[::-1]:  # also out of order
+            _assert_same_draws(seed, index, domain)
+
+
+def test_trial_stream_keys_survive_cache_eviction():
+    first = [(seed, index) for seed in (3, 2**40) for index in (5, 2000)]
+    for seed, index in first:
+        _assert_same_draws(seed, index, 0)
+    for seed in range(10, 12 + harness._philox_keys.cache_info().maxsize):
+        _assert_same_draws(seed, 1, seed % 2)
+    for seed, index in reversed(first):
+        _assert_same_draws(seed, index, 0)
+
+
 def test_run_scenario_deterministic():
     cfg = ScenarioConfig(deployment="ppp", shadow="correlated", csi="ls",
                          code="alamouti", power="uniform", **FAST)
