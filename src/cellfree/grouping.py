@@ -56,9 +56,9 @@ def random_group_sums(beta, n_groups, n_draws, stream):
     beta has shape (K, n antennas); the result has shape (n_draws, K,
     n_groups). Draw t permutes the antennas with stream(t).permutation(n), as
     random_grouping does, in draw order and even for one group. The
-    permutations of a batch of draws are split together, and one bincount
-    takes every sum of the batch, adding each group's antennas in antenna
-    order: entry (t, k) is bit-identical to group_large_scale(beta[k], g,
+    permutations of a batch of draws are split together, and one
+    group_large_scale call takes every sum of the batch, keyed by (draw, row,
+    group): entry (t, k) is bit-identical to group_large_scale(beta[k], g,
     n_groups) for draw t's assignment g.
     """
     n_rows, n = beta.shape
@@ -73,7 +73,8 @@ def random_group_sums(beta, n_groups, n_draws, stream):
         keys = ((np.arange(m * n_rows) * n_groups).reshape(m, n_rows, 1)
                 + balanced_split(perms[:m], n_groups)[:, None, :])
         weights = np.broadcast_to(beta, keys.shape).ravel()
-        sums[start:start + m] = np.bincount(keys.ravel(), weights).reshape(m, n_rows, n_groups)
+        sums[start:start + m] = group_large_scale(
+            weights, keys.ravel(), m * n_rows * n_groups).reshape(m, n_rows, n_groups)
     return sums
 
 

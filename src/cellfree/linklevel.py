@@ -4,9 +4,9 @@ Simulates actual pilot and OSTBC data transmission with per-antenna fading
 and validates every closed form of :mod:`cellfree.snr` and the perfect-CSI
 law of :mod:`cellfree.metrics`: the processed symbol decomposes as
 shat_n = sqrt(rho_d) ||hhat||^2 s_n + eta_n + z_n and the conditional
-moments of eta_n are measured by Monte Carlo. This module ships
-with the library (not test-only code): the frozen expected values in the
-test suite were produced by it.
+moments of eta_n are measured by Monte Carlo. This module ships with the
+library (not test-only code); the tests compare its measurements with the
+closed forms as they run and hold no values frozen from it.
 """
 
 import numpy as np

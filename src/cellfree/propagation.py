@@ -131,34 +131,28 @@ def _cholesky_lower(positions):
     )
 
 
-def _correlated_draw(positions, z):
-    """L z for the lower Cholesky factor L of sigma^2 * 2^(-d_ij/d_u).
-
-    ``dtrmv`` reads only L's lower triangle. Fewer than two positions skip
-    the factorization: one position's factor is sqrt(sigma^2), bit-identical
-    to LAPACK's dpotrf on [[sigma^2]].
-    """
-    if len(positions) <= 1:
-        return np.sqrt(ShadowParams.sigma_db**2) * z
-    return dtrmv(_cholesky_lower(positions), z, lower=1, overwrite_x=1)
-
-
 def shadow_fields(layout, terminals, params, rng):
-    """Shadow losses in dB for every (terminal, AP) pair, shape (K, n_aps).
+    """Shadow losses in dB of the one terminal to every AP, shape (1, n_aps).
 
-    mode none -> zeros. mode uncorrelated -> i.i.d. N(0, sigma^2). mode
-    correlated -> v_km = sqrt(delta) a_k + sqrt(1-delta) b_m where the a and b
-    fields are jointly Gaussian over terminal and AP positions respectively,
-    each with covariance sigma^2 * 2^(-d/d_u).
+    terminals holds one position; any other count raises ValueError. mode
+    none -> zeros. mode uncorrelated -> i.i.d. N(0, sigma^2). mode correlated
+    -> v_m = sqrt(delta) a + sqrt(1-delta) b_m: the terminal part a is one
+    N(0, sigma^2) draw, the AP field b is L z for the lower Cholesky factor L
+    of sigma^2 * 2^(-d/d_u) over the AP positions (``dtrmv`` reads only L's
+    lower triangle; one AP's L is LAPACK's exact sqrt(sigma^2)).
     """
     terminals = np.atleast_2d(np.asarray(terminals, dtype=float))
-    k, n = len(terminals), layout.n_aps
+    if len(terminals) != 1:
+        raise ValueError(f"shadow fields are drawn for one terminal, not {len(terminals)}")
+    n = layout.n_aps
     if params.mode == "none":
-        return np.zeros((k, n))
+        return np.zeros((1, n))
     if params.mode == "uncorrelated":
-        return rng.normal(0.0, params.sigma_db, size=(k, n))
-    a = _correlated_draw(terminals, rng.standard_normal(k))
-    b = _correlated_draw(layout.positions, rng.standard_normal(n))
+        return rng.normal(0.0, params.sigma_db, size=(1, n))
+    a = params.sigma_db * rng.standard_normal(1)
+    b = rng.standard_normal(n)
+    if n:
+        b = dtrmv(_cholesky_lower(layout.positions), b, lower=1, overwrite_x=1)
     return np.sqrt(params.delta) * a[:, None] + np.sqrt(1.0 - params.delta) * b[None, :]
 
 

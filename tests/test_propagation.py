@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from scipy.linalg.blas import dtrmv
 from scipy.spatial.distance import cdist
 
 from cellfree import propagation
 from cellfree.deployment import NetworkLayout, Region, place_ppp
 from cellfree.grouping import random_grouping
+from cellfree.harness import experiment_catalog
 from cellfree.propagation import (
     D_I_KM,
     D_O_KM,
@@ -117,12 +119,11 @@ def test_shadow_uncorrelated_variance():
 
 
 def test_shadow_correlated_pair_correlation():
-    # one spatial component of the field (the AP part b, say): at separation
+    # the AP part b = L z of the field, as shadow_fields draws it: at separation
     # equal to the decorrelation distance the correlation is 2^-1 = 0.5
-    positions = np.array([[0.0, 0.0], [0.2, 0.0]])
+    chol = propagation._cholesky_lower(np.array([[0.0, 0.0], [0.2, 0.0]]))
     rng = np.random.default_rng(9)
-    draws = np.array([propagation._correlated_draw(positions, rng.standard_normal(2))
-                      for _ in range(10_000)])
+    draws = np.array([dtrmv(chol, rng.standard_normal(2), lower=1) for _ in range(10_000)])
     corr = np.corrcoef(draws.T)[0, 1]
     assert abs(corr - 0.5) < 0.05
 
@@ -178,29 +179,42 @@ def test_cholesky_lower_matches_reference_construction():
     assert np.max(np.abs(chol - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _correlated_parts(layout, seed):
+    """The terminal draw z0 and the AP draws z that shadow_fields takes from one stream."""
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(1), rng.standard_normal(layout.n_aps)
+
+
 def test_correlated_draw_matches_reference_construction():
+    # v = sqrt(delta) 8 z0 + sqrt(1-delta) L z with L from the broadcast covariance
     layout = _layout(seed=1, density=20.0, hw=2.4)
-    z = np.random.default_rng(14).standard_normal(layout.n_aps)
-    want = np.linalg.cholesky(_reference_cov(layout.positions, 8.0, 0.2)) @ z
-    b = propagation._correlated_draw(layout.positions, z.copy())
-    assert np.max(np.abs(b - want)) <= 1e-12 * np.max(np.abs(want))
+    z0, z = _correlated_parts(layout, 14)
+    want = (np.sqrt(0.5) * 8.0 * z0
+            + np.sqrt(0.5) * np.linalg.cholesky(_reference_cov(layout.positions, 8.0, 0.2)) @ z)
+    v = shadow_fields(layout, [(0, 0)], ShadowParams(mode="correlated"), np.random.default_rng(14))
+    assert v.shape == (1, layout.n_aps)
+    assert np.max(np.abs(v[0] - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_correlated_draw_ignores_the_unset_triangle(monkeypatch):
     # neither LAPACK nor BLAS may read the triangle the build leaves unset
     layout = _layout(seed=1, density=20.0, hw=2.4)
-    z = np.random.default_rng(15).standard_normal(layout.n_aps)
-    want = propagation._correlated_draw(layout.positions, z.copy())
+    params = ShadowParams(mode="correlated")
+    want = shadow_fields(layout, [(0, 0)], params, np.random.default_rng(15))
     empty = np.empty
     monkeypatch.setattr(np, "empty", lambda *a, **kw: np.full_like(empty(*a, **kw), np.nan))
     cov = propagation._covariance_triangle(layout.positions)
     assert np.isnan(cov[-1, 0])
-    assert np.array_equal(propagation._correlated_draw(layout.positions, z.copy()), want)
+    assert np.array_equal(shadow_fields(layout, [(0, 0)], params, np.random.default_rng(15)), want)
 
 
-def test_single_position_draw_is_sigma_times_z():
-    z = np.random.default_rng(16).standard_normal(1)
-    assert np.array_equal(propagation._correlated_draw(np.zeros((1, 2)), z.copy()), 8.0 * z)
+def test_single_ap_correlated_field_is_sigma_times_both_draws():
+    # one AP's Cholesky factor is LAPACK's sqrt(64) = 8.0 exactly
+    layout = NetworkLayout(np.array([[0.3, -0.1]]), 1, Region(1.0))
+    z0, z1 = _correlated_parts(layout, 16)
+    want = np.sqrt(0.5) * 8.0 * z0 + np.sqrt(0.5) * 8.0 * z1
+    v = shadow_fields(layout, [(0, 0)], ShadowParams(mode="correlated"), np.random.default_rng(16))
+    assert np.array_equal(v, want[None, :])
 
 
 def test_empty_layout_correlated_field():
@@ -252,11 +266,20 @@ def test_illegal_argument_raises_without_retry(monkeypatch):
     assert len(calls) == 1
 
 
-def test_cross_terminal_field_shape():
+@pytest.mark.parametrize("mode", ["none", "uncorrelated", "correlated"])
+def test_shadow_fields_take_exactly_one_terminal(mode):
     layout = _layout(seed=4)
-    params = ShadowParams(mode="correlated")
-    v = shadow_fields(layout, [(0, 0), (0.1, 0.1)], params, np.random.default_rng(12))
-    assert v.shape == (2, layout.n_aps)
+    for terminals in ([(0, 0), (0.1, 0.1)], np.zeros((0, 2))):
+        with pytest.raises(ValueError, match="one terminal"):
+            shadow_fields(layout, terminals, ShadowParams(mode=mode), np.random.default_rng(12))
+
+
+def test_every_shadowed_preset_member_has_one_terminal():
+    # shadow_fields draws one terminal's field, and every shadowed run is one
+    shadowed = [cfg for exp in experiment_catalog().values() for _, cfg in exp.members
+                if cfg.shadow != "none"]
+    assert shadowed
+    assert all(len(cfg.terminals) == 1 for cfg in shadowed)
 
 
 def _large_scale(layout, sh_params, assignment, n_groups, rng):

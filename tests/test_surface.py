@@ -4,7 +4,8 @@ Every public module-level function or class of the package must be named
 somewhere other than its own definition: by code of the package, by the
 acceptance suite or by the benchmark (a dotted string such as
 ``"harness.place_ppp"`` names ``place_ppp``). A name that only its unit
-tests reach is dead code, with the exceptions listed in TEST_REFERENCES.
+tests reach is dead code, with the exceptions listed in TEST_REFERENCES. A
+private module-level function or class must be named by code of the package.
 """
 
 import ast
@@ -35,11 +36,15 @@ TEST_REFERENCES = {
 _DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
 
 
+def definitions(source):
+    """Names of the module-level functions and classes."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
 def public_definitions(source):
     """Names of the module-level functions and classes not starting with '_'."""
-    return [node.name for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+    return [name for name in definitions(source) if not name.startswith("_")]
 
 
 def named(source):
@@ -71,14 +76,17 @@ def test_checker_reads_names_imports_attributes_and_dotted_strings():
     assert named(source) >= {"b", "d", "f", "g", "e", "h", "mod"}
     assert "j" not in named(source)
     assert public_definitions(source) == ["k", "L"]
+    assert definitions(source) == ["k", "L", "_m"]
+
+
+@functools.cache
+def _named_in_package():
+    return set().union(*(named(path.read_text()) for path in PACKAGE.glob("*.py")))
 
 
 @functools.cache
 def _used():
-    used = set()
-    for path in [*PACKAGE.glob("*.py"), *USERS]:
-        used |= named(path.read_text())
-    return used
+    return _named_in_package().union(*(named(path.read_text()) for path in USERS))
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -87,6 +95,14 @@ def test_public_names_have_a_user(path):
     unused = [name for name in public_definitions(path.read_text())
               if name not in used and name not in TEST_REFERENCES]
     assert unused == []
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_private_names_have_a_caller_in_the_package(path):
+    # a private helper that only tests or the benchmark reach is dead code
+    uncalled = [name for name in definitions(path.read_text())
+                if name.startswith("_") and name not in _named_in_package()]
+    assert uncalled == []
 
 
 @pytest.mark.parametrize("path", sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "grouping.py"}),
