@@ -556,12 +556,16 @@ def summarize(result):
 
 # -- CSV output --
 
+_RESULT_BLOCK_VALUES = 1024
+
+
 def write_result_csv(path, results):
     """Result CSV: scenario, seed, trial, snr_linear|rate_bpcu (one value kind).
 
-    Rows run trial by trial; within a trial, terminal by terminal. Each
-    (trial, terminal) block is formatted by one % operation, so a '%' in a
-    row name is escaped as '%%'.
+    Rows run trial by trial; within a trial, terminal by terminal, which is
+    the C order of a result's values. Trials are written in blocks of about
+    _RESULT_BLOCK_VALUES values, each formatted by one % operation over its
+    flattened values, so a '%' in a row name is escaped as '%%'.
     """
     kinds = {r.kind for r in results}
     if len(kinds) != 1:
@@ -574,11 +578,14 @@ def write_result_csv(path, results):
             f.write(f"# power_plan[{r.label}]: {r.power_note}\n")
         f.write(f"scenario,seed,trial,{kind}\n")
         for r in results:
-            series = [(name.replace("%", "%%"), samples) for name, samples in r.terminals()]
-            for trial in range(r.config.outer):
-                for name, samples in series:
-                    row = samples[trial].tolist()
-                    f.write(f"{name},{r.config.seed},{trial},%.17g\n" * len(row) % tuple(row))
+            heads = [f"{name.replace('%', '%%')},{r.config.seed}," for name, _ in r.terminals()]
+            n = r.values.shape[2]
+            step = max(1, _RESULT_BLOCK_VALUES // r.values[0].size)
+            for start in range(0, r.config.outer, step):
+                stop = min(start + step, r.config.outer)
+                template = "".join(f"{head}{trial},%.17g\n" * n
+                                   for trial in range(start, stop) for head in heads)
+                f.write(template % tuple(r.values[start:stop].ravel().tolist()))
 
 
 def write_summary_csv(path, results):

@@ -87,9 +87,15 @@ def _expm_first_row(x):
     and each matrix is squared s[k] times. After every squaring the diagonal
     and superdiagonal are set to their exact values (Al-Mohy and Higham 2009,
     code fragment 2.1), so rounding errors do not grow over many squarings.
-    x has shape (m, n); the result too.
+    With n <= 2 those two bands are the whole first row, so they are written
+    directly and the Taylor and squaring steps are skipped. x has shape
+    (m, n); the result too.
     """
     m, n = x.shape
+    if n <= 2:
+        e = np.zeros((m, n, n))
+        _set_exact_bands(e, x)
+        return e[:, 0, :]
     _, s = np.frexp(2.0 * x.max(axis=1) / _TAYLOR_THETA)
     s = np.maximum(s, 0)
     a = np.zeros((m, n, n))

@@ -910,14 +910,15 @@ def _reference_cdf_tables(results):
     return "".join(out)
 
 
-def _synthetic_result(n_per_trial, label, seed=None):
-    """One trial of n_per_trial SNR samples over many magnitudes, with ties."""
+def _synthetic_result(n_per_trial, label, seed=None, outer=1):
+    """outer trials of n_per_trial SNR samples over many magnitudes, with ties."""
     rng = np.random.default_rng(n_per_trial if seed is None else seed)
-    values = rng.exponential(size=n_per_trial) * 10.0 ** rng.integers(-300, 300, n_per_trial)
+    size = outer * n_per_trial
+    values = rng.exponential(size=size) * 10.0 ** rng.integers(-300, 300, size)
     values[::7] = values[0]
     cfg = ScenarioConfig(deployment="ppp", shadow="none", csi="perfect", code="single",
-                         epsilon=0.1, outer=1, inner=n_per_trial, seed=7)
-    return [RunResult(cfg, label, values.reshape(1, 1, -1), "rho=1")]
+                         epsilon=0.1, outer=outer, inner=n_per_trial, seed=7)
+    return [RunResult(cfg, label, values.reshape(outer, 1, -1), "rho=1")]
 
 
 def _mixed_count_results(label):
@@ -951,8 +952,10 @@ def _three_terminal_results(label):
     _mixed_count_results,
     _zero_snr_results,
     _three_terminal_results,
+    # ten trials of 100 values per result-writer block: the last block is short
+    lambda label: _synthetic_result(100, label, outer=23),
 ], ids=["one-row", "one-chunk", "chunk-plus-one", "counts-n-n-m-n", "zero-snr",
-        "three-terminals"])
+        "three-terminals", "partial-block"])
 def test_writers_match_per_row_formatting(tmp_path, make):
     # a label may hold '%', which the block formatting must escape
     results = make("run%d 50%s%%")
@@ -974,6 +977,20 @@ def test_cdf_writer_peak_memory_stays_below_two_mb(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 2e6
+
+
+def test_result_writer_peak_memory_stays_below_half_a_mb(tmp_path):
+    # fig3 at --outer 350: six results of 350 trials of 100 samples. Blocks
+    # of about 1024 values keep the traced peak near 0.1 MB; one % over a
+    # whole result would hold its 35,000 floats and their text, about 2.9 MB.
+    results = [_synthetic_result(100, f"m{i}", seed=i, outer=350)[0] for i in range(6)]
+    tracemalloc.start()
+    try:
+        write_result_csv(tmp_path / "r.csv", results)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
 
 
 def test_mixed_kinds_rejected(tmp_path):

@@ -7,6 +7,8 @@ from scipy.linalg import expm
 
 from cellfree.metrics import (
     SampleSizeError,
+    _expm_first_row,
+    _set_exact_bands,
     coverage_and_density,
     coverage_perfect,
     outage_rate,
@@ -184,6 +186,33 @@ def test_coverage_and_density_match_closed_forms():
     cov, dens = coverage_and_density(g, lam)
     assert np.array_equal(cov, coverage_perfect(g, lam))
     assert np.allclose(dens, a * b / (b - a) * (np.exp(-a * g) - np.exp(-b * g)), rtol=1e-13, atol=0)
+
+
+def _rate_rows(n, rng):
+    """Rows of n exponents over 1e-6 ... 1e3, with coincident and 1e-9-apart pairs."""
+    x = 10.0 ** rng.uniform(-6, 3, (600, n))
+    x[::3, 1:] = x[::3, :1]
+    x[1::3, 1:] = x[1::3, :1] * (1.0 + 1e-9)
+    return x
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_one_and_two_rate_rows_are_the_exact_bands(n):
+    x = _rate_rows(n, np.random.default_rng(n))
+    bands = np.zeros((x.shape[0], n, n))
+    _set_exact_bands(bands, x)
+    assert np.array_equal(_expm_first_row(x), bands[:, 0, :])
+
+
+def test_short_rows_match_the_leading_entries_of_a_three_rate_row():
+    # the leading block of expm of an upper-bidiagonal matrix is the expm of
+    # its leading block, so the one- and two-rate rows must reproduce the
+    # general (Taylor and squaring) path bit for bit
+    x = _rate_rows(3, np.random.default_rng(3))
+    x[2::3, 2] = x[2::3, 1] * 1e3  # a distant third rate forces many squarings
+    row = _expm_first_row(x)
+    for n in (1, 2):
+        assert np.array_equal(_expm_first_row(x[:, :n].copy()), row[:, :n])
 
 
 def test_quantile_exponential_anchor():
