@@ -91,13 +91,9 @@ def place_hex(density, region, antennas_per_ap=1):
     shift = np.array([s / 2.0, row_step / 2.0])
     jmax = int(np.ceil((hw + abs(shift[1])) / row_step)) + 1
     imax = int(np.ceil((hw + abs(shift[0])) / s)) + 1
-    rows = []
-    for j in range(-jmax, jmax + 1):
-        xoff = (s / 2.0) if (j % 2) else 0.0
-        xs = np.arange(-imax, imax + 1) * s + xoff + shift[0]
-        ys = np.full_like(xs, j * row_step + shift[1])
-        rows.append(np.column_stack([xs, ys]))
-    pts = np.concatenate(rows)
+    j = np.arange(-jmax, jmax + 1)[:, None]  # lattice row, then column, odd rows offset by s/2
+    xs = np.arange(-imax, imax + 1) * s + np.where(j % 2, s / 2.0, 0.0) + shift[0]
+    pts = np.stack(np.broadcast_arrays(xs, j * row_step + shift[1]), axis=-1).reshape(-1, 2)
     pts = pts[np.all(np.abs(pts) <= hw, axis=1)]
     return NetworkLayout(pts, antennas_per_ap, region)
 

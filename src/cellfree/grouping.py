@@ -11,7 +11,6 @@ class Grouping:
     """Group of every antenna, in [0, n_groups), as built by the two constructors."""
 
     assignment: np.ndarray  # (n_antennas,) int64
-    n_groups: int
 
 
 def random_grouping(n_antennas, n_groups, rng):
@@ -24,7 +23,7 @@ def random_grouping(n_antennas, n_groups, rng):
         raise ValueError("n_groups must be >= 1")
     if n_antennas < n_groups:
         raise ValueError(f"{n_antennas} antennas cannot fill {n_groups} groups")
-    return Grouping(balanced_split(rng.permutation(n_antennas), n_groups), n_groups)
+    return Grouping(balanced_split(rng.permutation(n_antennas), n_groups))
 
 
 def balanced_split(perms, n_groups):
@@ -95,25 +94,18 @@ def neighbor_grouping(layout, n_groups):
     n_aps, m = layout.n_aps, layout.antennas_per_ap
     if n_aps * m < n_groups:
         raise ValueError(f"{n_aps * m} antennas cannot fill {n_groups} groups")
-    dist, start, _ = closest_pair(layout.positions)  # one AP: (inf, 0, 0), a chain of one
-    unassigned = np.ones(n_aps, dtype=bool)
-    unassigned[start] = False
-    order = [start]
-    prev = start
-    for _ in range(n_aps - 1):
-        cand = np.where(unassigned, dist[prev], np.inf)
-        nxt = int(np.argmin(cand))  # argmin takes the lowest index on ties
-        unassigned[nxt] = False
-        order.append(nxt)
-        prev = nxt
+    # one AP: (inf, 0, 0), a chain of one; a visited AP's column becomes inf
+    dist, prev, _ = closest_pair(layout.positions)
+    order = np.empty(n_aps, dtype=np.int64)
+    order[0] = prev
+    for k in range(1, n_aps):
+        dist[:, prev] = np.inf
+        prev = order[k] = np.argmin(dist[prev])  # argmin takes the lowest index on ties
 
     assignment = np.empty(n_aps * m, dtype=np.int64)
-    counter = 0
-    for ap in order:
-        for j in range(m):
-            assignment[ap * m + j] = counter % n_groups
-            counter += 1
-    return Grouping(assignment, n_groups)
+    antennas = order[:, None] * m + np.arange(m)  # the k-th AP of the chain counts from k*m
+    assignment[antennas] = np.arange(n_aps * m).reshape(n_aps, m) % n_groups
+    return Grouping(assignment)
 
 
 def group_large_scale(beta, assignment, n_groups):

@@ -6,7 +6,7 @@ from dataclasses import replace
 import pytest
 
 import cellfree
-from cellfree import harness
+from cellfree import harness, linklevel
 from cellfree.cli import build_parser, main
 from cellfree.harness import ScenarioConfig, config_to_text
 
@@ -301,6 +301,25 @@ def test_oracle_corollary1(capsys):
 def test_oracle_hyperexp(capsys):
     assert main(["oracle", "--check", "hyperexp", "--seed", "3"]) == 0
     assert "PASS" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("ok, n_pass, code", [(True, 20, 0), (False, 17, 1)])
+def test_oracle_theorem1_reports_each_code_and_the_verdict(monkeypatch, capsys, ok, n_pass, code):
+    seeds = []
+
+    def canned(seed):
+        seeds.append(seed)
+        return {"ok": ok, "codes": {"alamouti": {"n_pass": 20, "n_configs": 20},
+                                    "rate34": {"n_pass": n_pass, "n_configs": 20}}}
+
+    monkeypatch.setattr(linklevel, "check_theorem1", canned)
+    assert main(["oracle", "--check", "theorem1", "--seed", "5"]) == code
+    assert seeds == [5]
+    assert capsys.readouterr().out.splitlines() == [
+        "theorem1[alamouti]: 20/20 configurations within 3 SE",
+        f"theorem1[rate34]: {n_pass}/20 configurations within 3 SE",
+        "PASS" if ok else "FAIL",
+    ]
 
 
 def test_oracle_negative_seed_is_usage_error(capsys):

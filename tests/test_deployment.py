@@ -95,6 +95,37 @@ def test_hex_count_matches_density_within_boundary_ring():
     assert abs(layout.n_aps - density * (2 * hw) ** 2) <= ring
 
 
+def _hex_reference(density, hw):
+    """The lattice built one row at a time, odd rows offset by half a spacing."""
+    s = hex_spacing(density)
+    row_step = s * np.sqrt(3.0) / 2.0
+    shift = np.array([s / 2.0, row_step / 2.0])
+    jmax = int(np.ceil((hw + abs(shift[1])) / row_step)) + 1
+    imax = int(np.ceil((hw + abs(shift[0])) / s)) + 1
+    rows = []
+    for j in range(-jmax, jmax + 1):
+        xoff = (s / 2.0) if (j % 2) else 0.0
+        xs = np.arange(-imax, imax + 1) * s + xoff + shift[0]
+        ys = np.full_like(xs, j * row_step + shift[1])
+        rows.append(np.column_stack([xs, ys]))
+    pts = np.concatenate(rows)
+    return pts[np.all(np.abs(pts) <= hw, axis=1)]
+
+
+@pytest.mark.parametrize("density, hw", [
+    (10.0, 5.0), (20.0, 5.0), (40.0, 5.0),  # fig3's hexagonal members
+    (10.0, 0.6),  # fig9's cellular member
+    (1.0, 0.1),  # no lattice point inside the region
+    (1000.0, 0.6),
+])
+def test_hex_matches_the_row_by_row_lattice(density, hw):
+    pts = place_hex(density, Region(hw)).positions
+    ref = _hex_reference(density, hw)
+    assert pts.shape == ref.shape and pts.dtype == ref.dtype
+    assert np.array_equal(pts, ref)  # same points in the same order
+    assert len(ref) > 0 or density == 1.0
+
+
 def test_hex_invalid_density_rejected():
     with pytest.raises(ValueError):
         place_hex(0.0, Region(5.0))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cellfree.deployment import NetworkLayout, Region, place_ppp
+from cellfree.deployment import NetworkLayout, Region, closest_pair, place_hex, place_ppp
 from cellfree.grouping import balanced_split, group_large_scale, neighbor_grouping, random_grouping
 
 
@@ -118,6 +118,51 @@ def test_neighbor_multi_antenna_round_robin():
     for ap in range(3):
         groups = set(g.assignment[ap * 3 : (ap + 1) * 3])
         assert groups == {0, 1}  # every AP covers all groups when m >= n_groups
+
+
+def _neighbor_reference(layout, n_groups):
+    """The chain kept step by step: a mask of unvisited APs, then one antenna at a time."""
+    n_aps, m = layout.n_aps, layout.antennas_per_ap
+    dist, start, _ = closest_pair(layout.positions)
+    unassigned = np.ones(n_aps, dtype=bool)
+    unassigned[start] = False
+    order = [start]
+    prev = start
+    for _ in range(n_aps - 1):
+        nxt = int(np.argmin(np.where(unassigned, dist[prev], np.inf)))
+        unassigned[nxt] = False
+        order.append(nxt)
+        prev = nxt
+    assignment = np.empty(n_aps * m, dtype=np.int64)
+    counter = 0
+    for ap in order:
+        for j in range(m):
+            assignment[ap * m + j] = counter % n_groups
+            counter += 1
+    return assignment
+
+
+def _rounded_layouts():
+    # positions on a 0.1 km grid: tied distances and coincident APs are common
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        pts = np.round(rng.uniform(-0.5, 0.5, size=(rng.integers(1, 30), 2)), 1)
+        yield _layout_from(pts, m=int(rng.integers(1, 5)))
+    yield place_hex(10.0, Region(0.6), 100)  # fig9's cellular lattice
+
+
+def test_neighbor_grouping_matches_the_step_by_step_chain():
+    checked = 0
+    for layout in _rounded_layouts():
+        for n_groups in range(1, 5):
+            if layout.n_antennas < n_groups:
+                continue
+            g = neighbor_grouping(layout, n_groups)
+            ref = _neighbor_reference(layout, n_groups)
+            assert g.assignment.dtype == ref.dtype
+            assert np.array_equal(g.assignment, ref)
+            checked += 1
+    assert checked > 150
 
 
 def test_neighbor_infeasible():

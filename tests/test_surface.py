@@ -18,6 +18,7 @@ import re
 
 import pytest
 
+from cellfree.grouping import Grouping
 from cellfree.propagation import ShadowParams
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -189,3 +190,7 @@ def test_no_function_takes_a_shadow_constant(path):
 
 def test_the_shadow_mode_is_the_only_shadow_setting():
     assert [f.name for f in dataclasses.fields(ShadowParams)] == ["mode"]
+
+
+def test_the_assignment_is_the_only_grouping_field():
+    assert [f.name for f in dataclasses.fields(Grouping)] == ["assignment"]
